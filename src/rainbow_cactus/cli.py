@@ -273,11 +273,14 @@ def cmd_verify(args) -> int:
         if colors[eid] is not None:
             print(f"error: duplicate coloring entry for edge {key!r}", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        try:
-            colors[eid] = int(value)
-        except (TypeError, ValueError):
+        # JSON integers only: int() would truncate 1.9, and bool is an int subclass
+        if isinstance(value, bool) or not isinstance(value, int):
             print(f"error: edge {key!r} has non-integer color {value!r}", file=sys.stderr)
             return EXIT_INPUT_ERROR
+        if value < 1:
+            print(f"error: edge {key!r} has color {value}, colors start at 1", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        colors[eid] = value
     missing = [e for e, c in enumerate(colors) if c is None]
     if missing:
         keys = ", ".join(_edge_key(g, e) for e in missing[:5])

@@ -7,10 +7,37 @@ reproducible for a given edge list.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 
 from .graph import EdgeId, Graph, VertexId
+
+
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector for a bulk build of acyclic data.
+
+    Building hundreds of thousands of tuples, frozensets and records that
+    survive the build triggers repeated full collections, each a pass over
+    the whole heap, that can find nothing: the data has no reference cycles,
+    and temporaries are freed by reference counting as before. The
+    collector's previous state is restored on exit.
+
+    Used as a decorator (`@gc_paused()`), the function's local temporaries
+    are already freed when the collector resumes, so its first pass only
+    visits what the function returned.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class BlockKind(Enum):
@@ -100,115 +127,124 @@ class Classification:
         return self.tag is not GraphClass.REJECTED
 
 
+@gc_paused()
 def decompose(g: Graph) -> Decomposition:
-    """Cut vertices, blocks and block-cut tree of any connected simple graph."""
+    """Cut vertices, blocks and block-cut tree of any connected simple graph.
+
+    The DFS records, per edge, whether it is a back edge and, for a tree
+    edge, the child it discovered. A block's edges then sit on the edge stack
+    in push order, tree edge into the block first. A block with exactly one
+    back edge is a cycle, and its stack slice is already a cyclic traversal:
+    the tree path from the block's top vertex, closed by the back edge.
+    """
     n = g.vertex_count
+    m = g.edge_count
     adj = g.adjacency
     disc = [-1] * n
     low = [0] * n
-    ptr = [0] * n
     parent_eid = [-1] * n
-    is_cut = [False] * n
-    push_seq = [-1] * g.edge_count
+    stack_pos = [0] * n  # where the tree edge into a vertex sits on the edge stack
+    tree_child = [-1] * m
+    is_back = bytearray(m)
+    is_cut = bytearray(n)
     estack: list[int] = []
-    comps: list[list[int]] = []
-    pushes = 0
+    # a block's edge list, filed under the DFS step of its first edge: the
+    # tree edge into the block, pushed when its child was discovered
+    comp_at: list[list[int] | None] = [None] * n
     timer = 1
     root_children = 0
 
     disc[0] = low[0] = 0
     vstack = [0]
-    while vstack:
+    iters = [iter(adj[0])]
+    while iters:
         v = vstack[-1]
-        av = adj[v]
-        i = ptr[v]
-        if i < len(av):
-            ptr[v] = i + 1
-            w, eid = av[i]
+        dv = disc[v]
+        pe = parent_eid[v]
+        for w, eid in iters[-1]:
             dw = disc[w]
             if dw < 0:
                 parent_eid[w] = eid
-                push_seq[eid] = pushes
-                pushes += 1
+                tree_child[eid] = w
+                stack_pos[w] = len(estack)
                 estack.append(eid)
                 disc[w] = low[w] = timer
                 timer += 1
                 vstack.append(w)
-            elif eid != parent_eid[v] and dw < disc[v]:
-                push_seq[eid] = pushes
-                pushes += 1
+                iters.append(iter(adj[w]))
+                break
+            if dw < dv and eid != pe:
+                is_back[eid] = 1
                 estack.append(eid)
                 if dw < low[v]:
                     low[v] = dw
         else:
+            iters.pop()
             vstack.pop()
             if not vstack:
                 break
             u = vstack[-1]
-            if low[v] < low[u]:
-                low[u] = low[v]
-            if low[v] >= disc[u]:
-                peid = parent_eid[v]
-                comp: list[int] = []
-                while True:
-                    e = estack.pop()
-                    comp.append(e)
-                    if e == peid:
-                        break
-                comps.append(comp)
+            lv = low[v]
+            if lv < low[u]:
+                low[u] = lv
+            if lv >= disc[u]:
+                k = stack_pos[v]
+                comp_at[disc[v]] = estack[k:]
+                del estack[k:]
                 if u == 0:
                     root_children += 1
                 else:
-                    is_cut[u] = True
+                    is_cut[u] = 1
     if root_children > 1:
-        is_cut[0] = True
+        is_cut[0] = 1
 
-    comps.sort(key=lambda comp: min(push_seq[e] for e in comp))
+    comps = list(filter(None, comp_at))
 
+    cut_vertices = frozenset(compress(range(n), is_cut))
+    cut_blocks: dict[int, list[int]] = {v: [] for v in sorted(cut_vertices)}
+    in_cuts = is_cut.__getitem__
     edges_arr = g.edges
     blocks: list[Block] = []
-    block_of_edge = [-1] * g.edge_count
+    block_cuts: list[tuple[int, ...]] = []
+    block_of_edge = [-1] * m
     cut_edge_ids: list[int] = []
+    cut_edge, cycle, other = BlockKind.CUT_EDGE, BlockKind.CYCLE, BlockKind.OTHER
     for bidx, comp in enumerate(comps):
         for e in comp:
             block_of_edge[e] = bidx
         if len(comp) == 1:
             e = comp[0]
-            a, b = edges_arr[e]
-            blocks.append(Block(bidx, BlockKind.CUT_EDGE, (a, b), frozenset(comp), (e,)))
+            a, b = ab = edges_arr[e]
+            blocks.append(Block(bidx, cut_edge, ab, frozenset(comp), (e,)))
             cut_edge_ids.append(e)
-            continue
-        nbrs: dict[int, list[tuple[int, int]]] = {}
-        for e in comp:
-            a, b = edges_arr[e]
-            nbrs.setdefault(a, []).append((b, e))
-            nbrs.setdefault(b, []).append((a, e))
-        if len(nbrs) == len(comp):
-            # a 2-connected block with |V| == |E| is a cycle
-            start = min(nbrs)
-            (n1, e1), (n2, e2) = nbrs[start]
-            step = (n1, e1) if n1 < n2 else (n2, e2)
-            verts = [start]
-            oedges = [step[1]]
-            prev, cur = start, step[0]
-            while cur != start:
-                verts.append(cur)
-                (m1, f1), (m2, f2) = nbrs[cur]
-                step = (m1, f1) if m1 != prev else (m2, f2)
-                oedges.append(step[1])
-                prev, cur = cur, step[0]
-            blocks.append(Block(bidx, BlockKind.CYCLE, tuple(verts), frozenset(comp), tuple(oedges)))
+            if is_cut[a]:
+                cs = (a, b) if is_cut[b] else (a,)
+            else:
+                cs = (b,) if is_cut[b] else ()
         else:
-            blocks.append(Block(bidx, BlockKind.OTHER, tuple(sorted(nbrs)), frozenset(comp), ()))
-
-    cut_vertices = frozenset(v for v in range(n) if is_cut[v])
-    block_cuts: list[tuple[int, ...]] = []
-    cut_blocks: dict[int, list[int]] = {v: [] for v in sorted(cut_vertices)}
-    for b in blocks:
-        cs = tuple(sorted(v for v in b.vertices if v in cut_vertices))
+            if sum(map(is_back.__getitem__, comp)) != 1:
+                verts_set = {x for e in comp for x in edges_arr[e]}
+                cverts = tuple(sorted(verts_set))
+                blocks.append(Block(bidx, other, cverts, frozenset(comp), ()))
+            else:
+                # a 2-connected block with one back edge has |V| == |E|: a
+                # cycle. comp is [tree edges down the path..., back edge up].
+                a, b = edges_arr[comp[0]]
+                top = a if tree_child[comp[0]] == b else b
+                verts = (top, *map(tree_child.__getitem__, comp[:-1]))
+                # canonical order: lowest id first, toward its lower-id neighbour
+                i = verts.index(min(verts))
+                if verts[(i + 1) % len(verts)] < verts[i - 1]:
+                    cverts = verts[i:] + verts[:i]
+                    cedges = comp[i:] + comp[:i]
+                else:
+                    cverts = verts[i::-1] + verts[:i:-1]
+                    cedges = comp[i - 1 :: -1] + comp[: i - 1 : -1]
+                blocks.append(Block(bidx, cycle, cverts, frozenset(comp), tuple(cedges)))
+            cs = tuple(sorted(compress(cverts, map(in_cuts, cverts))))
         block_cuts.append(cs)
         for v in cs:
-            cut_blocks[v].append(b.index)
+            cut_blocks[v].append(bidx)
     bct = BlockCutTree(tuple(block_cuts), {v: tuple(bs) for v, bs in cut_blocks.items()})
     return Decomposition(cut_vertices, tuple(blocks), frozenset(cut_edge_ids), bct, tuple(block_of_edge))
 

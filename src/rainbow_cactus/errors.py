@@ -89,3 +89,11 @@ class InvalidPartitionError(RainbowCactusError):
         super().__init__(f"partition violates property {property_name!r} (witness: {witness!r})")
         self.property_name = property_name
         self.witness = witness
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant of the algorithm failed: a bug, not bad input.
+
+    Raised explicitly rather than by `assert`, so the check also runs under
+    `python -O`.
+    """

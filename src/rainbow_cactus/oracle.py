@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import PartialColoringError, TooLargeError
-from .graph import Graph, Path, all_shortest_paths
+from .graph import Graph, Path, _bfs_dist, all_shortest_paths
 from .partition import BlackWhitePartition
 from .solver import EdgeColoring
 
@@ -45,7 +45,7 @@ def _total_colors(g: Graph, coloring: EdgeColoring) -> tuple[int, ...]:
             f"coloring covers {len(colors)} edges, graph has {g.edge_count}"
         )
     for e, c in enumerate(colors):
-        if not isinstance(c, int) or c < 1:
+        if isinstance(c, bool) or not isinstance(c, int) or c < 1:
             raise PartialColoringError(f"edge {e} has invalid color {c!r}")
     return colors
 
@@ -95,32 +95,111 @@ def _walk_back(par_v, par_e, source: int, target: int) -> Path:
     return Path(tuple(verts), tuple(eids))
 
 
+def _failure(colors, u: int, v: int, path: Path) -> VerificationOutcome:
+    rep = _repeated_color(path.edges, colors)
+    return VerificationOutcome(False, RainbowWitness(u, v, path, rep))
+
+
+def _check_tree_paths(g: Graph, colors, jobs) -> VerificationOutcome:
+    """Check BFS-tree paths for (source, targets) jobs, in the order given.
+
+    One BFS per source; each target is checked by walking its parent chain
+    back to the source. A walk marks the colors it meets in `stamp` with its
+    own tick, so nothing is cleared between walks, and a target listed twice
+    never sees its own earlier marks. Only the first failing pair gets a
+    `Path`.
+    """
+    # colors renumbered 0..k-1, so the stamp array is sized by the number of
+    # colors in use, not by their values
+    ids: dict[int, int] = {}
+    dense = [ids.setdefault(c, len(ids)) for c in colors]
+    stamp = [0] * len(ids)
+    tick = 0
+    for u, targets in jobs:
+        par_v, par_e = _bfs_parents(g, u)
+        for v in targets:
+            tick += 1
+            x = v
+            while x != u:
+                c = dense[par_e[x]]
+                if stamp[c] == tick:
+                    return _failure(colors, u, v, _walk_back(par_v, par_e, u, v))
+                stamp[c] = tick
+                x = par_v[x]
+    return VerificationOutcome(True, None)
+
+
+def _has_rainbow_geodesic(adj, dist, colors, u: int, v: int) -> bool:
+    """Whether some shortest u,v path has pairwise distinct colors.
+
+    Depth-first search backward from v over shortest-path predecessors,
+    never taking an edge whose color the partial path already uses; it stops
+    at the first rainbow path. Iterative, so a geodesic longer than the
+    recursion limit is fine. Worst case exponential: the problem is
+    NP-complete in general.
+    """
+    used: set[int] = set()
+    # frame: vertex, iterator over its neighbours, color of the edge taken into it
+    stack = [(v, iter(adj[v]), None)]
+    while stack:
+        x, nbrs, _ = stack[-1]
+        want = dist[x] - 1
+        for w, eid in nbrs:
+            if dist[w] == want:
+                c = colors[eid]
+                if c in used:
+                    continue
+                if w == u:
+                    return True
+                used.add(c)
+                stack.append((w, iter(adj[w]), c))
+                break
+        else:
+            used.discard(stack.pop()[2])
+    return False
+
+
+def _lex_first_geodesic(g: Graph, du, u: int, v: int) -> Path:
+    """The shortest u,v path that is least by vertex sequence (the first one
+    `all_shortest_paths` lists), built greedily with one BFS from v."""
+    dv = _bfs_dist(g, v)
+    d = du[v]
+    verts = [u]
+    eids = []
+    x = u
+    while x != v:
+        step = du[x] + 1
+        x, eid = min(
+            (w, eid) for w, eid in g.adjacency[x] if du[w] == step and dv[w] == d - step
+        )
+        verts.append(x)
+        eids.append(eid)
+    return Path(tuple(verts), tuple(eids))
+
+
 def verify_strong_rainbow(
     g: Graph, coloring: EdgeColoring, geodetic_hint: bool = False
 ) -> VerificationOutcome:
     """Check that every vertex pair has a rainbow shortest path.
 
-    With `geodetic_hint` the unique shortest path per pair is checked (valid
-    for odd cacti); otherwise all shortest paths are enumerated, which is
-    exhaustive but meant for small graphs.
+    Pairs are checked in (u, v) order and the first failing pair is the
+    witness. With `geodetic_hint` the unique shortest path per pair is
+    checked (valid for odd cacti): one BFS per source, then a walk up the BFS
+    tree per target. Otherwise each pair searches its shortest paths until
+    one is rainbow; that is exhaustive, and exponential in the worst case.
+    A failing pair's witness path is the lexicographically first shortest
+    path, as `all_shortest_paths` orders them.
     """
     colors = _total_colors(g, coloring)
     n = g.vertex_count
+    if geodetic_hint:
+        return _check_tree_paths(g, colors, ((u, range(u + 1, n)) for u in range(n - 1)))
+    adj = g.adjacency
     for u in range(n - 1):
-        if geodetic_hint:
-            par_v, par_e = _bfs_parents(g, u)
-            for v in range(u + 1, n):
-                path = _walk_back(par_v, par_e, u, v)
-                rep = _repeated_color(path.edges, colors)
-                if rep is not None:
-                    return VerificationOutcome(False, RainbowWitness(u, v, path, rep))
-        else:
-            for v in range(u + 1, n):
-                paths = all_shortest_paths(g, u, v)
-                if all(_repeated_color(p.edges, colors) is not None for p in paths):
-                    first = paths[0]
-                    rep = _repeated_color(first.edges, colors)
-                    return VerificationOutcome(False, RainbowWitness(u, v, first, rep))
+        du = _bfs_dist(g, u)
+        for v in range(u + 1, n):
+            if not _has_rainbow_geodesic(adj, du, colors, u, v):
+                return _failure(colors, u, v, _lex_first_geodesic(g, du, u, v))
     return VerificationOutcome(True, None)
 
 
@@ -128,21 +207,20 @@ def verify_pairs(g: Graph, coloring: EdgeColoring, pairs) -> VerificationOutcome
     """Spot-check specific vertex pairs (geodetic graphs).
 
     Pairs are grouped by source so each source costs one BFS; useful at sizes
-    where the full pair enumeration is out of reach.
+    where the full pair enumeration is out of reach. Sources are checked in
+    ascending order, each source's targets in the given order. Raises
+    ValueError for a vertex id outside 0..n-1.
     """
     colors = _total_colors(g, coloring)
+    n = g.vertex_count
     by_source: dict[int, list[int]] = {}
     for u, v in pairs:
+        for x in (u, v):
+            if not 0 <= x < n:
+                raise ValueError(f"invalid vertex {x}")
         if u != v:
             by_source.setdefault(u, []).append(v)
-    for u in sorted(by_source):
-        par_v, par_e = _bfs_parents(g, u)
-        for v in by_source[u]:
-            path = _walk_back(par_v, par_e, u, v)
-            rep = _repeated_color(path.edges, colors)
-            if rep is not None:
-                return VerificationOutcome(False, RainbowWitness(u, v, path, rep))
-    return VerificationOutcome(True, None)
+    return _check_tree_paths(g, colors, ((u, by_source[u]) for u in sorted(by_source)))
 
 
 def _bridges_by_deletion(g: Graph) -> list[int]:

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import compress
 
-from .decomposition import Block, BlockKind, Decomposition
+from .decomposition import Block, BlockKind, Decomposition, gc_paused
 from .errors import EdgeNotInCycleError, NotOddCactusError, VertexNotInCycleError
 from .graph import EdgeId, VertexId
 
@@ -22,6 +23,11 @@ class SegmentClass(Enum):
     S2 = "S2"  # bounded by (cut vertex, antipodal edge)
     S3 = "S3"  # bounded by (antipodal edge, cut vertex)
     S4 = "S4"  # bounded by (antipodal edge, antipodal edge)
+
+
+# a boundary at an even trail position is a cut vertex, at an odd one an
+# antipodal edge; index (left parity << 1) | right parity
+_CLASS_BY_PARITY = (SegmentClass.S1, SegmentClass.S2, SegmentClass.S3, SegmentClass.S4)
 
 
 # trail elements are ("v", vertex id) or ("e", edge id)
@@ -120,25 +126,26 @@ def antipodal_edge(block: Block, v: VertexId) -> EdgeId:
     return block.ordered_edges[(j + (length - 1) // 2) % length]
 
 
+@gc_paused()
 def build_antipodal_index(d: Decomposition) -> AntipodalIndex:
     """Antipodal maps for every cycle block, by index arithmetic on the
     canonical cyclic order (O(1) per element)."""
     opp_v: dict[int, int] = {}
     opp_e: dict[int, dict[int, int]] = {}
+    cycle_kind = BlockKind.CYCLE
     for block in d.blocks:
-        if not block.is_cycle:
+        if block.kind is not cycle_kind:
             continue
-        length = block.length
-        if length % 2 == 0:
-            raise NotOddCactusError(f"block {block.index} is an even cycle")
         verts = block.vertices
         oedges = block.ordered_edges
+        length = len(verts)
+        if length % 2 == 0:
+            raise NotOddCactusError(f"block {block.index} is an even cycle")
         off_v = (length + 1) // 2
         off_e = (length - 1) // 2
         opp_v.update(zip(oedges, verts[off_v:] + verts[:off_v]))
         opp_e[block.index] = dict(zip(verts, oedges[off_e:] + oedges[:off_e]))
-    cuts = d.cut_vertices
-    e_ant = frozenset(e for e, w in opp_v.items() if w in cuts)
+    e_ant = frozenset(compress(opp_v, map(d.cut_vertices.__contains__, opp_v.values())))
     return AntipodalIndex(opp_v, opp_e, e_ant)
 
 
@@ -164,51 +171,48 @@ def _cycle_segments(
     verts = block.vertices
     oedges = block.ordered_edges
     length = len(verts)
-    cut_idx = [i for i, v in enumerate(verts) if v in cut_vertices]
+    cut_idx = list(compress(range(length), map(cut_vertices.__contains__, verts)))
     if not cut_idx:
         return []
     if start is None:
-        s = min(cut_idx, key=lambda i: verts[i])
+        s = min(cut_idx, key=verts.__getitem__)
     else:
         s = verts.index(start)
     off_e = (length - 1) // 2
 
     # rotate once so trail position 2q is rv[q] and position 2q+1 is re_[q]
-    bpos: list[int] = []
     if not reverse:
         rv = verts[s:] + verts[:s] if s else verts
         re_ = oedges[s:] + oedges[:s] if s else oedges
-        for i in cut_idx:
-            bpos.append(2 * ((i - s) % length))
-            bpos.append(2 * ((i + off_e - s) % length) + 1)
+        bpos = [2 * ((i - s) % length) for i in cut_idx]
+        bpos += [2 * ((i + off_e - s) % length) + 1 for i in cut_idx]
     else:
         rv = verts[s::-1] + verts[:s:-1]
         re_ = oedges[s - 1 :: -1] + oedges[: s - 1 : -1] if s else oedges[::-1]
-        for i in cut_idx:
-            bpos.append(2 * ((s - i) % length))
-            bpos.append(2 * ((s - 1 - i - off_e) % length) + 1)
+        bpos = [2 * ((s - i) % length) for i in cut_idx]
+        bpos += [2 * ((s - 1 - i - off_e) % length) + 1 for i in cut_idx]
     bpos.sort()
 
-    two_l = 2 * length
-    nb = len(bpos)
-    out: list[CycleSegment] = []
-    for t in range(nb):
-        b = bpos[t]
-        lo = b + 1
-        hi = bpos[t + 1] - 1 if t + 1 < nb else two_l - 1
-        if lo > hi:
-            continue
-        vpart = rv[(lo + 1) >> 1 : (hi >> 1) + 1]
-        epart = re_[lo >> 1 : (hi >> 1 if hi & 1 else (hi >> 1) - 1) + 1]
-        succ = bpos[t + 1] if t + 1 < nb else bpos[0]
-        if not b & 1:
-            klass = SegmentClass.S1 if not succ & 1 else SegmentClass.S2
-        else:
-            klass = SegmentClass.S3 if not succ & 1 else SegmentClass.S4
-        out.append(CycleSegment(block.index, vpart, epart, klass))
-    return out
+    # the segment after boundary b holds trail positions b+1 .. end-1, where
+    # end is the next boundary (the trail's end after the last one); its
+    # class is fixed by the parity of b and of the boundary that follows it
+    ends = bpos[1:]
+    succs = ends + bpos[:1]
+    ends.append(2 * length)
+    index = block.index
+    return [
+        CycleSegment(
+            index,
+            rv[(b + 2) >> 1 : (end + 1) >> 1],
+            re_[(b + 1) >> 1 : end >> 1],
+            _CLASS_BY_PARITY[(b & 1) << 1 | (succ & 1)],
+        )
+        for b, end, succ in zip(bpos, ends, succs)
+        if end - b > 1
+    ]
 
 
+@gc_paused()
 def enumerate_segments(d: Decomposition, a: AntipodalIndex, *, reverse: bool = False) -> SegmentCatalog:
     """All cycle segments, cycles in block order, trail order within a cycle.
 
@@ -217,21 +221,14 @@ def enumerate_segments(d: Decomposition, a: AntipodalIndex, *, reverse: bool = F
     choice (S2 and S3 labels swap).
     """
     segments: list[CycleSegment] = []
-    counts = {k: 0 for k in SegmentClass}
     cuts = d.cut_vertices
     cycle_kind = BlockKind.CYCLE
     for block in d.blocks:
-        if block.kind is not cycle_kind:
-            continue
-        for seg in _cycle_segments(block, cuts, reverse=reverse):
-            segments.append(seg)
-            counts[seg.klass] += 1
+        if block.kind is cycle_kind:
+            segments += _cycle_segments(block, cuts, reverse=reverse)
+    klasses = [seg.klass for seg in segments]
+    s1, s2, s3, s4 = _CLASS_BY_PARITY
     return SegmentCatalog(
         tuple(segments),
-        (
-            counts[SegmentClass.S1],
-            counts[SegmentClass.S2],
-            counts[SegmentClass.S3],
-            counts[SegmentClass.S4],
-        ),
+        (klasses.count(s1), klasses.count(s2), klasses.count(s3), klasses.count(s4)),
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .decomposition import BlockKind, Decomposition, GraphClass, classify
-from .errors import NotAntipodalEdgeError, NotOddCactusError
+from .errors import InvariantError, NotAntipodalEdgeError, NotOddCactusError
 from .graph import EdgeId, Graph, VertexId
 from .partition import BlackWhitePartition
 from .segments import AntipodalIndex, SegmentCatalog, SegmentClass
@@ -90,7 +90,10 @@ def src_formula(d: Decomposition, cat: SegmentCatalog) -> int:
     s1 = cat.counts[0]
     eant = _e_ant_count(d, cat)
     total = m + ecut + s1 - eant
-    assert total % 2 == 0, "segment pairing parity violated"
+    if total % 2:
+        raise InvariantError(
+            f"segment pairing parity violated: m + |E_cut| + |S1| - |E_ant| = {total}"
+        )
     return total // 2
 
 
@@ -121,7 +124,7 @@ def assert_line18_choice(sep: Separation, p: BlackWhitePartition) -> EdgeId:
     the lowest-id black edge in g2 (one always exists on valid inputs)."""
     eligible = p.e_black & sep.g2_edges
     if not eligible:
-        raise RuntimeError(
+        raise InvariantError(
             f"internal invariant violated: no black edge beyond pivot of edge {sep.pivot_edge}"
         )
     return min(eligible)
@@ -198,7 +201,7 @@ def _branch_min_black(
         bn = boe[e]
         res = up[bn] if parent[bn] == cn else down[cn]
         if res >= _UNSET:
-            raise RuntimeError(
+            raise InvariantError(
                 f"internal invariant violated: no black edge beyond pivot of edge {e}"
             )
         out[e] = res
@@ -276,11 +279,14 @@ def strong_rainbow_coloring(
         for e in ant_edges:
             colors_list[e] = colors_list[targets[e]]
 
-    assert all(c > 0 for c in colors_list), "coloring is not total"
+    if not all(c > 0 for c in colors_list):
+        raise InvariantError("coloring is not total")
     ecut = len(d.cut_edges)
     s1 = cat.counts[0]
     eant = len(a.e_ant)
-    assert counter == (m + ecut + s1 - eant) // 2, "color count disagrees with the closed form"
+    expected = (m + ecut + s1 - eant) // 2
+    if counter != expected:
+        raise InvariantError(f"color count {counter} disagrees with the closed form {expected}")
     return SrcResult(
         counter,
         EdgeColoring(counter, tuple(colors_list)),

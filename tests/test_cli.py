@@ -169,6 +169,18 @@ class TestVerify:
         coloring_file.write_text(json.dumps({"coloring": {"1,2": "red"}}))
         assert main(["verify", sample_path, str(coloring_file)]) == 1
 
+    @pytest.mark.parametrize("bad", [1.9, 2.0, True, "2", None, 0, -1])
+    def test_only_positive_json_integers_are_colors(self, tmp_path, capsys, bad):
+        # triangle 1-2-3 with pendant 3-4; int() would have read 1.9 and true
+        # as 1 and "2" as 2 and printed OK k=2
+        path = write_edges(tmp_path, "g.txt", [(1, 2), (2, 3), (1, 3), (3, 4)])
+        coloring_file = tmp_path / "strict.json"
+        coloring_file.write_text(json.dumps({"coloring": {"1,2": 1, "2,3": bad, "1,3": 1, "3,4": 2}}))
+        assert main(["verify", path, str(coloring_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'2,3'" in captured.err and "color" in captured.err
+
 
 class TestOracle:
     def test_bowtie_agreement(self, tmp_path, capsys):

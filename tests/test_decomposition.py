@@ -1,16 +1,77 @@
 from __future__ import annotations
 
+import gc
+import random
+
+import pytest
 from conftest import cycle_edges, eid, k4_edges, path_edges, vid
 
 from rainbow_cactus import (
     BlockKind,
+    GenSpec,
     GraphClass,
     RejectionReason,
+    build_antipodal_index,
     build_graph,
     classify,
     decompose,
+    enumerate_segments,
+    generate,
     leaf_blocks,
 )
+from rainbow_cactus.errors import NotOddCactusError
+
+
+def _connected_without(g, removed_vertex=None, removed_edge=None):
+    """Component id per vertex of g minus one vertex or one edge (BFS)."""
+    comp = [-1] * g.vertex_count
+    label = 0
+    for s in range(g.vertex_count):
+        if s == removed_vertex or comp[s] >= 0:
+            continue
+        comp[s] = label
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for w, e in g.adjacency[x]:
+                if w != removed_vertex and e != removed_edge and comp[w] < 0:
+                    comp[w] = label
+                    stack.append(w)
+        label += 1
+    return comp
+
+
+def _reference_blocks(g):
+    """Blocks as edge sets, by brute force: two edges share a block unless
+    deleting a single vertex separates what is left of them."""
+    parts = [_connected_without(g, removed_vertex=x) for x in range(g.vertex_count)]
+    same = {}
+    for e in range(g.edge_count):
+        for f in range(g.edge_count):
+            joined = True
+            for x, comp in enumerate(parts):
+                ce = {comp[y] for y in g.edges[e] if y != x}
+                cf = {comp[y] for y in g.edges[f] if y != x}
+                if not ce & cf:
+                    joined = False
+                    break
+            same[e, f] = joined
+    return {frozenset(f for f in range(g.edge_count) if same[e, f]) for e in range(g.edge_count)}
+
+
+def _random_connected_edges(rng, n):
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = set()
+    for i in range(1, n):
+        a, b = order[i], order[rng.randrange(i)]
+        edges.add((min(a, b), max(a, b)))
+    for _ in range(rng.randint(0, n)):
+        a, b = rng.sample(range(n), 2)
+        edges.add((min(a, b), max(a, b)))
+    pairs = list(edges)
+    rng.shuffle(pairs)
+    return pairs
 
 
 class TestDecompose:
@@ -65,6 +126,62 @@ class TestDecompose:
         assert sum(b.length for b in d.blocks) == sample_cactus.edge_count
         for e in range(sample_cactus.edge_count):
             assert e in d.blocks[d.block_of_edge[e]].edges
+
+    def test_matches_brute_force_on_random_graphs(self):
+        rng = random.Random(20261019)
+        graphs = [build_graph(_random_connected_edges(rng, rng.randint(2, 9))) for _ in range(150)]
+        graphs += [
+            generate(GenSpec(seed=s, target_vertices=rng.randint(3, 24), cycle_lengths=(3, 5, 7)))
+            for s in range(50)
+        ]
+        for g in graphs:
+            d = decompose(g)
+            comp = _connected_without(g)
+            cuts = {
+                x for x in range(g.vertex_count)
+                if len({c for c in _connected_without(g, removed_vertex=x) if c >= 0}) > 1
+            }
+            bridges = {e for e in range(g.edge_count) if _connected_without(g, removed_edge=e) != comp}
+            assert d.cut_vertices == cuts
+            assert d.cut_edges == bridges
+            assert {b.edges for b in d.blocks} == _reference_blocks(g)
+            for b in d.blocks:
+                assert [d.block_of_edge[e] for e in sorted(b.edges)] == [b.index] * b.length
+                ends = {y for e in b.edges for y in g.edges[e]}
+                if b.kind is BlockKind.CYCLE:
+                    vs, es = b.vertices, b.ordered_edges
+                    assert len(vs) == len(ends) == b.length >= 3
+                    assert vs[0] == min(vs) and vs[1] < vs[-1]
+                    for i, e in enumerate(es):
+                        assert set(g.edges[e]) == {vs[i], vs[(i + 1) % len(vs)]}
+                elif b.kind is BlockKind.CUT_EDGE:
+                    assert b.length == 1 and b.vertices == g.edges[b.ordered_edges[0]]
+                else:
+                    assert b.vertices == tuple(sorted(ends)) and len(ends) < b.length
+                assert d.bct.block_cuts[b.index] == tuple(sorted(ends & cuts))
+            assert list(d.bct.cut_blocks) == sorted(cuts)
+            for v, bs in d.bct.cut_blocks.items():
+                assert bs == tuple(b.index for b in d.blocks if v in b.vertices)
+
+    def test_gc_state_restored(self, sample_cactus):
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable()
+            d = decompose(sample_cactus)
+            enumerate_segments(d, build_antipodal_index(d))
+            assert gc.isenabled()
+            gc.disable()
+            decompose(sample_cactus)
+            assert not gc.isenabled()
+            gc.enable()
+            with pytest.raises(NotOddCactusError):
+                build_antipodal_index(decompose(build_graph(cycle_edges(4))))
+            assert gc.isenabled()
+        finally:
+            if was_enabled:
+                gc.enable()
+            else:
+                gc.disable()
 
     def test_block_cut_tree_shape(self, sample_cactus):
         d = decompose(sample_cactus)

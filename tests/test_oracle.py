@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from conftest import c5_plus_pendant_edges, cycle_edges, path_edges
 
 from rainbow_cactus import (
     EdgeColoring,
+    GenSpec,
+    all_shortest_paths,
     brute_force_search,
     brute_force_src,
     build_antipodal_index,
@@ -13,6 +17,7 @@ from rainbow_cactus import (
     check_distinct_black_colors,
     decompose,
     enumerate_segments,
+    generate,
     strong_rainbow_coloring,
     verify_pairs,
     verify_strong_rainbow,
@@ -26,6 +31,62 @@ def algorithm_coloring(g):
     a = build_antipodal_index(d)
     cat = enumerate_segments(d, a)
     return strong_rainbow_coloring(g, d, a, cat).coloring
+
+
+def grid_edges(k: int) -> list[tuple[int, int]]:
+    right = [(i * k + j, i * k + j + 1) for i in range(k) for j in range(k - 1)]
+    down = [(i * k + j, (i + 1) * k + j) for i in range(k - 1) for j in range(k)]
+    return right + down
+
+
+def reference_witness(g, colors, pairs):
+    """Naive oracle: the first pair, in the given order, none of whose
+    shortest paths is rainbow, with the lexicographically first of those
+    paths and the first color that repeats along it; None if every pair
+    passes."""
+    for u, v in pairs:
+        paths = all_shortest_paths(g, u, v)
+        if any(len({colors[e] for e in p.edges}) == len(p.edges) for p in paths):
+            continue
+        first = paths[0]
+        seen = set()
+        for e in first.edges:
+            if colors[e] in seen:
+                return u, v, first, colors[e]
+            seen.add(colors[e])
+    return None
+
+
+def witness_tuple(outcome):
+    w = outcome.witness
+    assert outcome.ok == (w is None)
+    return None if w is None else (w.u, w.v, w.path, w.repeated_color)
+
+
+def plant_faults(rng, colors, faults):
+    """Copy of colors in which `faults` random edges take another random
+    edge's color."""
+    out = list(colors)
+    for _ in range(faults):
+        a, b = rng.randrange(len(out)), rng.randrange(len(out))
+        out[b] = out[a]
+    return EdgeColoring(max(out), tuple(out))
+
+
+def random_non_geodetic_graph(rng):
+    """A connected graph of 4-9 vertices with some pair joined by two
+    shortest paths."""
+    while True:
+        n = rng.randint(4, 9)
+        edges = {(rng.randrange(i), i) for i in range(1, n)}
+        for _ in range(rng.randint(1, n)):
+            a, b = sorted(rng.sample(range(n), 2))
+            edges.add((a, b))
+        g = build_graph(sorted(edges))
+        if any(
+            len(all_shortest_paths(g, u, v)) > 1 for u in range(n) for v in range(u + 1, n)
+        ):
+            return g
 
 
 class TestVerifyStrongRainbow:
@@ -87,6 +148,78 @@ class TestVerifyStrongRainbow:
         out = verify_strong_rainbow(c4, EdgeColoring(2, (1, 2, 1, 2)))
         assert out.ok
 
+    def test_boolean_color_rejected(self, c5):
+        with pytest.raises(PartialColoringError):
+            verify_strong_rainbow(c5, EdgeColoring(1, (1, 1, True, 1, 1)))
+
+    def test_huge_color_values(self, c5):
+        big = 10**18
+        out = verify_strong_rainbow(c5, EdgeColoring(big, (big, 2, big, 2, 3)), geodetic_hint=True)
+        assert witness_tuple(out) == reference_witness(
+            c5, (big, 2, big, 2, 3), [(u, v) for u in range(5) for v in range(u + 1, 5)]
+        )
+
+    def test_witnesses_match_naive_reference(self):
+        rng = random.Random(20261018)
+        outcomes = {True: 0, False: 0}
+        for trial in range(160):
+            if trial % 2 == 0:
+                # a 7-cycle overshoots the target by at most 6, so n <= 64
+                g = generate(
+                    GenSpec(
+                        seed=rng.randrange(1 << 30),
+                        target_vertices=rng.randint(3, 58),
+                        cycle_lengths=(3, 5, 7),
+                        pendant_probability=0.3,
+                    )
+                )
+                base = algorithm_coloring(g).color
+                hints = (True, False)
+            else:
+                g = random_non_geodetic_graph(rng)
+                base = tuple(range(1, g.edge_count + 1))
+                hints = (False,)
+            coloring = plant_faults(rng, base, rng.randint(0, 2))
+            n = g.vertex_count
+            all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            want = reference_witness(g, coloring.color, all_pairs)
+            outcomes[want is None] += 1
+            for hint in hints:
+                got = verify_strong_rainbow(g, coloring, geodetic_hint=hint)
+                assert witness_tuple(got) == want, (g.edges, coloring.color, hint)
+            if hints == (True, False):
+                # pairs in any order, with repeats and u == v; verify_pairs
+                # takes sources in ascending order, targets as given
+                pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+                by_source = [(u, v) for u, v in sorted(pairs, key=lambda p: p[0]) if u != v]
+                got = verify_pairs(g, coloring, pairs)
+                assert witness_tuple(got) == reference_witness(g, coloring.color, by_source)
+        assert min(outcomes.values()) >= 20, outcomes
+
+
+class TestNonGeodetic:
+    def test_grid_14_with_distinct_colors(self):
+        g = build_graph(grid_edges(14))
+        out = verify_strong_rainbow(g, EdgeColoring(g.edge_count, tuple(range(1, g.edge_count + 1))))
+        assert out.ok
+
+    def test_even_cycle_2000_proper_two_coloring(self):
+        g = build_graph(cycle_edges(2000))
+        out = verify_strong_rainbow(g, EdgeColoring(2, tuple(e % 2 + 1 for e in range(2000))))
+        assert witness_tuple(out) == (0, 3, all_shortest_paths(g, 0, 3)[0], 1)
+
+    def test_even_cycle_2000_fails_only_at_antipodes(self):
+        # color i mod 999: every run of 999 consecutive edges is rainbow, so
+        # the first failing pair is the antipodal (0, 1000), whose two
+        # 1000-edge geodesics are searched far past the recursion limit
+        g = build_graph(cycle_edges(2000))
+        colors = tuple(e % 999 + 1 for e in range(2000))
+        out = verify_strong_rainbow(g, EdgeColoring(999, colors))
+        assert not out.ok
+        w = out.witness
+        assert (w.u, w.v, w.repeated_color) == (0, 1000, 1)
+        assert w.path.vertices == tuple(range(1001))
+
 
 class TestVerifyPairs:
     def test_spot_check_matches_full_check(self, sample_cactus):
@@ -99,6 +232,14 @@ class TestVerifyPairs:
         out = verify_pairs(c5, EdgeColoring(1, (1, 1, 1, 1, 1)), [(0, 2)])
         assert not out.ok
         assert out.witness.u == 0 and out.witness.v == 2
+
+    @pytest.mark.parametrize("pair", [(0, -1), (-1, 0), (0, 4), (4, 0), (7, 7)])
+    def test_invalid_vertex_ids_rejected(self, pair):
+        # triangle 0-1-2 with pendant 2-3; as a list index, -1 would alias
+        # vertex 3 and send the parent walk round forever
+        g = build_graph([(0, 1), (1, 2), (2, 0), (2, 3)])
+        with pytest.raises(ValueError, match="invalid vertex"):
+            verify_pairs(g, EdgeColoring(2, (1, 1, 1, 2)), [(0, 1), pair])
 
 
 class TestBruteForce:

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from conftest import c5_plus_pendant_edges, cycle_edges, eid, path_edges, vid
 
+import rainbow_cactus
 from rainbow_cactus import (
     SrcCase,
     assert_line18_choice,
@@ -62,6 +68,35 @@ class TestSrcFormula:
         g = build_graph(cycle_edges(4))
         with pytest.raises(NotOddCactusError):
             src_formula(decompose(g), SegmentCatalog((), (0, 0, 0, 0)))
+
+    def test_parity_check_holds_under_python_O(self):
+        # an S1 count off by one makes m + |E_cut| + |S1| - |E_ant| odd; the
+        # check must raise even when asserts are compiled out
+        code = textwrap.dedent(
+            f"""
+            import dataclasses
+            from rainbow_cactus import (
+                build_antipodal_index, build_graph, decompose, enumerate_segments, src_formula,
+            )
+            from rainbow_cactus.errors import InvariantError
+
+            d = decompose(build_graph({c5_plus_pendant_edges()!r}))
+            cat = enumerate_segments(d, build_antipodal_index(d))
+            bad = dataclasses.replace(cat, counts=(cat.counts[0] + 1,) + cat.counts[1:])
+            try:
+                src_formula(d, bad)
+            except InvariantError:
+                pass
+            else:
+                raise SystemExit("no InvariantError")
+            """
+        )
+        src_dir = os.path.dirname(os.path.dirname(rainbow_cactus.__file__))
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSeparate:
