@@ -13,13 +13,13 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .decomposition import classify, decompose
+from .decomposition import GraphClass, classify, decompose
 from .errors import RainbowCactusError
 from .generator import GenSpec, generate
 from .graph import Graph, build_graph, format_edge_list, load_edge_list
 from .oracle import brute_force_search, verify_strong_rainbow
+from .partition import build_canonical_partition
 from .pipeline import GraphAnalysis, analyze_graph
-from .segments import build_antipodal_index, enumerate_segments
 from .selftest import run_selftest
 from .solver import EdgeColoring, SrcResult, src_formula
 
@@ -37,62 +37,27 @@ DEFAULT_PALETTE = (
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """JSON-friendly summary of one analysis; round-trips through its dict form."""
+    """JSON-friendly summary of one analysis; fields that do not apply are None."""
 
     classification: str
     n: int
     m: int
-    cycle_length: int | None
-    rejection_reason: str | None
-    rejection_witness: str | None
     cut_vertices: tuple[int, ...]
     cut_edges: tuple[str, ...]
-    e_ant: tuple[str, ...] | None
-    segment_counts: dict | None
-    src: int | None
-    stats: dict | None
-    segments: tuple | None
-    partition: dict | None
-    coloring: dict | None
+    cycle_length: int | None = None
+    rejection_reason: str | None = None
+    rejection_witness: str | None = None
+    e_ant: tuple[str, ...] | None = None
+    segment_counts: dict | None = None
+    src: int | None = None
+    stats: dict | None = None
+    segments: tuple | None = None
+    partition: dict | None = None
+    coloring: dict | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "n": self.n,
-            "m": self.m,
-            "cycle_length": self.cycle_length,
-            "rejection_reason": self.rejection_reason,
-            "rejection_witness": self.rejection_witness,
-            "cut_vertices": list(self.cut_vertices),
-            "cut_edges": list(self.cut_edges),
-            "e_ant": None if self.e_ant is None else list(self.e_ant),
-            "segment_counts": self.segment_counts,
-            "src": self.src,
-            "stats": self.stats,
-            "segments": None if self.segments is None else list(self.segments),
-            "partition": self.partition,
-            "coloring": self.coloring,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AnalysisReport":
-        return cls(
-            classification=data["classification"],
-            n=data["n"],
-            m=data["m"],
-            cycle_length=data["cycle_length"],
-            rejection_reason=data["rejection_reason"],
-            rejection_witness=data["rejection_witness"],
-            cut_vertices=tuple(data["cut_vertices"]),
-            cut_edges=tuple(data["cut_edges"]),
-            e_ant=None if data["e_ant"] is None else tuple(data["e_ant"]),
-            segment_counts=data["segment_counts"],
-            src=data["src"],
-            stats=data["stats"],
-            segments=None if data["segments"] is None else tuple(data["segments"]),
-            partition=data["partition"],
-            coloring=data["coloring"],
-        )
+        # tuples become lists, as json.loads gives them back
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
 
 def _edge_key(g: Graph, eid: int) -> str:
@@ -124,18 +89,10 @@ def build_report(an: GraphAnalysis, full: bool = False) -> AnalysisReport:
             classification=cls.tag.value,
             n=g.vertex_count,
             m=g.edge_count,
-            cycle_length=None,
-            rejection_reason=cls.reason.value,
-            rejection_witness=witness,
             cut_vertices=cut_vertices,
             cut_edges=cut_edges,
-            e_ant=None,
-            segment_counts=None,
-            src=None,
-            stats=None,
-            segments=None,
-            partition=None,
-            coloring=None,
+            rejection_reason=cls.reason.value,
+            rejection_witness=witness,
         )
     cat = an.catalog
     res = an.result
@@ -159,8 +116,9 @@ def build_report(an: GraphAnalysis, full: bool = False) -> AnalysisReport:
             }
             for s in cat.segments
         )
-        if an.partition is not None:
-            p = an.partition
+        if cls.tag is not GraphClass.ODD_CYCLE:
+            # a bare cycle has no canonical partition: no cut vertex to start from
+            p = build_canonical_partition(d, cat)
             partition = {
                 "vertices": {
                     str(g.labels[v]): ("black" if v in p.v_black else "white")
@@ -176,11 +134,9 @@ def build_report(an: GraphAnalysis, full: bool = False) -> AnalysisReport:
         classification=cls.tag.value,
         n=g.vertex_count,
         m=g.edge_count,
-        cycle_length=cls.cycle_length,
-        rejection_reason=None,
-        rejection_witness=None,
         cut_vertices=cut_vertices,
         cut_edges=cut_edges,
+        cycle_length=cls.cycle_length,
         e_ant=tuple(_edge_key(g, e) for e in sorted(an.antipodal.e_ant)),
         segment_counts=segment_counts,
         src=res.src,
@@ -253,7 +209,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.coloring) as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: coloring file is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     cmap = data.get("coloring") if isinstance(data, dict) else None
@@ -306,13 +262,8 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     g = _load_graph(args.path)
     result = brute_force_search(g, args.max_edges)
-    d = decompose(g)
-    cls = classify(g, d)
-    formula: int | None = None
-    if cls.accepted:
-        a = build_antipodal_index(d)
-        cat = enumerate_segments(d, a)
-        formula = src_formula(d, cat)
+    an = analyze_graph(g)
+    formula = src_formula(an.decomposition, an.catalog) if an.classification.accepted else None
     agree = None if formula is None else (formula == result.src)
     print(
         json.dumps(

@@ -11,6 +11,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import compress
 
 from .graph import EdgeId, Graph, VertexId
@@ -98,8 +99,28 @@ class Decomposition:
     bct: BlockCutTree
     block_of_edge: tuple[int, ...]
 
-    def cycle_blocks(self) -> tuple[Block, ...]:
-        return tuple(b for b in self.blocks if b.is_cycle)
+    @cached_property
+    def classification(self) -> Classification:
+        """Tree / odd cycle / general odd cactus, or a rejection with a witness.
+
+        The one place the case split is made; `classify` and both solver
+        entries read it from here.
+        """
+        for b in self.blocks:
+            if b.kind is BlockKind.OTHER:
+                reason = RejectionReason.NOT_CACTUS
+            elif b.is_cycle and b.length % 2 == 0:
+                reason = RejectionReason.CONTAINS_EVEN_CYCLE
+            else:
+                continue
+            return Classification(
+                GraphClass.REJECTED, reason=reason, witness_block=b.index, witness_edge=min(b.edges)
+            )
+        if all(b.kind is BlockKind.CUT_EDGE for b in self.blocks):
+            return Classification(GraphClass.TREE)
+        if len(self.blocks) == 1:
+            return Classification(GraphClass.ODD_CYCLE, cycle_length=self.blocks[0].length)
+        return Classification(GraphClass.GENERAL_ODD_CACTUS)
 
 
 class GraphClass(Enum):
@@ -250,27 +271,12 @@ def decompose(g: Graph) -> Decomposition:
 
 
 def classify(g: Graph, d: Decomposition) -> Classification:
-    """Tree / odd cycle / general odd cactus, or a rejection with a witness."""
-    for b in d.blocks:
-        if b.kind is BlockKind.OTHER:
-            return Classification(
-                GraphClass.REJECTED,
-                reason=RejectionReason.NOT_CACTUS,
-                witness_block=b.index,
-                witness_edge=min(b.edges),
-            )
-        if b.is_cycle and b.length % 2 == 0:
-            return Classification(
-                GraphClass.REJECTED,
-                reason=RejectionReason.CONTAINS_EVEN_CYCLE,
-                witness_block=b.index,
-                witness_edge=min(b.edges),
-            )
-    if all(b.kind is BlockKind.CUT_EDGE for b in d.blocks):
-        return Classification(GraphClass.TREE)
-    if len(d.blocks) == 1:
-        return Classification(GraphClass.ODD_CYCLE, cycle_length=d.blocks[0].length)
-    return Classification(GraphClass.GENERAL_ODD_CACTUS)
+    """Tree / odd cycle / general odd cactus, or a rejection with a witness.
+
+    The answer depends on the decomposition alone and is cached on it; `g`
+    is accepted for the call shape and not read.
+    """
+    return d.classification
 
 
 def leaf_blocks(d: Decomposition) -> tuple[Block, ...]:

@@ -38,12 +38,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def label(self, v: VertexId) -> int:
-        return self.labels[v]
-
-    def degree(self, v: VertexId) -> int:
-        return len(self.adjacency[v])
-
     def edge_between(self, u: VertexId, v: VertexId) -> EdgeId:
         """Edge id joining u and v; raises KeyError if absent."""
         return self._edge_index[(u, v) if u <= v else (v, u)]
@@ -64,12 +58,6 @@ class Path:
     @property
     def length(self) -> int:
         return len(self.edges)
-
-
-@dataclass(frozen=True)
-class DistanceTable:
-    source: VertexId
-    dist: tuple[int, ...]
 
 
 def build_graph(edge_pairs) -> Graph:
@@ -142,11 +130,11 @@ def _bfs_dist(g: Graph, source: VertexId) -> list[int]:
     return dist
 
 
-def bfs_distances(g: Graph, source: VertexId) -> DistanceTable:
-    """Exact hop distances from `source` to every vertex."""
+def bfs_distances(g: Graph, source: VertexId) -> tuple[int, ...]:
+    """Exact hop distances from `source` to every vertex, indexed by vertex."""
     if not 0 <= source < g.vertex_count:
         raise ValueError(f"invalid source vertex {source}")
-    return DistanceTable(source, tuple(_bfs_dist(g, source)))
+    return tuple(_bfs_dist(g, source))
 
 
 def unique_shortest_path(g: Graph, u: VertexId, v: VertexId, *, checked: bool = False) -> Path:
@@ -198,55 +186,70 @@ def all_shortest_paths(g: Graph, u: VertexId, v: VertexId) -> tuple[Path, ...]:
     du = _bfs_dist(g, u)
     dv = _bfs_dist(g, v)
     d = du[v]
-    out: list[Path] = []
+    adj = g.adjacency
 
-    def extend(x: int, verts: list[int], eids: list[int]) -> None:
-        if x == v:
-            out.append(Path(tuple(verts), tuple(eids)))
-            return
-        steps = sorted(
-            (w, eid)
-            for w, eid in g.adjacency[x]
-            if du[w] == du[x] + 1 and du[w] + dv[w] == d
-        )
-        for w, eid in steps:
+    def steps(x: int):
+        nxt = du[x] + 1
+        return iter(sorted((w, eid) for w, eid in adj[x] if du[w] == nxt and dv[w] == d - nxt))
+
+    # depth-first with an explicit stack, so no geodesic is too long for the
+    # recursion limit; stack[i] yields the steps on from verts[i] in
+    # ascending vertex order, which lists the paths lexicographically
+    out: list[Path] = []
+    verts, eids = [u], []
+    stack = [steps(u)]
+    while stack:
+        for w, eid in stack[-1]:
+            if w == v:
+                out.append(Path((*verts, v), (*eids, eid)))
+                continue
             verts.append(w)
             eids.append(eid)
-            extend(w, verts, eids)
+            stack.append(steps(w))
+            break
+        else:
+            stack.pop()
             verts.pop()
-            eids.pop()
-
-    extend(u, [u], [])
+            if eids:
+                eids.pop()
     return tuple(out)
 
 
 def parse_edge_list(text: str) -> list[tuple[int, int]]:
-    """Parse edge-list text: one `u v` pair per line, `#` comments, blanks ignored."""
+    """Parse edge-list text: one `u v` pair per line, `#` comments, blanks ignored.
+
+    Labels are runs of ASCII digits; `int()` alone would also take "+4",
+    "-0", "1_000" and non-ASCII digits.
+    """
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise EdgeListFormatError(
                 f"line {lineno}: expected two whitespace-separated integers, got {raw!r}",
                 lineno,
             )
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
+        a, b = parts
+        if not (a.isdigit() and b.isdigit() and raw.isascii()):
             raise EdgeListFormatError(
-                f"line {lineno}: non-integer vertex label in {raw!r}", lineno
-            ) from None
-        if u < 0 or v < 0:
-            raise EdgeListFormatError(f"line {lineno}: negative vertex label", lineno)
-        pairs.append((u, v))
+                f"line {lineno}: vertex labels must be non-negative integers in ASCII digits,"
+                f" got {raw!r}",
+                lineno,
+            )
+        pairs.append((int(a), int(b)))
     return pairs
 
 
 def load_edge_list(path) -> list[tuple[int, int]]:
-    return parse_edge_list(FsPath(path).read_text())
+    data = FsPath(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise EdgeListFormatError(f"line {lineno}: not UTF-8 text", lineno) from None
+    return parse_edge_list(text)
 
 
 def format_edge_list(g: Graph) -> str:

@@ -3,7 +3,9 @@
 `verify_strong_rainbow` checks a coloring from first principles (BFS shortest
 paths only); `brute_force_src` finds the true optimum on tiny graphs by
 enumerating edge-set partitions, which together validate the closed form and
-the coloring algorithm without sharing their machinery.
+the coloring algorithm without sharing their machinery. `separate` builds the
+separation at an antipodal-to-cut edge explicitly, the reference for the
+coloring's choice of a color to reuse.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import PartialColoringError, TooLargeError
-from .graph import Graph, Path, _bfs_dist, all_shortest_paths
+from .decomposition import Decomposition
+from .errors import InvariantError, NotAntipodalEdgeError, PartialColoringError, TooLargeError
+from .graph import EdgeId, Graph, Path, VertexId, _bfs_dist, all_shortest_paths
 from .partition import BlackWhitePartition
+from .segments import AntipodalIndex
 from .solver import EdgeColoring
 
 
@@ -36,6 +40,17 @@ class BruteForceResult:
     src: int
     colorings_checked: int
     coloring: EdgeColoring
+
+
+@dataclass(frozen=True)
+class Separation:
+    """Split of the graph at pivot_vertex = opp(pivot_edge): g1 holds the
+    pivot edge's side, g2 the rest; both sides share only the pivot vertex."""
+
+    pivot_edge: EdgeId
+    pivot_vertex: VertexId
+    g1_edges: frozenset[EdgeId]
+    g2_edges: frozenset[EdgeId]
 
 
 def _total_colors(g: Graph, coloring: EdgeColoring) -> tuple[int, ...]:
@@ -315,3 +330,40 @@ def check_distinct_black_colors(
     """True iff all black edges carry pairwise distinct colors."""
     colors = _total_colors(g, coloring)
     return len({colors[e] for e in p.e_black}) == len(p.e_black)
+
+
+def separate(g: Graph, d: Decomposition, a: AntipodalIndex, e: EdgeId) -> Separation:
+    """Separation of the graph with respect to (e, opp(e)); e must be in E_ant.
+
+    Built explicitly by BFS, as the reference the coloring's subtree-minima
+    lookup (`solver._branch_min_black`) is checked against.
+    """
+    if e not in a.e_ant:
+        raise NotAntipodalEdgeError(e)
+    w = a.opp_vertex[e]
+    seen = bytearray(g.vertex_count)
+    seen[w] = 1  # never cross the pivot
+    src = g.edges[e][0]
+    seen[src] = 1
+    queue = deque([src])
+    while queue:
+        x = queue.popleft()
+        for y, _ in g.adjacency[x]:
+            if not seen[y]:
+                seen[y] = 1
+                queue.append(y)
+    seen[w] = 0
+    g1 = frozenset(eid for eid, (x, y) in enumerate(g.edges) if seen[x] or seen[y])
+    g2 = frozenset(range(g.edge_count)) - g1
+    return Separation(e, w, g1, g2)
+
+
+def assert_line18_choice(sep: Separation, p: BlackWhitePartition) -> EdgeId:
+    """Deterministic eligible-edge choice on the far side of a separation:
+    the lowest-id black edge in g2 (one always exists on valid inputs)."""
+    eligible = p.e_black & sep.g2_edges
+    if not eligible:
+        raise InvariantError(
+            f"internal invariant violated: no black edge beyond pivot of edge {sep.pivot_edge}"
+        )
+    return min(eligible)

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import Classification, Decomposition, GraphClass, classify, decompose
+from .decomposition import Classification, Decomposition, classify, decompose
 from .graph import Graph
-from .partition import BlackWhitePartition, build_canonical_partition
 from .segments import AntipodalIndex, SegmentCatalog, build_antipodal_index, enumerate_segments
 from .solver import SrcResult, strong_rainbow_coloring
 
@@ -18,21 +17,16 @@ class GraphAnalysis:
     classification: Classification
     antipodal: AntipodalIndex | None
     catalog: SegmentCatalog | None
-    partition: BlackWhitePartition | None
     result: SrcResult | None
 
 
 def analyze_graph(g: Graph) -> GraphAnalysis:
-    """Decompose, classify, and (if accepted) compute segments, the canonical
-    partition and the optimal coloring."""
+    """Decompose, classify, and (if accepted) compute segments and the
+    optimal coloring."""
     d = decompose(g)
     cls = classify(g, d)
     if not cls.accepted:
-        return GraphAnalysis(g, d, cls, None, None, None, None)
+        return GraphAnalysis(g, d, cls, None, None, None)
     a = build_antipodal_index(d)
     cat = enumerate_segments(d, a)
-    part = None
-    if cls.tag in (GraphClass.TREE, GraphClass.GENERAL_ODD_CACTUS):
-        part = build_canonical_partition(d, cat)
-    result = strong_rainbow_coloring(g, d, a, cat)
-    return GraphAnalysis(g, d, cls, a, cat, part, result)
+    return GraphAnalysis(g, d, cls, a, cat, strong_rainbow_coloring(g, d, a, cat))

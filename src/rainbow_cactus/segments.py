@@ -83,10 +83,6 @@ class SegmentCatalog:
     def for_cycle(self, block_index: int) -> tuple[CycleSegment, ...]:
         return tuple(s for s in self.segments if s.cycle == block_index)
 
-    @property
-    def s1_count(self) -> int:
-        return self.counts[0]
-
 
 @dataclass(frozen=True, eq=False)
 class AntipodalIndex:
@@ -147,11 +143,6 @@ def build_antipodal_index(d: Decomposition) -> AntipodalIndex:
         opp_e[block.index] = dict(zip(verts, oedges[off_e:] + oedges[:off_e]))
     e_ant = frozenset(compress(opp_v, map(d.cut_vertices.__contains__, opp_v.values())))
     return AntipodalIndex(opp_v, opp_e, e_ant)
-
-
-def compute_e_ant(d: Decomposition) -> frozenset[EdgeId]:
-    """Cycle edges whose antipodal vertex is a cut vertex."""
-    return build_antipodal_index(d).e_ant
 
 
 def _cycle_segments(

@@ -22,8 +22,10 @@ from .decomposition import (
 from .generator import GenSpec, generate
 from .graph import Graph, all_shortest_paths, bfs_distances, unique_shortest_path
 from .oracle import (
+    assert_line18_choice,
     brute_force_search,
     check_distinct_black_colors,
+    separate,
     verify_strong_rainbow,
 )
 from .partition import (
@@ -46,8 +48,6 @@ from .segments import (
 from .solver import (
     SrcResult,
     _branch_min_black,
-    assert_line18_choice,
-    separate,
     src_formula,
     strong_rainbow_coloring,
 )
@@ -108,11 +108,11 @@ def check_graph_core(g: Graph) -> None:
     _require(all(c == 2 for c in counts), "edge_in_two_adjacency_lists")
     if g.vertex_count <= _PATH_ENUM_N:
         for u in range(g.vertex_count):
-            table = bfs_distances(g, u)
+            dist = bfs_distances(g, u)
             for v in range(u + 1, g.vertex_count):
                 path = unique_shortest_path(g, u, v, checked=True)
                 _require(
-                    path.length == table.dist[v],
+                    path.length == dist[v],
                     "unique_path_length_matches_bfs",
                     f"pair ({u},{v})",
                 )
@@ -174,7 +174,7 @@ def check_antipodal(g: Graph, d: Decomposition, a: AntipodalIndex) -> None:
             _require(antipodal_edge(b, w) == eid, "antipodal_round_trip")
             if g.vertex_count <= _FULL_CHECK_N:
                 u, v = g.edges[eid]
-                dist = bfs_distances(g, w).dist
+                dist = bfs_distances(g, w)
                 _require(dist[u] == dist[v], "antipodal_equidistant", f"edge {eid}")
     expected = frozenset(e for e, w in a.opp_vertex.items() if w in d.cut_vertices)
     _require(a.e_ant == expected, "e_ant_definition")

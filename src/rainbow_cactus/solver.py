@@ -1,11 +1,11 @@
 """Strong rainbow connection number and an optimal coloring for odd cacti.
 
 The closed form is src(G) = (m + |E_cut| + |S1| - |E_ant|) / 2 for odd cacti
-that are not cycles, with cycle and tree cases handled directly. The coloring
-gives every cut edge and every S1/S2 segment edge a fresh color, mirrors those
-colors onto the antipodal S4/S3 edges, and colors each antipodal-to-cut edge
-by reusing the color of an eligible edge on the far side of its pivot cut
-vertex.
+that are not bare cycles (for a tree it gives m); bare odd cycles are handled
+directly. The coloring gives every cut edge and every S1/S2 segment edge a
+fresh color, mirrors those colors onto the antipodal S4/S3 edges, and colors
+each antipodal-to-cut edge by reusing the color of an eligible edge on the far
+side of its pivot cut vertex.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .decomposition import BlockKind, Decomposition, GraphClass, classify
-from .errors import InvariantError, NotAntipodalEdgeError, NotOddCactusError
-from .graph import EdgeId, Graph, VertexId
-from .partition import BlackWhitePartition
+from .decomposition import Classification, Decomposition, GraphClass
+from .errors import InvariantError, NotOddCactusError
+from .graph import EdgeId, Graph
 from .segments import AntipodalIndex, SegmentCatalog, SegmentClass
 
 _UNSET = 1 << 60
@@ -47,17 +46,6 @@ class SrcStats:
 
 
 @dataclass(frozen=True)
-class Separation:
-    """Split of the graph at pivot_vertex = opp(pivot_edge): g1 holds the
-    pivot edge's side, g2 the rest; both sides share only the pivot vertex."""
-
-    pivot_edge: EdgeId
-    pivot_vertex: VertexId
-    g1_edges: frozenset[EdgeId]
-    g2_edges: frozenset[EdgeId]
-
-
-@dataclass(frozen=True)
 class SrcResult:
     src: int
     coloring: EdgeColoring
@@ -65,69 +53,39 @@ class SrcResult:
     case: SrcCase
 
 
-def _reject_non_odd_cactus(d: Decomposition) -> None:
-    for b in d.blocks:
-        if b.kind is BlockKind.OTHER:
-            raise NotOddCactusError(f"block {b.index} is 2-connected but not a cycle")
-        if b.is_cycle and b.length % 2 == 0:
-            raise NotOddCactusError(f"block {b.index} is an even cycle")
+def _accepted(d: Decomposition) -> Classification:
+    cls = d.classification
+    if not cls.accepted:
+        raise NotOddCactusError(f"input rejected: {cls.reason.value} (block {cls.witness_block})")
+    return cls
 
 
-def _e_ant_count(d: Decomposition, cat: SegmentCatalog) -> int:
+def _src_stats(d: Decomposition, cat: SegmentCatalog) -> tuple[SrcStats, int]:
+    """The closed form's terms m, |E_cut|, |S1|, |E_ant|, and its value.
+
+    E_ant is exactly the cycle edges that no segment holds. An odd sum means
+    the segments do not pair up, which valid input never allows.
+    """
     cycle_edge_count = sum(b.length for b in d.blocks if b.is_cycle)
     seg_edge_count = sum(len(s.edges) for s in cat.segments)
-    return cycle_edge_count - seg_edge_count
-
-
-def src_formula(d: Decomposition, cat: SegmentCatalog) -> int:
-    """Evaluate the closed form for src(G) from the decomposition stats."""
-    _reject_non_odd_cactus(d)
-    if len(d.blocks) == 1 and d.blocks[0].is_cycle:
-        length = d.blocks[0].length
-        return 1 if length == 3 else (length + 1) // 2
-    m = len(d.block_of_edge)
-    ecut = len(d.cut_edges)
-    s1 = cat.counts[0]
-    eant = _e_ant_count(d, cat)
-    total = m + ecut + s1 - eant
+    stats = SrcStats(
+        len(d.block_of_edge), len(d.cut_edges), cat.counts[0], cycle_edge_count - seg_edge_count
+    )
+    total = stats.m + stats.cut_edges + stats.s1_count - stats.e_ant
     if total % 2:
         raise InvariantError(
             f"segment pairing parity violated: m + |E_cut| + |S1| - |E_ant| = {total}"
         )
-    return total // 2
+    return stats, total // 2
 
 
-def separate(g: Graph, d: Decomposition, a: AntipodalIndex, e: EdgeId) -> Separation:
-    """Separation of the graph with respect to (e, opp(e)); e must be in E_ant."""
-    if e not in a.e_ant:
-        raise NotAntipodalEdgeError(e)
-    w = a.opp_vertex[e]
-    seen = bytearray(g.vertex_count)
-    seen[w] = 1  # never cross the pivot
-    src = g.edges[e][0]
-    seen[src] = 1
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        for y, _ in g.adjacency[x]:
-            if not seen[y]:
-                seen[y] = 1
-                queue.append(y)
-    seen[w] = 0
-    g1 = frozenset(eid for eid, (x, y) in enumerate(g.edges) if seen[x] or seen[y])
-    g2 = frozenset(range(g.edge_count)) - g1
-    return Separation(e, w, g1, g2)
-
-
-def assert_line18_choice(sep: Separation, p: BlackWhitePartition) -> EdgeId:
-    """Deterministic eligible-edge choice on the far side of a separation:
-    the lowest-id black edge in g2 (one always exists on valid inputs)."""
-    eligible = p.e_black & sep.g2_edges
-    if not eligible:
-        raise InvariantError(
-            f"internal invariant violated: no black edge beyond pivot of edge {sep.pivot_edge}"
-        )
-    return min(eligible)
+def src_formula(d: Decomposition, cat: SegmentCatalog) -> int:
+    """Evaluate the closed form for src(G) from the decomposition stats."""
+    cls = _accepted(d)
+    if cls.tag is GraphClass.ODD_CYCLE:
+        length = cls.cycle_length
+        return 1 if length == 3 else (length + 1) // 2
+    return _src_stats(d, cat)[1]
 
 
 def _branch_min_black(
@@ -217,14 +175,8 @@ def strong_rainbow_coloring(
     edge id, segments in catalog order (cycles by block order, trail order
     within a cycle), and reused colors come from the lowest eligible edge id.
     """
-    cls = classify(g, d)
-    if not cls.accepted:
-        raise NotOddCactusError(f"input rejected: {cls.reason.value}")
+    cls = _accepted(d)
     m = g.edge_count
-
-    if cls.tag is GraphClass.TREE:
-        colors = tuple(range(1, m + 1))
-        return SrcResult(m, EdgeColoring(m, colors), SrcStats(m, m, 0, 0), SrcCase.TREE)
 
     if cls.tag is GraphClass.ODD_CYCLE:
         length = cls.cycle_length
@@ -245,6 +197,8 @@ def strong_rainbow_coloring(
             SrcCase.ODD_CYCLE,
         )
 
+    # a tree has no segments and no antipodal edges: its m cut edges get
+    # the colors 1..m in edge-id order below
     colors_list = [0] * m
     counter = 0
     for e in sorted(d.cut_edges):
@@ -281,15 +235,8 @@ def strong_rainbow_coloring(
 
     if not all(c > 0 for c in colors_list):
         raise InvariantError("coloring is not total")
-    ecut = len(d.cut_edges)
-    s1 = cat.counts[0]
-    eant = len(a.e_ant)
-    expected = (m + ecut + s1 - eant) // 2
+    stats, expected = _src_stats(d, cat)
     if counter != expected:
         raise InvariantError(f"color count {counter} disagrees with the closed form {expected}")
-    return SrcResult(
-        counter,
-        EdgeColoring(counter, tuple(colors_list)),
-        SrcStats(m, ecut, s1, eant),
-        SrcCase.FORMULA,
-    )
+    case = SrcCase.TREE if cls.tag is GraphClass.TREE else SrcCase.FORMULA
+    return SrcResult(counter, EdgeColoring(counter, tuple(colors_list)), stats, case)

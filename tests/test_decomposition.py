@@ -231,6 +231,13 @@ class TestClassify:
         assert cls.tag is GraphClass.REJECTED
         assert cls.reason is RejectionReason.CONTAINS_EVEN_CYCLE
 
+    def test_made_once_and_cached_on_the_decomposition(self, sample_cactus):
+        d = decompose(sample_cactus)
+        cls = d.classification
+        # the graph argument is not read: the blocks decide the case
+        assert classify(None, d) is cls
+        assert classify(sample_cactus, d) is cls
+
 
 class TestLeafBlocks:
     def test_path_both_ends(self):

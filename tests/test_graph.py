@@ -75,15 +75,15 @@ class TestBuildGraph:
 
 class TestBfsDistances:
     def test_c5_symmetric(self, c5):
-        assert bfs_distances(c5, 0).dist == (0, 1, 2, 2, 1)
+        assert bfs_distances(c5, 0) == (0, 1, 2, 2, 1)
 
     def test_single_edge(self):
         g = build_graph([(0, 1)])
-        assert bfs_distances(g, 0).dist == (0, 1)
+        assert bfs_distances(g, 0) == (0, 1)
 
     def test_sample_distance_v1_v8(self, sample_cactus):
         # v1-v7-v6-v8 is the short way around
-        assert bfs_distances(sample_cactus, vid["v1"]).dist[vid["v8"]] == 3
+        assert bfs_distances(sample_cactus, vid["v1"])[vid["v8"]] == 3
 
     def test_invalid_source(self, c5):
         with pytest.raises(ValueError):
@@ -116,7 +116,7 @@ class TestUniqueShortestPath:
     def test_path_lengths_match_bfs(self, sample_cactus):
         g = sample_cactus
         for u in range(g.vertex_count):
-            dist = bfs_distances(g, u).dist
+            dist = bfs_distances(g, u)
             for v in range(g.vertex_count):
                 assert unique_shortest_path(g, u, v).length == dist[v]
 
@@ -145,6 +145,26 @@ class TestAllShortestPaths:
             for v in range(u + 1, g.vertex_count):
                 assert len(all_shortest_paths(g, u, v)) == 1
 
+    def test_geodesic_longer_than_recursion_limit(self):
+        p = build_graph(path_edges(1200))
+        (only,) = all_shortest_paths(p, 0, 1199)
+        assert only.vertices == tuple(range(1200))
+        assert only.edges == tuple(range(1199))
+
+    def test_grid_lists_every_path_in_lexicographic_order(self):
+        # 4x4 grid, vertex r*4 + c: C(6, 3) = 20 monotone corner-to-corner paths
+        edges = [(r * 4 + c, r * 4 + c + 1) for r in range(4) for c in range(3)]
+        edges += [(r * 4 + c, (r + 1) * 4 + c) for r in range(3) for c in range(4)]
+        g = build_graph(edges)
+        paths = all_shortest_paths(g, 0, 15)
+        seqs = [p.vertices for p in paths]
+        assert len(seqs) == 20 == len(set(seqs))
+        assert seqs == sorted(seqs)
+        for p in paths:
+            assert [g.edge_between(a, b) for a, b in zip(p.vertices, p.vertices[1:])] == list(
+                p.edges
+            )
+
 
 class TestEdgeListFormat:
     def test_parse_with_comments_and_blanks(self):
@@ -164,6 +184,12 @@ class TestEdgeListFormat:
     def test_parse_negative(self):
         with pytest.raises(EdgeListFormatError):
             parse_edge_list("1 -2\n")
+
+    @pytest.mark.parametrize("label", ["1_000", "+4", "-0", "\u0661"])
+    def test_parse_rejects_labels_not_in_ascii_digits(self, label):
+        with pytest.raises(EdgeListFormatError) as exc:
+            parse_edge_list(f"0 1\n# note\n1 {label}\n")
+        assert exc.value.line_number == 3
 
     def test_round_trip(self, sample_cactus):
         # endpoint order is normalized to (min, max); edge order is preserved

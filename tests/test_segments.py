@@ -10,7 +10,6 @@ from rainbow_cactus import (
     bfs_distances,
     build_antipodal_index,
     build_graph,
-    compute_e_ant,
     decompose,
     enumerate_segments,
 )
@@ -45,7 +44,7 @@ class TestAntipodalPairs:
         e = c5.edge_between(1, 2)
         w = antipodal_vertex(b, e)
         assert w == 4
-        dist = bfs_distances(c5, w).dist
+        dist = bfs_distances(c5, w)
         assert dist[1] == dist[2] == 2
 
     def test_equidistance_everywhere(self, sample_cactus):
@@ -57,7 +56,7 @@ class TestAntipodalPairs:
             for e in b.ordered_edges:
                 w = antipodal_vertex(b, e)
                 u, v = g.edges[e]
-                dist = bfs_distances(g, w).dist
+                dist = bfs_distances(g, w)
                 assert dist[u] == dist[v]
 
     def test_round_trip_bijection(self, sample_cactus):
@@ -82,16 +81,16 @@ class TestAntipodalPairs:
 class TestEAnt:
     def test_sample(self, sample_cactus):
         d = decompose(sample_cactus)
-        assert compute_e_ant(d) == {eid["e2"], eid["e7"], eid["e12"]}
+        assert build_antipodal_index(d).e_ant == {eid["e2"], eid["e7"], eid["e12"]}
 
     def test_bowtie_edges_opposite_shared_vertex(self, bowtie):
         d = decompose(bowtie)
-        e_ant = compute_e_ant(d)
+        e_ant = build_antipodal_index(d).e_ant
         assert e_ant == {bowtie.edge_between(1, 2), bowtie.edge_between(3, 4)}
 
     def test_bare_cycle_empty(self):
         g = build_graph(cycle_edges(7))
-        assert compute_e_ant(decompose(g)) == frozenset()
+        assert build_antipodal_index(decompose(g)).e_ant == frozenset()
 
 
 class TestEnumerateSegments:

@@ -11,19 +11,18 @@ from conftest import c5_plus_pendant_edges, cycle_edges, eid, path_edges, vid
 import rainbow_cactus
 from rainbow_cactus import (
     SrcCase,
-    assert_line18_choice,
     brute_force_src,
     build_antipodal_index,
     build_canonical_partition,
     build_graph,
     decompose,
     enumerate_segments,
-    separate,
     src_formula,
     strong_rainbow_coloring,
     verify_strong_rainbow,
 )
 from rainbow_cactus.errors import NotAntipodalEdgeError, NotOddCactusError
+from rainbow_cactus.oracle import assert_line18_choice, separate
 from rainbow_cactus.solver import _branch_min_black
 
 
@@ -249,6 +248,16 @@ class TestStrongRainbowColoring:
         res = strong_rainbow_coloring(g, d, a, cat)
         assert res.case is SrcCase.TREE
         assert sorted(res.coloring.color) == [1, 2, 3, 4]
+
+    def test_tree_colors_follow_edge_ids(self):
+        g = build_graph([(3, 4), (0, 1), (1, 3), (1, 2), (4, 5)])
+        d, a, cat = pipeline(g)
+        res = strong_rainbow_coloring(g, d, a, cat)
+        assert res.case is SrcCase.TREE
+        assert res.coloring.color == (1, 2, 3, 4, 5)
+        assert (res.stats.m, res.stats.cut_edges, res.stats.s1_count, res.stats.e_ant) == (
+            5, 5, 0, 0,
+        )
 
     def test_every_color_used(self, sample_cactus):
         d, a, cat = pipeline(sample_cactus)
