@@ -219,11 +219,17 @@ def cmd_verify(args) -> int:
     dense = {lab: i for i, lab in enumerate(g.labels)}
     colors: list[int | None] = [None] * g.edge_count
     for key, value in cmap.items():
+        # two labels in ASCII digits around one comma, as in the edge list
+        a_str, _, b_str = key.partition(",")
+        if not (a_str.isdigit() and b_str.isdigit() and key.isascii()):
+            print(
+                f"error: coloring key {key!r} is not two ASCII-digit labels joined by a comma",
+                file=sys.stderr,
+            )
+            return EXIT_INPUT_ERROR
         try:
-            a_str, b_str = key.split(",")
-            u, v = dense[int(a_str)], dense[int(b_str)]
-            eid = g.edge_between(u, v)
-        except (ValueError, KeyError):
+            eid = g.edge_between(dense[int(a_str)], dense[int(b_str)])
+        except KeyError:
             print(f"error: coloring entry {key!r} is not an edge of the graph", file=sys.stderr)
             return EXIT_INPUT_ERROR
         if colors[eid] is not None:
@@ -300,6 +306,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.seeds < 0:
+        print(f"error: --seeds must be at least 0, got {args.seeds}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     if args.seeds == 0:
         print("warning: no instances tested")
         return EXIT_OK

@@ -14,6 +14,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import compress
 
+from .errors import NotOddCactusError
 from .graph import EdgeId, Graph, VertexId
 
 
@@ -27,9 +28,12 @@ def gc_paused():
     and temporaries are freed by reference counting as before. The
     collector's previous state is restored on exit.
 
-    Used as a decorator (`@gc_paused()`), the function's local temporaries
-    are already freed when the collector resumes, so its first pass only
-    visits what the function returned.
+    If a pass is due when the pause ends, it is made explicitly over the
+    youngest generation only, which holds what the build allocated and still
+    holds. Left to the collector, that first pass may instead be a full one
+    over the whole heap, paid inside the build. Used as a decorator
+    (`@gc_paused()`), the function's local temporaries are already freed by
+    then, so that pass only visits what the function returned.
     """
     if not gc.isenabled():
         yield
@@ -38,6 +42,8 @@ def gc_paused():
     try:
         yield
     finally:
+        if gc.get_count()[0] > gc.get_threshold()[0]:
+            gc.collect(0)
         gc.enable()
 
 
@@ -157,6 +163,12 @@ def decompose(g: Graph) -> Decomposition:
     in push order, tree edge into the block first. A block with exactly one
     back edge is a cycle, and its stack slice is already a cyclic traversal:
     the tree path from the block's top vertex, closed by the back edge.
+
+    Blocks are numbered in DFS preorder, by the step at which the tree edge
+    into each block is traversed. So each block b but block 0 shares exactly
+    one vertex, its top, with the blocks before it, and the blocks reached
+    from b's other vertices in G - top(b) are b, b+1, ..., b+size-1: in the
+    block-cut tree rooted at block 0, a block's subtree is an index range.
     """
     n = g.vertex_count
     m = g.edge_count
@@ -277,6 +289,15 @@ def classify(g: Graph, d: Decomposition) -> Classification:
     is accepted for the call shape and not read.
     """
     return d.classification
+
+
+def require_odd_cactus(d: Decomposition) -> Classification:
+    """The classification of an accepted graph; raises NotOddCactusError,
+    naming the reason and the witness block, for a rejected one."""
+    cls = d.classification
+    if not cls.accepted:
+        raise NotOddCactusError(f"input rejected: {cls.reason.value} (block {cls.witness_block})")
+    return cls
 
 
 def leaf_blocks(d: Decomposition) -> tuple[Block, ...]:

@@ -13,7 +13,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import compress
 
-from .decomposition import Block, BlockKind, Decomposition, gc_paused
+from .decomposition import Block, BlockKind, Decomposition, gc_paused, require_odd_cactus
 from .errors import EdgeNotInCycleError, NotOddCactusError, VertexNotInCycleError
 from .graph import EdgeId, VertexId
 
@@ -125,7 +125,11 @@ def antipodal_edge(block: Block, v: VertexId) -> EdgeId:
 @gc_paused()
 def build_antipodal_index(d: Decomposition) -> AntipodalIndex:
     """Antipodal maps for every cycle block, by index arithmetic on the
-    canonical cyclic order (O(1) per element)."""
+    canonical cyclic order (O(1) per element).
+
+    Raises NotOddCactusError unless the graph is an odd cactus.
+    """
+    require_odd_cactus(d)
     opp_v: dict[int, int] = {}
     opp_e: dict[int, dict[int, int]] = {}
     cycle_kind = BlockKind.CYCLE
@@ -135,8 +139,6 @@ def build_antipodal_index(d: Decomposition) -> AntipodalIndex:
         verts = block.vertices
         oedges = block.ordered_edges
         length = len(verts)
-        if length % 2 == 0:
-            raise NotOddCactusError(f"block {block.index} is an even cycle")
         off_v = (length + 1) // 2
         off_e = (length - 1) // 2
         opp_v.update(zip(oedges, verts[off_v:] + verts[:off_v]))

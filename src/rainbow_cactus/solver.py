@@ -10,13 +10,13 @@ side of its pivot cut vertex.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
-from .decomposition import Classification, Decomposition, GraphClass
-from .errors import InvariantError, NotOddCactusError
-from .graph import EdgeId, Graph
+from .decomposition import Decomposition, GraphClass, require_odd_cactus
+from .errors import InvariantError
+from .graph import EdgeId, Graph, VertexId
 from .segments import AntipodalIndex, SegmentCatalog, SegmentClass
 
 _UNSET = 1 << 60
@@ -53,13 +53,6 @@ class SrcResult:
     case: SrcCase
 
 
-def _accepted(d: Decomposition) -> Classification:
-    cls = d.classification
-    if not cls.accepted:
-        raise NotOddCactusError(f"input rejected: {cls.reason.value} (block {cls.witness_block})")
-    return cls
-
-
 def _src_stats(d: Decomposition, cat: SegmentCatalog) -> tuple[SrcStats, int]:
     """The closed form's terms m, |E_cut|, |S1|, |E_ant|, and its value.
 
@@ -81,7 +74,7 @@ def _src_stats(d: Decomposition, cat: SegmentCatalog) -> tuple[SrcStats, int]:
 
 def src_formula(d: Decomposition, cat: SegmentCatalog) -> int:
     """Evaluate the closed form for src(G) from the decomposition stats."""
-    cls = _accepted(d)
+    cls = require_odd_cactus(d)
     if cls.tag is GraphClass.ODD_CYCLE:
         length = cls.cycle_length
         return 1 if length == 3 else (length + 1) // 2
@@ -94,70 +87,53 @@ def _branch_min_black(
     """For each antipodal edge e, the lowest black edge id outside the branch
     of G - opp(e) that contains e.
 
-    Runs in O(blocks + cut vertices) via subtree minima over the block-cut
-    tree, so the coloring loop stays linear overall; equivalent to building
-    each separation explicitly and taking min(e_black & g2_edges).
+    Runs in O(blocks + cut vertices) on the block-cut tree rooted at block 0,
+    so the coloring loop stays linear overall; equivalent to building each
+    separation explicitly and taking min(e_black & g2_edges). `decompose`
+    files blocks in DFS preorder: the blocks below block b are b .. b+size-1,
+    and b hangs from the one cut vertex it shares with an earlier block, its
+    top. Pivoting at b's top leaves everything outside that range; pivoting
+    at another cut vertex w of b leaves the subtrees of the blocks hanging at w.
     """
     nblocks = len(d.blocks)
-    cuts = sorted(d.cut_vertices)
-    cut_node = {v: nblocks + i for i, v in enumerate(cuts)}
-    total = nblocks + len(cuts)
-    nbrs: list[list[int]] = [[] for _ in range(total)]
-    for bidx, cs in enumerate(d.bct.block_cuts):
-        for v in cs:
-            cn = cut_node[v]
-            nbrs[bidx].append(cn)
-            nbrs[cn].append(bidx)
-
-    value = [_UNSET] * total
     boe = d.block_of_edge
+    # each block's lowest black edge until `before` and `after` are taken;
+    # then the pass from the last block up makes it its subtree's lowest
+    low = [_UNSET] * nblocks
     for e in black_edges:
-        bn = boe[e]
-        if e < value[bn]:
-            value[bn] = e
+        b = boe[e]
+        if e < low[b]:
+            low[b] = e
 
-    parent = [-2] * total
-    parent[0] = -1
-    order = [0]
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in nbrs[x]:
-            if parent[y] == -2:
-                parent[y] = x
-                order.append(y)
-                queue.append(y)
+    top = [-1] * nblocks
+    first_holder: dict[VertexId, int] = {}
+    for b, cs in enumerate(d.bct.block_cuts):
+        for v in cs:
+            if first_holder.setdefault(v, b) != b:
+                top[b] = v
 
-    down = value[:]
-    for x in reversed(order):
-        px = parent[x]
-        if px >= 0 and down[x] < down[px]:
-            down[px] = down[x]
-
-    children: list[list[int]] = [[] for _ in range(total)]
-    for x in order[1:]:
-        children[parent[x]].append(x)
-    up = [_UNSET] * total
-    for x in order:
-        kids = children[x]
-        if not kids:
-            continue
-        k = len(kids)
-        pref = [_UNSET] * (k + 1)
-        for i in range(k):
-            pref[i + 1] = min(pref[i], down[kids[i]])
-        suf = [_UNSET] * (k + 1)
-        for i in range(k - 1, -1, -1):
-            suf[i] = min(suf[i + 1], down[kids[i]])
-        base = min(up[x], value[x])
-        for i in range(k):
-            up[kids[i]] = min(base, pref[i], suf[i + 1])
+    # min(low[:i]) is before[i] and min(low[i:]) is after[nblocks - i]
+    before = list(accumulate(low, min, initial=_UNSET))
+    after = list(accumulate(reversed(low), min, initial=_UNSET))
+    size = [1] * nblocks
+    hanging = dict.fromkeys(first_holder, _UNSET)
+    for b in range(nblocks - 1, 0, -1):
+        v, s = top[b], low[b]
+        p = first_holder[v]
+        size[p] += size[b]
+        if s < low[p]:
+            low[p] = s
+        if s < hanging[v]:
+            hanging[v] = s
 
     out: dict[int, int] = {}
     for e in ant_edges:
-        cn = cut_node[opp_vertex[e]]
-        bn = boe[e]
-        res = up[bn] if parent[bn] == cn else down[cn]
+        w = opp_vertex[e]
+        b = boe[e]
+        if w == top[b]:
+            res = min(before[b], after[nblocks - b - size[b]])
+        else:
+            res = hanging[w]
         if res >= _UNSET:
             raise InvariantError(
                 f"internal invariant violated: no black edge beyond pivot of edge {e}"
@@ -171,23 +147,22 @@ def strong_rainbow_coloring(
 ) -> SrcResult:
     """Optimal strong rainbow coloring of a tree, odd cycle or odd cactus.
 
-    Deterministic: cut edges and antipodal edges are processed in ascending
-    edge id, segments in catalog order (cycles by block order, trail order
+    Deterministic: cut edges take fresh colors in ascending edge id, then
+    S1 and S2 segments in catalog order (cycles by block order, trail order
     within a cycle), and reused colors come from the lowest eligible edge id.
     """
-    cls = _accepted(d)
+    cls = require_odd_cactus(d)
     m = g.edge_count
 
     if cls.tag is GraphClass.ODD_CYCLE:
         length = cls.cycle_length
-        block = d.blocks[0]
         if length == 3:
             return SrcResult(
                 1, EdgeColoring(1, (1, 1, 1)), SrcStats(3, 0, 0, 0), SrcCase.TRIANGLE
             )
         period = (length + 1) // 2
         colors_list = [0] * m
-        for i, e in enumerate(block.ordered_edges):
+        for i, e in enumerate(d.blocks[0].ordered_edges):
             # any (length - 1) / 2 consecutive edges get distinct colors
             colors_list[e] = (i % period) + 1
         return SrcResult(
@@ -200,38 +175,28 @@ def strong_rainbow_coloring(
     # a tree has no segments and no antipodal edges: its m cut edges get
     # the colors 1..m in edge-id order below
     colors_list = [0] * m
-    counter = 0
-    for e in sorted(d.cut_edges):
-        counter += 1
-        colors_list[e] = counter
+    black_edges = sorted(d.cut_edges)
+    for c, e in enumerate(black_edges, 1):
+        colors_list[e] = c
+    counter = len(black_edges)
 
-    for seg in cat.of_class(SegmentClass.S1):
-        opp_edge = a.opp_edge[seg.cycle]
-        interior = seg.vertices  # one fewer than seg.edges
-        for i, e in enumerate(seg.edges):
-            counter += 1
-            colors_list[e] = counter
-            if i < len(interior):
-                # mirror onto the antipodal edge in the paired S4 segment
-                colors_list[opp_edge[interior[i]]] = counter
-
-    for seg in cat.of_class(SegmentClass.S2):
-        opp_edge = a.opp_edge[seg.cycle]
-        for e, v in zip(seg.edges, seg.vertices):
-            counter += 1
-            colors_list[e] = counter
-            colors_list[opp_edge[v]] = counter
+    # an S1 segment has one edge more than vertices, an S2 segment as many;
+    # each vertex's antipodal edge, in the paired S4 or S3 segment, mirrors
+    # the color of the edge before it
+    for klass in (SegmentClass.S1, SegmentClass.S2):
+        for seg in cat.of_class(klass):
+            opp_edge = a.opp_edge[seg.cycle]
+            for c, e in enumerate(seg.edges, counter + 1):
+                colors_list[e] = c
+            for c, v in enumerate(seg.vertices, counter + 1):
+                colors_list[opp_edge[v]] = c
+            counter += len(seg.edges)
+            black_edges += seg.edges
 
     if a.e_ant:
-        blacks: set[int] = set(d.cut_edges)
-        for s in cat.segments:
-            if s.klass in (SegmentClass.S1, SegmentClass.S2):
-                blacks.update(s.edges)
-        black_edges = sorted(blacks)
-        ant_edges = sorted(a.e_ant)
-        targets = _branch_min_black(d, black_edges, ant_edges, a.opp_vertex)
-        for e in ant_edges:
-            colors_list[e] = colors_list[targets[e]]
+        targets = _branch_min_black(d, black_edges, a.e_ant, a.opp_vertex)
+        for e, t in targets.items():
+            colors_list[e] = colors_list[t]
 
     if not all(c > 0 for c in colors_list):
         raise InvariantError("coloring is not total")

@@ -187,17 +187,27 @@ class TestVerify:
         coloring_file.write_text(json.dumps({"coloring": {"1,2": "red"}}))
         assert main(["verify", sample_path, str(coloring_file)]) == 1
 
-    @pytest.mark.parametrize("bad", [1.9, 2.0, True, "2", None, 0, -1])
-    def test_only_positive_json_integers_are_colors(self, tmp_path, capsys, bad):
-        # triangle 1-2-3 with pendant 3-4; int() would have read 1.9 and true
-        # as 1 and "2" as 2 and printed OK k=2
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [("2,3", bad) for bad in (1.9, 2.0, True, "2", None, 0, -1)]
+        + [(" 1 , +2", 1), ("\u0663,4", 2)],
+        ids=["1.9", "2.0", "True", "2", "None", "0", "-1", "spaced-signed-key", "arabic-indic-key"],
+    )
+    def test_only_positive_json_integers_are_colors(self, tmp_path, capsys, key, value):
+        # triangle 1-2-3 with pendant 3-4, where {"1,2": 1, "2,3": 1, "1,3": 1,
+        # "3,4": 2} verifies; int() would have read the colors 1.9 and true as
+        # 1 and "2" as 2, and the keys " 1 , +2" and "\u0663,4" (an Arabic-Indic
+        # three) as the edges 1,2 and 3,4, and printed OK k=2
         path = write_edges(tmp_path, "g.txt", [(1, 2), (2, 3), (1, 3), (3, 4)])
+        edge = ",".join(str(int(label)) for label in key.split(","))
+        coloring = {k: c for k, c in {"1,2": 1, "2,3": 1, "1,3": 1, "3,4": 2}.items() if k != edge}
+        coloring[key] = value
         coloring_file = tmp_path / "strict.json"
-        coloring_file.write_text(json.dumps({"coloring": {"1,2": 1, "2,3": bad, "1,3": 1, "3,4": 2}}))
+        coloring_file.write_text(json.dumps({"coloring": coloring}))
         assert main(["verify", path, str(coloring_file)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "'2,3'" in captured.err and "color" in captured.err
+        assert repr(key) in captured.err and "color" in captured.err
 
 
 class TestOracle:
@@ -264,6 +274,12 @@ class TestSelftest:
     def test_small_run_passes(self, capsys):
         assert main(["selftest", "--seeds", "8", "--max-n", "16"]) == 0
         assert "selftest passed" in capsys.readouterr().out
+
+    def test_negative_seeds_exit_1(self, capsys):
+        assert main(["selftest", "--seeds", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seeds" in captured.err and "-3" in captured.err
 
     def test_zero_seeds_warns(self, capsys):
         assert main(["selftest", "--seeds", "0"]) == 0

@@ -19,6 +19,7 @@ from rainbow_cactus import (
     generate,
     leaf_blocks,
 )
+from rainbow_cactus.decomposition import gc_paused
 from rainbow_cactus.errors import NotOddCactusError
 
 
@@ -162,6 +163,21 @@ class TestDecompose:
             assert list(d.bct.cut_blocks) == sorted(cuts)
             for v, bs in d.bct.cut_blocks.items():
                 assert bs == tuple(b.index for b in d.blocks if v in b.vertices)
+            # DFS preorder: every block but block 0 shares one vertex, its
+            # top, with earlier blocks; the blocks reached from b's other
+            # vertices in G - top(b) are b, b+1, ..., and from block 0 all
+            block_vertices = [set(b.vertices) for b in d.blocks]
+            for b in d.blocks:
+                top = block_vertices[b.index] & set().union(*block_vertices[: b.index])
+                assert len(top) == (b.index > 0)
+                part = _connected_without(g, removed_vertex=next(iter(top), None))
+                (side,) = {part[x] for x in block_vertices[b.index] - top}
+                reached = {
+                    d.block_of_edge[e] for e in range(g.edge_count)
+                    if side in (part[g.edges[e][0]], part[g.edges[e][1]])
+                }
+                assert reached == set(range(b.index, b.index + len(reached)))
+                assert b.index > 0 or len(reached) == len(d.blocks)
 
     def test_gc_state_restored(self, sample_cactus):
         was_enabled = gc.isenabled()
@@ -174,14 +190,41 @@ class TestDecompose:
             decompose(sample_cactus)
             assert not gc.isenabled()
             gc.enable()
-            with pytest.raises(NotOddCactusError):
-                build_antipodal_index(decompose(build_graph(cycle_edges(4))))
-            assert gc.isenabled()
+            # an even cycle, and K4, which is not a cactus at all
+            for edges in (cycle_edges(4), k4_edges()):
+                with pytest.raises(NotOddCactusError):
+                    build_antipodal_index(decompose(build_graph(edges)))
+                assert gc.isenabled()
         finally:
             if was_enabled:
                 gc.enable()
             else:
                 gc.disable()
+
+    def test_gc_paused_resumes_after_one_young_generation_pass(self):
+        # left to the collector, the first pass after the pause may be a
+        # full one over the whole heap; the explicit pass on exit, made
+        # before the collector resumes, never is
+        passes = []
+
+        def record(phase, info):
+            if phase == "start":
+                passes.append((info["generation"], gc.isenabled()))
+
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(record)
+        try:
+            with gc_paused():
+                # enough survivors that a pass is due when the pause ends
+                held = [[] for _ in range(gc.get_threshold()[0] + 1000)]
+            assert gc.isenabled()
+        finally:
+            gc.callbacks.remove(record)
+            if not was_enabled:
+                gc.disable()
+        assert held
+        assert passes == [(0, False)]
 
     def test_block_cut_tree_shape(self, sample_cactus):
         d = decompose(sample_cactus)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -10,6 +11,8 @@ from conftest import c5_plus_pendant_edges, cycle_edges, eid, path_edges, vid
 
 import rainbow_cactus
 from rainbow_cactus import (
+    GenSpec,
+    GraphClass,
     SrcCase,
     brute_force_src,
     build_antipodal_index,
@@ -17,6 +20,7 @@ from rainbow_cactus import (
     build_graph,
     decompose,
     enumerate_segments,
+    generate,
     src_formula,
     strong_rainbow_coloring,
     verify_strong_rainbow,
@@ -175,14 +179,32 @@ class TestLine18Choice:
         assert choice in p.e_black
         assert choice in sep.g2_edges
 
-    def test_fast_lookup_matches_explicit_separation(self, sample_cactus):
-        g = sample_cactus
-        d, a, cat = pipeline(g)
-        p = build_canonical_partition(d, cat)
-        fast = _branch_min_black(d, sorted(p.e_black), sorted(a.e_ant), a.opp_vertex)
-        for e in sorted(a.e_ant):
-            sep = separate(g, d, a, e)
-            assert fast[e] == assert_line18_choice(sep, p)
+    def test_fast_lookup_matches_explicit_separation(self, sample_cactus, bowtie):
+        # the bowtie's DFS root is a cut vertex shared by two blocks; the
+        # generated cacti get random labels and edge orders, so the root
+        # lands anywhere and pivots fall both on a block's top cut vertex
+        # (the one it shares with an earlier block) and below it
+        rng = random.Random(20261019)
+        graphs = [sample_cactus, bowtie]
+        for seed in range(150):
+            spec = GenSpec(seed=seed, target_vertices=rng.randint(3, 60), cycle_lengths=(3, 5, 7))
+            h = generate(spec)
+            labels = rng.sample(range(10 * h.vertex_count), h.vertex_count)
+            pairs = [(labels[u], labels[v]) for u, v in h.edges]
+            rng.shuffle(pairs)
+            graphs.append(build_graph(pairs))
+        pivot_on_top = set()
+        for g in graphs:
+            d, a, cat = pipeline(g)
+            if d.classification.tag is not GraphClass.GENERAL_ODD_CACTUS:
+                continue
+            p = build_canonical_partition(d, cat)
+            fast = _branch_min_black(d, sorted(p.e_black), sorted(a.e_ant), a.opp_vertex)
+            for e in sorted(a.e_ant):
+                sep = separate(g, d, a, e)
+                assert fast[e] == assert_line18_choice(sep, p)
+                pivot_on_top.add(d.bct.cut_blocks[sep.pivot_vertex][0] != d.block_of_edge[e])
+        assert pivot_on_top == {True, False}
 
 
 class TestStrongRainbowColoring:
