@@ -20,7 +20,7 @@ from .graph import Graph, build_graph, format_edge_list, load_edge_list
 from .oracle import brute_force_search, verify_strong_rainbow
 from .partition import build_canonical_partition
 from .pipeline import GraphAnalysis, analyze_graph
-from .selftest import run_selftest
+from .selftest import MIN_MAX_N, run_selftest
 from .solver import EdgeColoring, SrcResult, src_formula
 
 EXIT_OK = 0
@@ -177,6 +177,10 @@ def _palette() -> tuple[str, ...]:
     if not raw:
         return DEFAULT_PALETTE
     names = tuple(name.strip() for name in raw.split(",") if name.strip())
+    for name in names:
+        # written inside a quoted DOT attribute, where these would end or escape it
+        if '"' in name or "\\" in name:
+            raise RainbowCactusError(f"{PALETTE_ENV} name {name!r} contains a quote or backslash")
     return names or DEFAULT_PALETTE
 
 
@@ -308,6 +312,9 @@ def cmd_generate(args) -> int:
 def cmd_selftest(args) -> int:
     if args.seeds < 0:
         print(f"error: --seeds must be at least 0, got {args.seeds}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if args.max_n < MIN_MAX_N:
+        print(f"error: --max-n must be at least {MIN_MAX_N}, got {args.max_n}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if args.seeds == 0:
         print("warning: no instances tested")

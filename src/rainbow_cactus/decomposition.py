@@ -56,22 +56,26 @@ class BlockKind(Enum):
 
 @dataclass(frozen=True)
 class Block:
-    """One block of the graph.
+    """One block of the graph; its edges are stored once, in `ordered_edges`.
 
     For CYCLE blocks `vertices` is the canonical cyclic traversal (lowest id
     first, moving toward its lower-id neighbor) and `ordered_edges[i]` joins
-    `vertices[i]` to `vertices[(i + 1) % length]`.
+    `vertices[i]` to `vertices[(i + 1) % length]`. A CUT_EDGE block holds its
+    one edge; an OTHER block holds its edges in ascending id order.
     """
 
     index: int
     kind: BlockKind
     vertices: tuple[VertexId, ...]
-    edges: frozenset[EdgeId]
     ordered_edges: tuple[EdgeId, ...]
 
     @property
+    def edges(self) -> frozenset[EdgeId]:
+        return frozenset(self.ordered_edges)
+
+    @property
     def length(self) -> int:
-        return len(self.edges)
+        return len(self.ordered_edges)
 
     @property
     def is_cycle(self) -> bool:
@@ -120,7 +124,10 @@ class Decomposition:
             else:
                 continue
             return Classification(
-                GraphClass.REJECTED, reason=reason, witness_block=b.index, witness_edge=min(b.edges)
+                GraphClass.REJECTED,
+                reason=reason,
+                witness_block=b.index,
+                witness_edge=min(b.ordered_edges),
             )
         if all(b.kind is BlockKind.CUT_EDGE for b in self.blocks):
             return Classification(GraphClass.TREE)
@@ -248,7 +255,7 @@ def decompose(g: Graph) -> Decomposition:
         if len(comp) == 1:
             e = comp[0]
             a, b = ab = edges_arr[e]
-            blocks.append(Block(bidx, cut_edge, ab, frozenset(comp), (e,)))
+            blocks.append(Block(bidx, cut_edge, ab, (e,)))
             cut_edge_ids.append(e)
             if is_cut[a]:
                 cs = (a, b) if is_cut[b] else (a,)
@@ -258,7 +265,7 @@ def decompose(g: Graph) -> Decomposition:
             if sum(map(is_back.__getitem__, comp)) != 1:
                 verts_set = {x for e in comp for x in edges_arr[e]}
                 cverts = tuple(sorted(verts_set))
-                blocks.append(Block(bidx, other, cverts, frozenset(comp), ()))
+                blocks.append(Block(bidx, other, cverts, tuple(sorted(comp))))
             else:
                 # a 2-connected block with one back edge has |V| == |E|: a
                 # cycle. comp is [tree edges down the path..., back edge up].
@@ -273,7 +280,7 @@ def decompose(g: Graph) -> Decomposition:
                 else:
                     cverts = verts[i::-1] + verts[:i:-1]
                     cedges = comp[i - 1 :: -1] + comp[: i - 1 : -1]
-                blocks.append(Block(bidx, cycle, cverts, frozenset(comp), tuple(cedges)))
+                blocks.append(Block(bidx, cycle, cverts, tuple(cedges)))
             cs = tuple(sorted(compress(cverts, map(in_cuts, cverts))))
         block_cuts.append(cs)
         for v in cs:

@@ -47,18 +47,6 @@ class NotGeodeticError(RainbowCactusError):
         self.fork = fork
 
 
-class EdgeNotInCycleError(RainbowCactusError):
-    def __init__(self, edge: int):
-        super().__init__(f"edge {edge} is not part of this cycle block")
-        self.edge = edge
-
-
-class VertexNotInCycleError(RainbowCactusError):
-    def __init__(self, vertex: int):
-        super().__init__(f"vertex {vertex} is not part of this cycle block")
-        self.vertex = vertex
-
-
 class NotOddCactusError(RainbowCactusError):
     pass
 

@@ -97,22 +97,12 @@ def build_graph(edge_pairs) -> Graph:
         adj[b].append((a, eid))
         edge_index[(a, b)] = eid
 
-    reached = bytearray(n)
-    reached[0] = 1
-    count = 1
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for w, _ in adj[x]:
-            if not reached[w]:
-                reached[w] = 1
-                count += 1
-                queue.append(w)
-    if count != n:
-        missing = next(labels[i] for i in range(n) if not reached[i])
-        raise DisconnectedError(missing)
-
-    return Graph(n, tuple(edges), tuple(tuple(a) for a in adj), labels, edge_index)
+    g = Graph(n, tuple(edges), tuple(tuple(a) for a in adj), labels, edge_index)
+    dist = _bfs_dist(g, 0)
+    if -1 in dist:
+        # the lowest unreachable dense id, i.e. the lowest unreachable label
+        raise DisconnectedError(labels[dist.index(-1)])
+    return g
 
 
 def _bfs_dist(g: Graph, source: VertexId) -> list[int]:
@@ -215,17 +205,35 @@ def all_shortest_paths(g: Graph, u: VertexId, v: VertexId) -> tuple[Path, ...]:
     return tuple(out)
 
 
+def _spaced(line: str) -> bool:
+    """Whether `line` has no control character or Unicode separator but tabs
+    and one final carriage return."""
+    if line.endswith("\r"):
+        line = line[:-1]
+    return line.replace("\t", " ").isprintable()
+
+
 def parse_edge_list(text: str) -> list[tuple[int, int]]:
     """Parse edge-list text: one `u v` pair per line, `#` comments, blanks ignored.
 
+    Only a line feed ends a line, and a carriage return just before it is
+    whitespace, so CRLF text parses too. Outside comments only spaces and tabs
+    may separate labels: any other character that `str.split` or
+    `str.splitlines` takes as a break (\\x0b, \\x0c, \\x1c-\\x1f, a lone \\r,
+    U+0085, U+2028, ...) is an error.
     Labels are runs of ASCII digits; `int()` alone would also take "+4",
     "-0", "1_000" and non-ASCII digits.
     """
     pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
-            continue
+            if _spaced(raw.partition("#")[0]):
+                continue
+            raise EdgeListFormatError(
+                f"line {lineno}: only spaces and tabs may stand outside a comment, got {raw!r}",
+                lineno,
+            )
         if len(parts) != 2:
             raise EdgeListFormatError(
                 f"line {lineno}: expected two whitespace-separated integers, got {raw!r}",
@@ -236,6 +244,11 @@ def parse_edge_list(text: str) -> list[tuple[int, int]]:
             raise EdgeListFormatError(
                 f"line {lineno}: vertex labels must be non-negative integers in ASCII digits,"
                 f" got {raw!r}",
+                lineno,
+            )
+        if not (raw.isprintable() or _spaced(raw)):
+            raise EdgeListFormatError(
+                f"line {lineno}: labels must be separated by spaces or tabs, got {raw!r}",
                 lineno,
             )
         pairs.append((int(a), int(b)))

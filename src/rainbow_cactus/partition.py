@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .decomposition import BlockKind, Decomposition
 from .errors import InvalidPartitionError
-from .graph import Graph
+from .graph import EdgeId, Graph
 from .segments import AntipodalIndex, SegmentCatalog, SegmentClass
 
 PROPERTY_NAMES = (
@@ -64,35 +64,39 @@ def graph_leaves(d: Decomposition) -> frozenset[int]:
     return frozenset(leaves)
 
 
+def black_edges(d: Decomposition, cat: SegmentCatalog) -> list[EdgeId]:
+    """The black edges of the canonical partition, in colour order.
+
+    Cut edges in ascending id, then the edges of the S1 segments, then those
+    of the S2 segments, each in catalog order. The one place the black edge
+    set is built: the colouring gives the i-th edge colour i + 1, and the
+    canonical partition takes its black edges from here.
+    """
+    out = sorted(d.cut_edges)
+    for klass in (SegmentClass.S1, SegmentClass.S2):
+        for s in cat.of_class(klass):
+            out += s.edges
+    return out
+
+
 def build_canonical_partition(d: Decomposition, cat: SegmentCatalog) -> BlackWhitePartition:
     """The canonical black-white partition from the segment catalog.
 
     Valid for trees and for odd cacti in which every cycle carries a cut
     vertex (i.e. anything but a bare cycle).
     """
-    v_black: set[int] = set()
+    v_black: set[int] = set(d.cut_vertices)
     v_white: set[int] = set()
-    e_black: set[int] = set()
-    e_white: set[int] = set()
-    seg_edges: set[int] = set()
+    e_white: set[int] = set(cat.e_ant)  # the antipodal-to-cut edges
     for s in cat.segments:
-        seg_edges.update(s.edges)
         if s.klass in (SegmentClass.S1, SegmentClass.S2):
             v_black.update(s.vertices)
-            e_black.update(s.edges)
         else:
             v_white.update(s.vertices)
             e_white.update(s.edges)
-    v_black |= d.cut_vertices
     v_black |= graph_leaves(d)
-    e_black |= d.cut_edges
-    cycle_edges: set[int] = set()
-    for b in d.blocks:
-        if b.is_cycle:
-            cycle_edges |= b.edges
-    e_white |= cycle_edges - seg_edges  # the antipodal-to-cut edges
     return BlackWhitePartition(
-        frozenset(v_black), frozenset(v_white), frozenset(e_black), frozenset(e_white)
+        frozenset(v_black), frozenset(v_white), frozenset(black_edges(d, cat)), frozenset(e_white)
     )
 
 

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import compress
 
 from .decomposition import Block, BlockKind, Decomposition, gc_paused, require_odd_cactus
-from .errors import EdgeNotInCycleError, NotOddCactusError, VertexNotInCycleError
 from .graph import EdgeId, VertexId
 
 
@@ -48,14 +46,6 @@ class CycleSegment:
     edges: tuple[EdgeId, ...]
     klass: SegmentClass
 
-    @cached_property
-    def vertex_set(self) -> frozenset[VertexId]:
-        return frozenset(self.vertices)
-
-    @cached_property
-    def edge_set(self) -> frozenset[EdgeId]:
-        return frozenset(self.edges)
-
     @property
     def elements(self) -> tuple[Element, ...]:
         ev = [("e", x) for x in self.edges]
@@ -74,8 +64,12 @@ class CycleSegment:
 
 @dataclass(frozen=True)
 class SegmentCatalog:
+    """The cycle segments, their S1..S4 counts, and E_ant as the antipodal
+    index derived it (the cycle edges that no segment holds)."""
+
     segments: tuple[CycleSegment, ...]
     counts: tuple[int, int, int, int]
+    e_ant: frozenset[EdgeId] = frozenset()
 
     def of_class(self, klass: SegmentClass) -> tuple[CycleSegment, ...]:
         return tuple(s for s in self.segments if s.klass is klass)
@@ -86,40 +80,15 @@ class SegmentCatalog:
 
 @dataclass(frozen=True, eq=False)
 class AntipodalIndex:
-    """opp(e) for every cycle edge, opp(v, C) per cycle block, and E_ant."""
+    """opp(e) for every cycle edge, opp(v, C) per cycle block, and E_ant.
+
+    The one place E_ant is derived; `enumerate_segments` hands it on to the
+    segment catalog.
+    """
 
     opp_vertex: dict[EdgeId, VertexId]
     opp_edge: dict[int, dict[VertexId, EdgeId]]
     e_ant: frozenset[EdgeId]
-
-
-def _require_odd_cycle(block: Block) -> None:
-    if block.kind is not BlockKind.CYCLE or block.length % 2 == 0:
-        raise NotOddCactusError(
-            f"block {block.index} is not an odd cycle; antipodal pairs are undefined"
-        )
-
-
-def antipodal_vertex(block: Block, e: EdgeId) -> VertexId:
-    """The unique vertex of the cycle equidistant from both endpoints of e."""
-    _require_odd_cycle(block)
-    try:
-        i = block.ordered_edges.index(e)
-    except ValueError:
-        raise EdgeNotInCycleError(e) from None
-    length = block.length
-    return block.vertices[(i + (length + 1) // 2) % length]
-
-
-def antipodal_edge(block: Block, v: VertexId) -> EdgeId:
-    """Inverse of antipodal_vertex."""
-    _require_odd_cycle(block)
-    try:
-        j = block.vertices.index(v)
-    except ValueError:
-        raise VertexNotInCycleError(v) from None
-    length = block.length
-    return block.ordered_edges[(j + (length - 1) // 2) % length]
 
 
 @gc_paused()
@@ -159,7 +128,9 @@ def _cycle_segments(
     Trail position 2q is the q-th vertex of the walk, position 2q+1 the edge
     after it. Boundary positions follow from the cycle's cut vertices alone:
     the antipodal-to-cut edges of a cycle are exactly the opp images of its
-    cut vertices. Position 0 is the starting cut vertex, so no segment wraps.
+    cut vertices. They are placed here by position, apart from the antipodal
+    index; the closed form's parity check compares the two. Position 0 is the
+    starting cut vertex, so no segment wraps.
     """
     verts = block.vertices
     oedges = block.ordered_edges
@@ -211,7 +182,7 @@ def enumerate_segments(d: Decomposition, a: AntipodalIndex, *, reverse: bool = F
 
     The trail starts at the lowest-id cut vertex of each cycle. `reverse=True`
     walks the opposite orientation; downstream quantities are invariant to the
-    choice (S2 and S3 labels swap).
+    choice (S2 and S3 labels swap). The catalog carries `a.e_ant`.
     """
     segments: list[CycleSegment] = []
     cuts = d.cut_vertices
@@ -224,4 +195,5 @@ def enumerate_segments(d: Decomposition, a: AntipodalIndex, *, reverse: bool = F
     return SegmentCatalog(
         tuple(segments),
         (klasses.count(s1), klasses.count(s2), klasses.count(s3), klasses.count(s4)),
+        a.e_ant,
     )

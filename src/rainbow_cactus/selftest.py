@@ -30,6 +30,7 @@ from .oracle import (
 )
 from .partition import (
     BlackWhitePartition,
+    black_edges,
     build_canonical_partition,
     graph_leaves,
     lower_bound,
@@ -40,8 +41,6 @@ from .segments import (
     SegmentCatalog,
     SegmentClass,
     _cycle_segments,
-    antipodal_edge,
-    antipodal_vertex,
     build_antipodal_index,
     enumerate_segments,
 )
@@ -88,11 +87,23 @@ def _require(cond: bool, invariant: str, detail: str = "") -> None:
         raise InvariantViolation(invariant, detail)
 
 
+_LENGTH_MENU = ((3,), (3, 5), (3, 5, 7), (5, 7), (3, 7, 9), (5,), (7, 9))
+
+# the smallest vertex bound that every spec keeps. The generator stops once
+# it reaches its target, after at most one cycle too many, so a graph has at
+# most target + L - 2 vertices for the longest length L; the target is capped
+# at max_vertices - L + 1, but never below 2, which alone allows L vertices
+MIN_MAX_N = max(max(lengths) for lengths in _LENGTH_MENU)
+
+
 def spec_for_seed(seed: int, max_vertices: int = 30) -> GenSpec:
-    """Deterministic, varied generator spec for one selftest seed."""
+    """Deterministic, varied generator spec for one selftest seed.
+
+    The graph has at most `max_vertices` vertices if that is at least
+    MIN_MAX_N.
+    """
     rng = random.Random(seed)
-    menu = ((3,), (3, 5), (3, 5, 7), (5, 7), (3, 7, 9), (5,), (7, 9))
-    lengths = menu[rng.randrange(len(menu))]
+    lengths = _LENGTH_MENU[rng.randrange(len(_LENGTH_MENU))]
     cap = max(2, max_vertices - max(lengths) + 1)
     target = rng.randint(2, cap)
     pendant = round(rng.random(), 3)
@@ -147,7 +158,7 @@ def check_decomposition(g: Graph, d: Decomposition, cls_tag: GraphClass) -> None
                 f"block {b.index}",
             )
     _require(
-        d.cut_edges == frozenset(next(iter(b.edges)) for b in d.blocks if b.length == 1),
+        d.cut_edges == frozenset(b.ordered_edges[0] for b in d.blocks if b.length == 1),
         "cut_edges_are_single_edge_blocks",
     )
     bct = d.bct
@@ -168,10 +179,11 @@ def check_antipodal(g: Graph, d: Decomposition, a: AntipodalIndex) -> None:
     for b in d.blocks:
         if not b.is_cycle:
             continue
+        opp_edge = a.opp_edge[b.index]
+        _require(opp_edge.keys() == set(b.vertices), "opp_edge_covers_cycle", f"block {b.index}")
         for eid in b.ordered_edges:
             w = a.opp_vertex[eid]
-            _require(antipodal_vertex(b, eid) == w, "antipodal_index_matches_query")
-            _require(antipodal_edge(b, w) == eid, "antipodal_round_trip")
+            _require(opp_edge.get(w) == eid, "antipodal_round_trip", f"edge {eid}")
             if g.vertex_count <= _FULL_CHECK_N:
                 u, v = g.edges[eid]
                 dist = bfs_distances(g, w)
@@ -189,12 +201,12 @@ def check_partition_identities(
         if not b.is_cycle:
             continue
         segs = cat.for_cycle(b.index)
-        vsets = [s.vertex_set for s in segs]
-        esets = [s.edge_set for s in segs]
-        vtotal = sum(len(s) for s in vsets)
-        etotal = sum(len(s) for s in esets)
-        vunion: set[int] = set().union(*vsets) if vsets else set()
-        eunion: set[int] = set().union(*esets) if esets else set()
+        vruns = [s.vertices for s in segs]
+        eruns = [s.edges for s in segs]
+        vtotal = sum(len(s) for s in vruns)
+        etotal = sum(len(s) for s in eruns)
+        vunion: set[int] = set().union(*vruns)
+        eunion: set[int] = set().union(*eruns)
         _require(len(vunion) == vtotal and len(eunion) == etotal, "segments_disjoint")
         cuts_in = set(b.vertices) & d.cut_vertices
         _require(
@@ -276,22 +288,14 @@ def check_segment_pairing(d: Decomposition, a: AntipodalIndex, cat: SegmentCatal
             )
             if s.klass is SegmentClass.S1:
                 _require(
-                    len(s.edge_set) == len(partner.edge_set) + 1,
+                    len(s.edges) == len(partner.edges) + 1,
                     "s1_one_more_edge_than_s4",
                 )
             if s.klass is SegmentClass.S2:
                 _require(
-                    len(s.edge_set) == len(partner.edge_set),
+                    len(s.edges) == len(partner.edges),
                     "s2_s3_equal_edges",
                 )
-
-
-def _black_edge_count(cat: SegmentCatalog, d: Decomposition) -> int:
-    return len(d.cut_edges) + sum(
-        len(s.edge_set)
-        for s in cat.segments
-        if s.klass in (SegmentClass.S1, SegmentClass.S2)
-    )
 
 
 def check_orientation_invariance(
@@ -305,11 +309,11 @@ def check_orientation_invariance(
         SegmentClass.S4: SegmentClass.S4,
     }
     fwd_multi = sorted(
-        (s.cycle, sorted(s.vertex_set), sorted(s.edge_set), s.klass.value)
+        (s.cycle, sorted(s.vertices), sorted(s.edges), s.klass.value)
         for s in cat.segments
     )
     rev_multi = sorted(
-        (s.cycle, sorted(s.vertex_set), sorted(s.edge_set), swap[s.klass].value)
+        (s.cycle, sorted(s.vertices), sorted(s.edges), swap[s.klass].value)
         for s in rev.segments
     )
     _require(fwd_multi == rev_multi, "reversal_swaps_s2_s3_only")
@@ -322,7 +326,7 @@ def check_orientation_invariance(
         "s2_plus_s3_invariant",
     )
     _require(
-        _black_edge_count(cat, d) == _black_edge_count(rev, d),
+        len(black_edges(d, cat)) == len(black_edges(d, rev)),
         "black_count_orientation_invariant",
     )
     _require(src_formula(d, rev) == src, "src_orientation_invariant")

@@ -17,6 +17,7 @@ from itertools import accumulate
 from .decomposition import Decomposition, GraphClass, require_odd_cactus
 from .errors import InvariantError
 from .graph import EdgeId, Graph, VertexId
+from .partition import black_edges
 from .segments import AntipodalIndex, SegmentCatalog, SegmentClass
 
 _UNSET = 1 << 60
@@ -56,14 +57,11 @@ class SrcResult:
 def _src_stats(d: Decomposition, cat: SegmentCatalog) -> tuple[SrcStats, int]:
     """The closed form's terms m, |E_cut|, |S1|, |E_ant|, and its value.
 
-    E_ant is exactly the cycle edges that no segment holds. An odd sum means
-    the segments do not pair up, which valid input never allows.
+    |S1| comes from the segment walk and |E_ant| from the antipodal index,
+    two independent derivations. An odd sum means they disagree and the
+    segments do not pair up, which valid input never allows.
     """
-    cycle_edge_count = sum(b.length for b in d.blocks if b.is_cycle)
-    seg_edge_count = sum(len(s.edges) for s in cat.segments)
-    stats = SrcStats(
-        len(d.block_of_edge), len(d.cut_edges), cat.counts[0], cycle_edge_count - seg_edge_count
-    )
+    stats = SrcStats(len(d.block_of_edge), len(d.cut_edges), cat.counts[0], len(cat.e_ant))
     total = stats.m + stats.cut_edges + stats.s1_count - stats.e_ant
     if total % 2:
         raise InvariantError(
@@ -147,9 +145,10 @@ def strong_rainbow_coloring(
 ) -> SrcResult:
     """Optimal strong rainbow coloring of a tree, odd cycle or odd cactus.
 
-    Deterministic: cut edges take fresh colors in ascending edge id, then
-    S1 and S2 segments in catalog order (cycles by block order, trail order
-    within a cycle), and reused colors come from the lowest eligible edge id.
+    Deterministic: the i-th edge of `black_edges` (cut edges in ascending
+    edge id, then S1 and S2 segments in catalog order: cycles by block order,
+    trail order within a cycle) takes color i + 1, and reused colors come
+    from the lowest eligible edge id.
     """
     cls = require_odd_cactus(d)
     m = g.edge_count
@@ -173,35 +172,31 @@ def strong_rainbow_coloring(
         )
 
     # a tree has no segments and no antipodal edges: its m cut edges get
-    # the colors 1..m in edge-id order below
+    # the colors 1..m in edge-id order
     colors_list = [0] * m
-    black_edges = sorted(d.cut_edges)
-    for c, e in enumerate(black_edges, 1):
+    blacks = black_edges(d, cat)
+    for c, e in enumerate(blacks, 1):
         colors_list[e] = c
-    counter = len(black_edges)
-
     # an S1 segment has one edge more than vertices, an S2 segment as many;
     # each vertex's antipodal edge, in the paired S4 or S3 segment, mirrors
     # the color of the edge before it
-    for klass in (SegmentClass.S1, SegmentClass.S2):
-        for seg in cat.of_class(klass):
+    s1, s2 = SegmentClass.S1, SegmentClass.S2
+    for seg in cat.segments:
+        if seg.klass is s1 or seg.klass is s2:
             opp_edge = a.opp_edge[seg.cycle]
-            for c, e in enumerate(seg.edges, counter + 1):
-                colors_list[e] = c
-            for c, v in enumerate(seg.vertices, counter + 1):
-                colors_list[opp_edge[v]] = c
-            counter += len(seg.edges)
-            black_edges += seg.edges
+            for v, e in zip(seg.vertices, seg.edges):
+                colors_list[opp_edge[v]] = colors_list[e]
 
     if a.e_ant:
-        targets = _branch_min_black(d, black_edges, a.e_ant, a.opp_vertex)
+        targets = _branch_min_black(d, blacks, a.e_ant, a.opp_vertex)
         for e, t in targets.items():
             colors_list[e] = colors_list[t]
 
     if not all(c > 0 for c in colors_list):
         raise InvariantError("coloring is not total")
+    k = len(blacks)
     stats, expected = _src_stats(d, cat)
-    if counter != expected:
-        raise InvariantError(f"color count {counter} disagrees with the closed form {expected}")
+    if k != expected:
+        raise InvariantError(f"color count {k} disagrees with the closed form {expected}")
     case = SrcCase.TREE if cls.tag is GraphClass.TREE else SrcCase.FORMULA
-    return SrcResult(counter, EdgeColoring(counter, tuple(colors_list)), stats, case)
+    return SrcResult(k, EdgeColoring(k, tuple(colors_list)), stats, case)

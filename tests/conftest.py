@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from rainbow_cactus import Graph, build_graph
+
+# property tests draw the same examples on every run and keep no example
+# database, so a run is reproducible and does not depend on earlier runs
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 # 12-vertex, 13-edge odd cactus used throughout: a 7-cycle (labels 1..7) and a
 # triangle (10,11,12) joined by the bridge path 4-9-10, plus pendant 8 on 6.

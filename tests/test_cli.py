@@ -5,8 +5,9 @@ import json
 import pytest
 from conftest import SAMPLE_EDGES, cycle_edges, path_edges
 
-from rainbow_cactus import analyze_graph, build_graph, parse_edge_list
+from rainbow_cactus import analyze_graph, build_graph, generate, parse_edge_list
 from rainbow_cactus.cli import build_report, main
+from rainbow_cactus.selftest import MIN_MAX_N, spec_for_seed
 
 
 def write_edges(tmp_path, name, edges):
@@ -55,6 +56,12 @@ class TestAnalyze:
         bad.write_text("1 2\nthree four\n")
         assert main(["analyze", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_lone_carriage_return_line_ends_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1 2\r2 3\r3 1\r")
+        assert main(["analyze", str(bad)]) == 1
+        assert "line 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("label", ["1_000", "+4", "-0", "\u0661"])
     def test_label_not_in_ascii_digits_exits_1(self, tmp_path, capsys, label):
@@ -135,6 +142,16 @@ class TestColor:
         assert 'color="red"' not in out
         # colors cycle through the short palette: color 3 wraps to "black"
         assert '"9" -- "10" [label=3, color="black"];' in out
+
+    @pytest.mark.parametrize("name", ['re"d', "re\\d"])
+    def test_dot_palette_name_that_breaks_the_quoting_exits_1(
+        self, sample_path, capsys, monkeypatch, name
+    ):
+        monkeypatch.setenv("RAINBOW_CACTUS_PALETTE", f"{name},blue")
+        assert main(["color", sample_path, "--dot"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(name) in captured.err
 
 
 class TestVerify:
@@ -280,6 +297,19 @@ class TestSelftest:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--seeds" in captured.err and "-3" in captured.err
+
+    @pytest.mark.parametrize("max_n", ["-5", "1", "8"])
+    def test_max_n_below_the_longest_cycle_exits_1(self, capsys, max_n):
+        assert main(["selftest", "--seeds", "20", "--max-n", max_n]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-n" in captured.err and max_n in captured.err
+
+    def test_smallest_max_n_bounds_every_instance(self, capsys):
+        for seed in range(300):
+            assert generate(spec_for_seed(seed, MIN_MAX_N)).vertex_count <= MIN_MAX_N
+        assert main(["selftest", "--seeds", "5", "--max-n", str(MIN_MAX_N)]) == 0
+        assert "selftest passed" in capsys.readouterr().out
 
     def test_zero_seeds_warns(self, capsys):
         assert main(["selftest", "--seeds", "0"]) == 0

@@ -247,6 +247,19 @@ class TestClassify:
         assert cls.reason is RejectionReason.NOT_CACTUS
         assert cls.witness_block is not None
 
+    def test_k4_block_stores_its_edges_in_ascending_order(self):
+        # K4 with a pendant, in edge orders whose DFS stacks the edges
+        # differently; only the OTHER block's ordered_edges holds them
+        for edges in (k4_edges(), k4_edges()[::-1], k4_edges()[3:] + k4_edges()[:3]):
+            g = build_graph(edges + [(3, 4)])
+            d = decompose(g)
+            k4 = [b for b in d.blocks if b.kind is BlockKind.OTHER]
+            assert len(k4) == 1
+            ids = {g.edge_between(u, v) for u, v in k4_edges()}
+            assert k4[0].ordered_edges == tuple(sorted(ids))
+            assert k4[0].edges == ids and k4[0].length == 6
+            assert classify(g, d).witness_edge == min(ids)
+
     def test_sample_is_general_odd_cactus(self, sample_cactus):
         cls = classify(sample_cactus, decompose(sample_cactus))
         assert cls.tag is GraphClass.GENERAL_ODD_CACTUS

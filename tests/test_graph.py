@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import pytest
 from conftest import SAMPLE_EDGES, cycle_edges, eid, path_edges, vid
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rainbow_cactus import (
     all_shortest_paths,
     bfs_distances,
     build_graph,
     format_edge_list,
+    load_edge_list,
     parse_edge_list,
     unique_shortest_path,
 )
@@ -191,8 +194,115 @@ class TestEdgeListFormat:
             parse_edge_list(f"0 1\n# note\n1 {label}\n")
         assert exc.value.line_number == 3
 
+    @pytest.mark.parametrize("text", ["1 2\u20282 3\u00853 1\n", "1 2\r2 3\r3 1\r"])
+    def test_only_line_feeds_end_lines(self, text):
+        with pytest.raises(EdgeListFormatError) as exc:
+            parse_edge_list(text)
+        assert exc.value.line_number == 1
+        assert parse_edge_list("1 2\r\n2 3\r\n3 1\r\n") == [(1, 2), (2, 3), (3, 1)]
+
+    def test_line_number_counts_line_feeds_as_load_does(self, tmp_path):
+        # a "\x0b" inside a comment does not start a new line
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"# a\x0b1 2\n2 x\n")
+        with pytest.raises(EdgeListFormatError) as exc:
+            load_edge_list(path)
+        assert exc.value.line_number == 2
+
     def test_round_trip(self, sample_cactus):
         # endpoint order is normalized to (min, max); edge order is preserved
         text = format_edge_list(sample_cactus)
         normalized = [(min(u, v), max(u, v)) for u, v in SAMPLE_EDGES]
         assert parse_edge_list(text) == normalized
+
+
+# the edge-list grammar, as property tests; leading zeros are allowed
+_LABEL = st.builds(
+    lambda zeros, n: "0" * zeros + str(n), st.integers(0, 2), st.integers(0, 10**12)
+)
+_BLANKS = st.text(alphabet=" \t", max_size=3)
+# characters that str.splitlines or str.split take as a break but the
+# format does not; "\r" is one only where no "\n" follows it
+_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r", "\x85", "\u2028", "\u2029")
+# a comment may hold anything but a line feed
+_COMMENT_CHARS = "# 09az\t\u00e9\u0661" + "".join(_BREAKS)
+
+
+@st.composite
+def _edge_line(draw):
+    """(text of one edge line without its line end, the pair it denotes)."""
+    a, b = draw(_LABEL), draw(_LABEL)
+    gap = draw(st.text(alphabet=" \t", min_size=1, max_size=3))
+    return f"{draw(_BLANKS)}{a}{gap}{b}{draw(_BLANKS)}", (int(a), int(b))
+
+
+@st.composite
+def _document(draw):
+    """(lines without line ends, line ends, pairs) of a valid edge list."""
+    lines, pairs = [], []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("edge", "edge", "blank", "comment")))
+        if kind == "edge":
+            line, pair = draw(_edge_line())
+            pairs.append(pair)
+        elif kind == "blank":
+            line = draw(_BLANKS)
+        else:
+            line = draw(_BLANKS) + "#" + draw(st.text(alphabet=_COMMENT_CHARS, max_size=8))
+        lines.append(line)
+    ends = [draw(st.sampled_from(("\n", "\r\n"))) for _ in lines]
+    return lines, ends, pairs
+
+
+def _join(lines, ends) -> str:
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestEdgeListGrammar:
+    @given(st.data())
+    def test_format_then_parse_round_trips(self, data):
+        labels = data.draw(
+            st.lists(st.integers(0, 10**12), min_size=2, max_size=12, unique=True)
+        )
+        # a random tree on the labels, plus a few extra edges
+        pairs = [
+            (labels[data.draw(st.integers(0, i - 1))], labels[i]) for i in range(1, len(labels))
+        ]
+        for _ in range(data.draw(st.integers(0, 4))):
+            u, v = data.draw(st.permutations(labels))[:2]
+            if (u, v) not in pairs and (v, u) not in pairs:
+                pairs.append((u, v))
+        g = build_graph(pairs)
+        parsed = parse_edge_list(format_edge_list(g))
+        assert parsed == [g.edge_label_pair(e) for e in range(g.edge_count)]
+        assert build_graph(parsed).edges == g.edges
+
+    @given(_document(), st.booleans())
+    def test_spaces_tabs_comments_blanks_and_crlf_are_accepted(self, doc, final_end):
+        lines, ends, pairs = doc
+        text = _join(lines, ends)
+        if not final_end and text:
+            text = text[: -len(ends[-1])]
+        assert parse_edge_list(text) == pairs
+
+    @given(
+        _document(),
+        _document(),
+        _edge_line(),
+        st.sampled_from(("+", "-", "_", "\u0661", "\u00e9") + _BREAKS),
+        st.data(),
+    )
+    def test_bad_character_names_the_line_by_its_line_feeds(self, head, tail, edge, bad, data):
+        # a sign, an underscore, a non-ASCII character or a break the format
+        # does not take, anywhere in an edge line
+        line = edge[0]
+        if bad == "\r":
+            # a "\r" right before the line feed is the CRLF line end
+            at = data.draw(st.integers(0, len(line) - 1))
+        else:
+            at = data.draw(st.integers(0, len(line)))
+        before = _join(*head[:2])
+        text = before + line[:at] + bad + line[at:] + "\n" + _join(*tail[:2])
+        with pytest.raises(EdgeListFormatError) as exc:
+            parse_edge_list(text)
+        assert exc.value.line_number == 1 + before.count("\n")

@@ -1,19 +1,27 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from conftest import eid, path_edges, vid
 
 from rainbow_cactus import (
     BlackWhitePartition,
+    GenSpec,
+    GraphClass,
+    black_edges,
     brute_force_src,
     build_antipodal_index,
     build_canonical_partition,
     build_graph,
+    classify,
     decompose,
     enumerate_segments,
+    generate,
     graph_leaves,
     leaf_blocks,
     lower_bound,
+    strong_rainbow_coloring,
     unique_shortest_path,
     validate_partition,
 )
@@ -173,3 +181,34 @@ class TestBlackPairNecessity:
         for i, b1 in enumerate(blacks):
             for b2 in blacks[i + 1 :]:
                 assert any(b1 in s and b2 in s for s in path_sets), (b1, b2)
+
+
+class TestOneHome:
+    def test_e_ant_black_edges_and_colours_agree(self):
+        # E_ant comes from the antipodal index and the black edges from
+        # black_edges; check both against the segment walk, and that the
+        # colouring numbers colours along the black edge list
+        rng = random.Random(7)
+        bare_cycles = 0
+        for seed in range(200):
+            spec = GenSpec(
+                seed=seed,
+                target_vertices=rng.randint(2, 60),
+                cycle_lengths=rng.choice(((3,), (3, 5, 7), (5, 9))),
+                pendant_probability=round(rng.random(), 2),
+            )
+            g = generate(spec)
+            d, a, cat = pipeline(g)
+            assert cat.e_ant == a.e_ant
+            cycle_edges = {e for b in d.blocks if b.is_cycle for e in b.ordered_edges}
+            seg_edges = {e for s in cat.segments for e in s.edges}
+            res = strong_rainbow_coloring(g, d, a, cat)
+            if classify(g, d).tag is GraphClass.ODD_CYCLE:
+                bare_cycles += 1
+                continue
+            assert cycle_edges - seg_edges == cat.e_ant
+            blacks = black_edges(d, cat)
+            assert build_canonical_partition(d, cat).e_black == frozenset(blacks)
+            assert len(set(blacks)) == len(blacks) == res.src
+            assert [res.coloring.color[e] for e in blacks] == list(range(1, res.src + 1))
+        assert bare_cycles < 20

@@ -5,15 +5,12 @@ from conftest import cycle_edges, eid, vid
 
 from rainbow_cactus import (
     SegmentClass,
-    antipodal_edge,
-    antipodal_vertex,
     bfs_distances,
     build_antipodal_index,
     build_graph,
     decompose,
     enumerate_segments,
 )
-from rainbow_cactus.errors import EdgeNotInCycleError, VertexNotInCycleError
 from rainbow_cactus.segments import _cycle_segments
 
 
@@ -27,22 +24,22 @@ def nine_cycle_with_pendants():
 class TestAntipodalPairs:
     def test_triangle(self, triangle):
         d = decompose(triangle)
-        b = d.blocks[0]
+        a = build_antipodal_index(d)
         e01 = triangle.edge_between(0, 1)
-        assert antipodal_vertex(b, e01) == 2
-        assert antipodal_edge(b, 2) == e01
+        assert a.opp_vertex[e01] == 2
+        assert a.opp_edge[d.blocks[0].index][2] == e01
 
     def test_sample_e7_is_opposite_v4(self, sample_cactus):
         d = decompose(sample_cactus)
+        a = build_antipodal_index(d)
         seven = d.blocks[0]
-        assert antipodal_vertex(seven, eid["e7"]) == vid["v4"]
-        assert antipodal_edge(seven, vid["v4"]) == eid["e7"]
+        assert a.opp_vertex[eid["e7"]] == vid["v4"]
+        assert a.opp_edge[seven.index][vid["v4"]] == eid["e7"]
 
     def test_c5_by_distance(self, c5):
-        d = decompose(c5)
-        b = d.blocks[0]
+        a = build_antipodal_index(decompose(c5))
         e = c5.edge_between(1, 2)
-        w = antipodal_vertex(b, e)
+        w = a.opp_vertex[e]
         assert w == 4
         dist = bfs_distances(c5, w)
         assert dist[1] == dist[2] == 2
@@ -50,32 +47,37 @@ class TestAntipodalPairs:
     def test_equidistance_everywhere(self, sample_cactus):
         g = sample_cactus
         d = decompose(g)
+        a = build_antipodal_index(d)
         for b in d.blocks:
             if not b.is_cycle:
                 continue
             for e in b.ordered_edges:
-                w = antipodal_vertex(b, e)
+                w = a.opp_vertex[e]
                 u, v = g.edges[e]
                 dist = bfs_distances(g, w)
                 assert dist[u] == dist[v]
 
     def test_round_trip_bijection(self, sample_cactus):
         d = decompose(sample_cactus)
+        a = build_antipodal_index(d)
         for b in d.blocks:
             if not b.is_cycle:
                 continue
+            opp_edge = a.opp_edge[b.index]
             for e in b.ordered_edges:
-                assert antipodal_edge(b, antipodal_vertex(b, e)) == e
+                assert opp_edge[a.opp_vertex[e]] == e
             for v in b.vertices:
-                assert antipodal_vertex(b, antipodal_edge(b, v)) == v
+                assert a.opp_vertex[opp_edge[v]] == v
 
     def test_membership_errors(self, sample_cactus):
+        # a bridge has no antipodal vertex, and a vertex off a cycle has no
+        # antipodal edge in it
         d = decompose(sample_cactus)
-        seven = d.blocks[0]
-        with pytest.raises(EdgeNotInCycleError):
-            antipodal_vertex(seven, eid["e11"])
-        with pytest.raises(VertexNotInCycleError):
-            antipodal_edge(seven, vid["v10"])
+        a = build_antipodal_index(d)
+        with pytest.raises(KeyError):
+            a.opp_vertex[eid["e10"]]  # the bridge 9-10
+        with pytest.raises(KeyError):
+            a.opp_edge[d.blocks[0].index][vid["v10"]]
 
 
 class TestEAnt:
@@ -177,8 +179,8 @@ class TestSegmentInvariants:
             if not b.is_cycle:
                 continue
             segs = cat.for_cycle(b.index)
-            seg_vertices = set().union(*(s.vertex_set for s in segs))
-            seg_edges = set().union(*(s.edge_set for s in segs))
+            seg_vertices = set().union(*(s.vertices for s in segs))
+            seg_edges = set().union(*(s.edges for s in segs))
             cuts_in = set(b.vertices) & d.cut_vertices
             ant_in = set(b.edges) & a.e_ant
             assert seg_vertices | cuts_in == set(b.vertices)
@@ -196,11 +198,11 @@ class TestSegmentInvariants:
         assert fwd.counts[1] == rev.counts[2]
         assert fwd.counts[2] == rev.counts[1]
         fwd_sets = sorted(
-            (s.cycle, tuple(sorted(s.vertex_set)), tuple(sorted(s.edge_set)))
+            (s.cycle, tuple(sorted(s.vertices)), tuple(sorted(s.edges)))
             for s in fwd.segments
         )
         rev_sets = sorted(
-            (s.cycle, tuple(sorted(s.vertex_set)), tuple(sorted(s.edge_set)))
+            (s.cycle, tuple(sorted(s.vertices)), tuple(sorted(s.edges)))
             for s in rev.segments
         )
         assert fwd_sets == rev_sets
