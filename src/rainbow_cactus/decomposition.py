@@ -1,4 +1,4 @@
-"""Block decomposition: cut vertices, blocks, bridges, block-cut tree.
+"""Block decomposition: cut vertices, blocks, bridges, the rooted block tree.
 
 Blocks are found with an iterative low-link DFS and ordered by the DFS step
 at which their first edge is traversed, so downstream iteration orders are
@@ -83,31 +83,15 @@ class Block:
 
 
 @dataclass(frozen=True, eq=False)
-class BlockCutTree:
-    """Bipartite adjacency between blocks and the cut vertices they contain."""
-
-    block_cuts: tuple[tuple[VertexId, ...], ...]
-    cut_blocks: dict[VertexId, tuple[int, ...]]
-
-    @property
-    def node_count(self) -> int:
-        return len(self.block_cuts) + len(self.cut_blocks)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(cs) for cs in self.block_cuts)
-
-    def block_degree(self, block_index: int) -> int:
-        return len(self.block_cuts[block_index])
-
-
-@dataclass(frozen=True, eq=False)
 class Decomposition:
     cut_vertices: frozenset[VertexId]
     blocks: tuple[Block, ...]
     cut_edges: frozenset[EdgeId]
-    bct: BlockCutTree
     block_of_edge: tuple[int, ...]
+    # the block-cut tree rooted at block 0: block b > 0 hangs from its top
+    # vertex, a cut vertex of its parent block; both are -1 for block 0
+    block_top: tuple[VertexId, ...]
+    block_parent: tuple[int, ...]
 
     @cached_property
     def classification(self) -> Classification:
@@ -163,7 +147,7 @@ class Classification:
 
 @gc_paused()
 def decompose(g: Graph) -> Decomposition:
-    """Cut vertices, blocks and block-cut tree of any connected simple graph.
+    """Cut vertices, blocks and the rooted block tree of a connected simple graph.
 
     The DFS records, per edge, whether it is a back edge and, for a tree
     edge, the child it discovered. A block's edges then sit on the edge stack
@@ -176,6 +160,8 @@ def decompose(g: Graph) -> Decomposition:
     one vertex, its top, with the blocks before it, and the blocks reached
     from b's other vertices in G - top(b) are b, b+1, ..., b+size-1: in the
     block-cut tree rooted at block 0, a block's subtree is an index range.
+    `block_top[b]` is that shared vertex, the one the DFS pops b at, and
+    `block_parent[b]` the earlier block holding the tree edge into it.
     """
     n = g.vertex_count
     m = g.edge_count
@@ -241,52 +227,48 @@ def decompose(g: Graph) -> Decomposition:
     comps = list(filter(None, comp_at))
 
     cut_vertices = frozenset(compress(range(n), is_cut))
-    cut_blocks: dict[int, list[int]] = {v: [] for v in sorted(cut_vertices)}
-    in_cuts = is_cut.__getitem__
     edges_arr = g.edges
     blocks: list[Block] = []
-    block_cuts: list[tuple[int, ...]] = []
     block_of_edge = [-1] * m
+    block_top: list[int] = []
+    block_parent: list[int] = []
     cut_edge_ids: list[int] = []
     cut_edge, cycle, other = BlockKind.CUT_EDGE, BlockKind.CYCLE, BlockKind.OTHER
     for bidx, comp in enumerate(comps):
+        # comp[0] is the tree edge from the vertex the DFS popped the block
+        # at, its top, down into the block
+        first = comp[0]
+        a, b = ab = edges_arr[first]
+        top = a if tree_child[first] == b else b
+        block_top.append(top)
+        # the block holding the tree edge into top, filed earlier; the root
+        # has no such edge and only hangs blocks from block 0
+        block_parent.append(block_of_edge[parent_eid[top]] if top else 0)
         for e in comp:
             block_of_edge[e] = bidx
         if len(comp) == 1:
-            e = comp[0]
-            a, b = ab = edges_arr[e]
-            blocks.append(Block(bidx, cut_edge, ab, (e,)))
-            cut_edge_ids.append(e)
-            if is_cut[a]:
-                cs = (a, b) if is_cut[b] else (a,)
-            else:
-                cs = (b,) if is_cut[b] else ()
+            blocks.append(Block(bidx, cut_edge, ab, (first,)))
+            cut_edge_ids.append(first)
+        elif sum(map(is_back.__getitem__, comp)) != 1:
+            cverts = tuple(sorted({x for e in comp for x in edges_arr[e]}))
+            blocks.append(Block(bidx, other, cverts, tuple(sorted(comp))))
         else:
-            if sum(map(is_back.__getitem__, comp)) != 1:
-                verts_set = {x for e in comp for x in edges_arr[e]}
-                cverts = tuple(sorted(verts_set))
-                blocks.append(Block(bidx, other, cverts, tuple(sorted(comp))))
+            # a 2-connected block with one back edge has |V| == |E|: a
+            # cycle. comp is [tree edges down the path..., back edge up].
+            verts = (top, *map(tree_child.__getitem__, comp[:-1]))
+            # canonical order: lowest id first, toward its lower-id neighbour
+            i = verts.index(min(verts))
+            if verts[(i + 1) % len(verts)] < verts[i - 1]:
+                cverts = verts[i:] + verts[:i]
+                cedges = comp[i:] + comp[:i]
             else:
-                # a 2-connected block with one back edge has |V| == |E|: a
-                # cycle. comp is [tree edges down the path..., back edge up].
-                a, b = edges_arr[comp[0]]
-                top = a if tree_child[comp[0]] == b else b
-                verts = (top, *map(tree_child.__getitem__, comp[:-1]))
-                # canonical order: lowest id first, toward its lower-id neighbour
-                i = verts.index(min(verts))
-                if verts[(i + 1) % len(verts)] < verts[i - 1]:
-                    cverts = verts[i:] + verts[:i]
-                    cedges = comp[i:] + comp[:i]
-                else:
-                    cverts = verts[i::-1] + verts[:i:-1]
-                    cedges = comp[i - 1 :: -1] + comp[: i - 1 : -1]
-                blocks.append(Block(bidx, cycle, cverts, tuple(cedges)))
-            cs = tuple(sorted(compress(cverts, map(in_cuts, cverts))))
-        block_cuts.append(cs)
-        for v in cs:
-            cut_blocks[v].append(bidx)
-    bct = BlockCutTree(tuple(block_cuts), {v: tuple(bs) for v, bs in cut_blocks.items()})
-    return Decomposition(cut_vertices, tuple(blocks), frozenset(cut_edge_ids), bct, tuple(block_of_edge))
+                cverts = verts[i::-1] + verts[:i:-1]
+                cedges = comp[i - 1 :: -1] + comp[: i - 1 : -1]
+            blocks.append(Block(bidx, cycle, cverts, tuple(cedges)))
+    # block 0 is popped at the root too, but hangs from nothing
+    block_top[0] = block_parent[0] = -1
+    return Decomposition(cut_vertices, tuple(blocks), frozenset(cut_edge_ids),
+                         tuple(block_of_edge), tuple(block_top), tuple(block_parent))
 
 
 def classify(g: Graph, d: Decomposition) -> Classification:
@@ -308,5 +290,6 @@ def require_odd_cactus(d: Decomposition) -> Classification:
 
 
 def leaf_blocks(d: Decomposition) -> tuple[Block, ...]:
-    """Blocks whose block-cut-tree node has degree at most 1."""
-    return tuple(b for b in d.blocks if d.bct.block_degree(b.index) <= 1)
+    """Blocks with at most one cut vertex: leaves of the block-cut tree."""
+    cuts = d.cut_vertices
+    return tuple(b for b in d.blocks if len(cuts.intersection(b.vertices)) <= 1)

@@ -32,15 +32,26 @@ class Graph:
     edges: tuple[tuple[VertexId, VertexId], ...]
     adjacency: tuple[tuple[tuple[VertexId, EdgeId], ...], ...]
     labels: tuple[int, ...]
-    _edge_index: dict[tuple[VertexId, VertexId], EdgeId]
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
     def edge_between(self, u: VertexId, v: VertexId) -> EdgeId:
-        """Edge id joining u and v; raises KeyError if absent."""
-        return self._edge_index[(u, v) if u <= v else (v, u)]
+        """Edge id joining u and v; raises KeyError if absent.
+
+        Scans the shorter of the two adjacency lists, so looking up every
+        edge of a graph of arboricity a costs O(a * m).
+        """
+        n = self.vertex_count
+        if not (0 <= u < n and 0 <= v < n):
+            raise KeyError((u, v))
+        adj = self.adjacency
+        x, y = (u, v) if len(adj[u]) <= len(adj[v]) else (v, u)
+        for w, eid in adj[x]:
+            if w == y:
+                return eid
+        raise KeyError((u, v))
 
     def edge_label_pair(self, e: EdgeId) -> tuple[int, int]:
         """Raw labels of an edge's endpoints, smaller label first."""
@@ -86,7 +97,6 @@ def build_graph(edge_pairs) -> Graph:
 
     edges: list[tuple[int, int]] = []
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    edge_index: dict[tuple[int, int], int] = {}
     for u, v in pairs:
         a, b = dense[u], dense[v]
         if a > b:
@@ -95,9 +105,8 @@ def build_graph(edge_pairs) -> Graph:
         edges.append((a, b))
         adj[a].append((b, eid))
         adj[b].append((a, eid))
-        edge_index[(a, b)] = eid
 
-    g = Graph(n, tuple(edges), tuple(tuple(a) for a in adj), labels, edge_index)
+    g = Graph(n, tuple(edges), tuple(tuple(a) for a in adj), labels)
     dist = _bfs_dist(g, 0)
     if -1 in dist:
         # the lowest unreachable dense id, i.e. the lowest unreachable label

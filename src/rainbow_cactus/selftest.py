@@ -10,6 +10,7 @@ command and the acceptance tests both drive this module.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .decomposition import (
@@ -19,6 +20,7 @@ from .decomposition import (
     decompose,
     leaf_blocks,
 )
+from .errors import InvalidSpecError
 from .generator import GenSpec, generate
 from .graph import Graph, all_shortest_paths, bfs_distances, unique_shortest_path
 from .oracle import (
@@ -161,18 +163,21 @@ def check_decomposition(g: Graph, d: Decomposition, cls_tag: GraphClass) -> None
         d.cut_edges == frozenset(b.ordered_edges[0] for b in d.blocks if b.length == 1),
         "cut_edges_are_single_edge_blocks",
     )
-    bct = d.bct
-    _require(bct.node_count == len(d.blocks) + len(d.cut_vertices), "bct_node_count")
-    expected_edges = sum(
-        sum(1 for v in b.vertices if v in d.cut_vertices) for b in d.blocks
-    )
-    _require(bct.edge_count == expected_edges, "bct_edge_count")
-    if bct.node_count > 0:
-        # connected + |E| = |V| - 1 makes the block-cut structure a tree
-        _require(bct.edge_count == bct.node_count - 1, "bct_is_tree")
-    _require(
-        all(len(bs) >= 2 for bs in bct.cut_blocks.values()), "cut_vertex_degree_two"
-    )
+    cuts = d.cut_vertices
+    holders = Counter(v for b in d.blocks for v in cuts.intersection(b.vertices))
+    # connected, so the block-cut graph is a tree: |E| = |V| - 1
+    _require(sum(holders.values()) == len(d.blocks) + len(cuts) - 1, "bct_is_tree")
+    _require(all(holders[v] >= 2 for v in cuts), "cut_vertex_degree_two")
+    # block 0 is the root; every other block hangs from an earlier one
+    top, parent = d.block_top, d.block_parent
+    _require(top[0] == parent[0] == -1, "block_hangs_from_parent_cut_vertex", "block 0")
+    for b in d.blocks[1:]:
+        v, p = top[b.index], parent[b.index]
+        _require(
+            0 <= p < b.index and v in cuts and v in b.vertices and v in d.blocks[p].vertices,
+            "block_hangs_from_parent_cut_vertex",
+            f"block {b.index}",
+        )
 
 
 def check_antipodal(g: Graph, d: Decomposition, a: AntipodalIndex) -> None:
@@ -476,7 +481,15 @@ def check_instance(g: Graph) -> SrcResult:
 
 
 def run_selftest(seeds: int = 200, max_n: int = 30) -> SelftestReport:
-    """Generate `seeds` instances and stop at the first invariant violation."""
+    """Generate `seeds` instances and stop at the first invariant violation.
+
+    Raises InvalidSpecError for a negative `seeds` or a `max_n` below
+    MIN_MAX_N, which some specs would exceed.
+    """
+    if seeds < 0:
+        raise InvalidSpecError(f"seeds must be at least 0, got {seeds}")
+    if max_n < MIN_MAX_N:
+        raise InvalidSpecError(f"max_n must be at least {MIN_MAX_N}, got {max_n}")
     failures: list[SelftestFailure] = []
     for seed in range(seeds):
         spec = spec_for_seed(seed, max_n)

@@ -85,16 +85,17 @@ def _branch_min_black(
     """For each antipodal edge e, the lowest black edge id outside the branch
     of G - opp(e) that contains e.
 
-    Runs in O(blocks + cut vertices) on the block-cut tree rooted at block 0,
-    so the coloring loop stays linear overall; equivalent to building each
+    Runs in O(blocks) on the block-cut tree rooted at block 0, so the
+    coloring loop stays linear overall; equivalent to building each
     separation explicitly and taking min(e_black & g2_edges). `decompose`
     files blocks in DFS preorder: the blocks below block b are b .. b+size-1,
-    and b hangs from the one cut vertex it shares with an earlier block, its
-    top. Pivoting at b's top leaves everything outside that range; pivoting
-    at another cut vertex w of b leaves the subtrees of the blocks hanging at w.
+    and b hangs from its top, a cut vertex of its parent block. Pivoting at
+    b's top leaves everything outside that range; pivoting at another cut
+    vertex w of b leaves the subtrees of the blocks hanging at w.
     """
     nblocks = len(d.blocks)
     boe = d.block_of_edge
+    top, parent = d.block_top, d.block_parent
     # each block's lowest black edge until `before` and `after` are taken;
     # then the pass from the last block up makes it its subtree's lowest
     low = [_UNSET] * nblocks
@@ -103,25 +104,17 @@ def _branch_min_black(
         if e < low[b]:
             low[b] = e
 
-    top = [-1] * nblocks
-    first_holder: dict[VertexId, int] = {}
-    for b, cs in enumerate(d.bct.block_cuts):
-        for v in cs:
-            if first_holder.setdefault(v, b) != b:
-                top[b] = v
-
     # min(low[:i]) is before[i] and min(low[i:]) is after[nblocks - i]
     before = list(accumulate(low, min, initial=_UNSET))
     after = list(accumulate(reversed(low), min, initial=_UNSET))
     size = [1] * nblocks
-    hanging = dict.fromkeys(first_holder, _UNSET)
+    hanging: dict[VertexId, int] = {}
     for b in range(nblocks - 1, 0, -1):
-        v, s = top[b], low[b]
-        p = first_holder[v]
+        v, s, p = top[b], low[b], parent[b]
         size[p] += size[b]
         if s < low[p]:
             low[p] = s
-        if s < hanging[v]:
+        if s < hanging.get(v, _UNSET):
             hanging[v] = s
 
     out: dict[int, int] = {}
@@ -131,7 +124,7 @@ def _branch_min_black(
         if w == top[b]:
             res = min(before[b], after[nblocks - b - size[b]])
         else:
-            res = hanging[w]
+            res = hanging.get(w, _UNSET)
         if res >= _UNSET:
             raise InvariantError(
                 f"internal invariant violated: no black edge beyond pivot of edge {e}"

@@ -7,7 +7,8 @@ from conftest import SAMPLE_EDGES, cycle_edges, path_edges
 
 from rainbow_cactus import analyze_graph, build_graph, generate, parse_edge_list
 from rainbow_cactus.cli import build_report, main
-from rainbow_cactus.selftest import MIN_MAX_N, spec_for_seed
+from rainbow_cactus.errors import InvalidSpecError
+from rainbow_cactus.selftest import MIN_MAX_N, run_selftest, spec_for_seed
 
 
 def write_edges(tmp_path, name, edges):
@@ -310,6 +311,15 @@ class TestSelftest:
             assert generate(spec_for_seed(seed, MIN_MAX_N)).vertex_count <= MIN_MAX_N
         assert main(["selftest", "--seeds", "5", "--max-n", str(MIN_MAX_N)]) == 0
         assert "selftest passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "seeds, max_n", [(-3, 30), (60, MIN_MAX_N - 1), (1, -5)], ids=["seeds-3", "max_n8", "max_n-5"]
+    )
+    def test_library_run_rejects_the_bounds_the_cli_rejects(self, seeds, max_n):
+        # below MIN_MAX_N some specs exceed the bound: max_n=8 gives
+        # 9-vertex graphs for seeds 6, 30 and 53
+        with pytest.raises(InvalidSpecError):
+            run_selftest(seeds=seeds, max_n=max_n)
 
     def test_zero_seeds_warns(self, capsys):
         assert main(["selftest", "--seeds", "0"]) == 0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+from collections import Counter
 
 import pytest
 from conftest import cycle_edges, eid, k4_edges, path_edges, vid
@@ -137,6 +138,7 @@ class TestDecompose:
         ]
         for g in graphs:
             d = decompose(g)
+            leaves = {b.index for b in leaf_blocks(d)}
             comp = _connected_without(g)
             cuts = {
                 x for x in range(g.vertex_count)
@@ -159,10 +161,15 @@ class TestDecompose:
                     assert b.length == 1 and b.vertices == g.edges[b.ordered_edges[0]]
                 else:
                     assert b.vertices == tuple(sorted(ends)) and len(ends) < b.length
-                assert d.bct.block_cuts[b.index] == tuple(sorted(ends & cuts))
-            assert list(d.bct.cut_blocks) == sorted(cuts)
-            for v, bs in d.bct.cut_blocks.items():
-                assert bs == tuple(b.index for b in d.blocks if v in b.vertices)
+                assert (b.index in leaves) == (len(ends & cuts) <= 1)
+            # a cut vertex lies in the blocks hanging from it and in their
+            # parent, the first block that holds it
+            assert set(d.block_top[1:]) == cuts
+            for v in cuts:
+                holders = [b.index for b in d.blocks if v in b.vertices]
+                hung = [b for b, top in enumerate(d.block_top) if top == v]
+                assert hung == holders[1:]
+                assert {d.block_parent[b] for b in hung} == {holders[0]}
             # DFS preorder: every block but block 0 shares one vertex, its
             # top, with earlier blocks; the blocks reached from b's other
             # vertices in G - top(b) are b, b+1, ..., and from block 0 all
@@ -170,6 +177,10 @@ class TestDecompose:
             for b in d.blocks:
                 top = block_vertices[b.index] & set().union(*block_vertices[: b.index])
                 assert len(top) == (b.index > 0)
+                assert d.block_top[b.index] == next(iter(top), -1)
+                assert d.block_parent[b.index] == next(
+                    (c for c in range(b.index) if top <= block_vertices[c]), -1
+                )
                 part = _connected_without(g, removed_vertex=next(iter(top), None))
                 (side,) = {part[x] for x in block_vertices[b.index] - top}
                 reached = {
@@ -228,9 +239,15 @@ class TestDecompose:
 
     def test_block_cut_tree_shape(self, sample_cactus):
         d = decompose(sample_cactus)
-        assert d.bct.node_count == len(d.blocks) + len(d.cut_vertices)
-        assert d.bct.edge_count == d.bct.node_count - 1
-        assert all(len(bs) >= 2 for bs in d.bct.cut_blocks.values())
+        cuts = d.cut_vertices
+        holders = Counter(v for b in d.blocks for v in cuts.intersection(b.vertices))
+        # one block-cut tree edge per (block, cut vertex) pair: a tree
+        assert sum(holders.values()) == len(d.blocks) + len(cuts) - 1
+        assert all(holders[v] >= 2 for v in cuts)
+        # the 7-cycle is the root; e8 hangs from it at v6, e9 at v4, e10
+        # from e9 at v9, and the triangle from e10 at v10
+        assert d.block_top == (-1, vid["v6"], vid["v4"], vid["v9"], vid["v10"])
+        assert d.block_parent == (-1, 0, 0, 2, 3)
 
 
 class TestClassify:

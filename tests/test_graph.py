@@ -74,6 +74,13 @@ class TestBuildGraph:
         assert sample_cactus.edge_between(vid["v2"], vid["v1"]) == eid["e1"]
         with pytest.raises(KeyError):
             sample_cactus.edge_between(vid["v1"], vid["v4"])
+        # v12 is the last dense id: -1 must not index from the end
+        for u, v in ((vid["v1"], vid["v1"]), (-1, vid["v11"]), (vid["v12"], 12)):
+            with pytest.raises(KeyError):
+                sample_cactus.edge_between(u, v)
+        # either endpoint may have the shorter adjacency list
+        for e, (u, v) in enumerate(sample_cactus.edges):
+            assert sample_cactus.edge_between(u, v) == sample_cactus.edge_between(v, u) == e
 
 
 class TestBfsDistances:

@@ -203,7 +203,7 @@ class TestLine18Choice:
             for e in sorted(a.e_ant):
                 sep = separate(g, d, a, e)
                 assert fast[e] == assert_line18_choice(sep, p)
-                pivot_on_top.add(d.bct.cut_blocks[sep.pivot_vertex][0] != d.block_of_edge[e])
+                pivot_on_top.add(d.block_top[d.block_of_edge[e]] == sep.pivot_vertex)
         assert pivot_on_top == {True, False}
 
 
