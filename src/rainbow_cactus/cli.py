@@ -213,7 +213,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.coloring) as fh:
             data = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also a number too long, nesting too deep
         print(f"error: coloring file is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     cmap = data.get("coloring") if isinstance(data, dict) else None
@@ -233,7 +233,7 @@ def cmd_verify(args) -> int:
             return EXIT_INPUT_ERROR
         try:
             eid = g.edge_between(dense[int(a_str)], dense[int(b_str)])
-        except KeyError:
+        except (KeyError, ValueError):  # ValueError: a label too long for int()
             print(f"error: coloring entry {key!r} is not an edge of the graph", file=sys.stderr)
             return EXIT_INPUT_ERROR
         if colors[eid] is not None:

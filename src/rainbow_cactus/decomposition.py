@@ -7,44 +7,13 @@ reproducible for a given edge list.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import compress
 
 from .errors import NotOddCactusError
-from .graph import EdgeId, Graph, VertexId
-
-
-@contextmanager
-def gc_paused():
-    """Pause the cyclic garbage collector for a bulk build of acyclic data.
-
-    Building hundreds of thousands of tuples, frozensets and records that
-    survive the build triggers repeated full collections, each a pass over
-    the whole heap, that can find nothing: the data has no reference cycles,
-    and temporaries are freed by reference counting as before. The
-    collector's previous state is restored on exit.
-
-    If a pass is due when the pause ends, it is made explicitly over the
-    youngest generation only, which holds what the build allocated and still
-    holds. Left to the collector, that first pass may instead be a full one
-    over the whole heap, paid inside the build. Used as a decorator
-    (`@gc_paused()`), the function's local temporaries are already freed by
-    then, so that pass only visits what the function returned.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        if gc.get_count()[0] > gc.get_threshold()[0]:
-            gc.collect(0)
-        gc.enable()
+from .graph import EdgeId, Graph, VertexId, gc_paused
 
 
 class BlockKind(Enum):

@@ -7,7 +7,9 @@ output. Edge ids are stable positions in the edge tuple.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
@@ -22,6 +24,35 @@ from .errors import (
 
 VertexId = int
 EdgeId = int
+
+
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector for a bulk build of acyclic data.
+
+    Building hundreds of thousands of tuples, frozensets and records that
+    survive the build triggers repeated full collections, each a pass over
+    the whole heap, that can find nothing: the data has no reference cycles,
+    and temporaries are freed by reference counting as before. The
+    collector's previous state is restored on exit.
+
+    If a pass is due when the pause ends, it is made explicitly over the
+    youngest generation only, which holds what the build allocated and still
+    holds. Left to the collector, that first pass may instead be a full one
+    over the whole heap, paid inside the build. Used as a decorator
+    (`@gc_paused()`), the function's local temporaries are already freed by
+    then, so that pass only visits what the function returned.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        if gc.get_count()[0] > gc.get_threshold()[0]:
+            gc.collect(0)
+        gc.enable()
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,42 +102,39 @@ class Path:
         return len(self.edges)
 
 
+@gc_paused()
 def build_graph(edge_pairs) -> Graph:
     """Validate raw (label, label) pairs and build a dense-id Graph.
 
     Rejects self-loops, duplicate unordered pairs, disconnected inputs and
-    empty input; the raised error carries the offending raw labels.
+    empty input; the raised error carries the offending raw labels of the
+    first bad pair in input order.
     """
     pairs = [(int(u), int(v)) for u, v in edge_pairs]
     if not pairs:
         raise EmptyInputError("edge list is empty")
-    seen: set[tuple[int, int]] = set()
-    label_set: set[int] = set()
-    for u, v in pairs:
-        if u == v:
-            raise SelfLoopError(u)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ParallelEdgeError(key)
-        seen.add(key)
-        label_set.add(u)
-        label_set.add(v)
-    labels = tuple(sorted(label_set))
+    labels = tuple(sorted({x for pair in pairs for x in pair}))
     dense = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
 
-    edges: list[tuple[int, int]] = []
+    # one insertion-ordered index is both the duplicate check and the edge
+    # list; dense ids follow sorted label order, so a < b orders labels too
+    index: dict[tuple[int, int], int] = {}
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v in pairs:
+        if u == v:
+            raise SelfLoopError(u)
         a, b = dense[u], dense[v]
         if a > b:
             a, b = b, a
-        eid = len(edges)
-        edges.append((a, b))
+        key = (a, b)
+        if key in index:
+            raise ParallelEdgeError((labels[a], labels[b]))
+        eid = index[key] = len(index)
         adj[a].append((b, eid))
         adj[b].append((a, eid))
 
-    g = Graph(n, tuple(edges), tuple(tuple(a) for a in adj), labels)
+    g = Graph(n, tuple(index), tuple(map(tuple, adj)), labels)
     dist = _bfs_dist(g, 0)
     if -1 in dist:
         # the lowest unreachable dense id, i.e. the lowest unreachable label
@@ -260,7 +288,12 @@ def parse_edge_list(text: str) -> list[tuple[int, int]]:
                 f"line {lineno}: labels must be separated by spaces or tabs, got {raw!r}",
                 lineno,
             )
-        pairs.append((int(a), int(b)))
+        try:
+            pairs.append((int(a), int(b)))
+        except ValueError:  # more digits than int() converts
+            raise EdgeListFormatError(
+                f"line {lineno}: vertex label has too many digits", lineno
+            ) from None
     return pairs
 
 

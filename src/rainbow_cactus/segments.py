@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 
-from .decomposition import Block, BlockKind, Decomposition, gc_paused, require_odd_cactus
-from .graph import EdgeId, VertexId
+from .decomposition import Block, BlockKind, Decomposition, require_odd_cactus
+from .graph import EdgeId, VertexId, gc_paused
 
 
 class SegmentClass(Enum):
@@ -144,17 +144,18 @@ def _cycle_segments(
         s = verts.index(start)
     off_e = (length - 1) // 2
 
-    # rotate once so trail position 2q is rv[q] and position 2q+1 is re_[q]
+    # rotate once so trail position 2q is rv[q] and position 2q+1 is re_[q],
+    # the edge joining rv[q] and rv[q + 1]; in either direction the
+    # antipodal edge of rv[q] is then re_[(q + off_e) % length]
     if not reverse:
         rv = verts[s:] + verts[:s] if s else verts
         re_ = oedges[s:] + oedges[:s] if s else oedges
-        bpos = [2 * ((i - s) % length) for i in cut_idx]
-        bpos += [2 * ((i + off_e - s) % length) + 1 for i in cut_idx]
+        qs = [(i - s) % length for i in cut_idx]
     else:
         rv = verts[s::-1] + verts[:s:-1]
         re_ = oedges[s - 1 :: -1] + oedges[: s - 1 : -1] if s else oedges[::-1]
-        bpos = [2 * ((s - i) % length) for i in cut_idx]
-        bpos += [2 * ((s - 1 - i - off_e) % length) + 1 for i in cut_idx]
+        qs = [(s - i) % length for i in cut_idx]
+    bpos = [2 * q for q in qs] + [2 * ((q + off_e) % length) + 1 for q in qs]
     bpos.sort()
 
     # the segment after boundary b holds trail positions b+1 .. end-1, where

@@ -57,11 +57,15 @@ class SrcResult:
 def _src_stats(d: Decomposition, cat: SegmentCatalog) -> tuple[SrcStats, int]:
     """The closed form's terms m, |E_cut|, |S1|, |E_ant|, and its value.
 
-    |S1| comes from the segment walk and |E_ant| from the antipodal index,
-    two independent derivations. An odd sum means they disagree and the
-    segments do not pair up, which valid input never allows.
+    A bare odd cycle C_m has no cut vertex and so no segments; its value is
+    1 for the triangle and (m + 1) / 2 otherwise. Elsewhere |S1| comes from
+    the segment walk and |E_ant| from the antipodal index, two independent
+    derivations. An odd sum means they disagree and the segments do not
+    pair up, which valid input never allows.
     """
     stats = SrcStats(len(d.block_of_edge), len(d.cut_edges), cat.counts[0], len(cat.e_ant))
+    if d.classification.tag is GraphClass.ODD_CYCLE:
+        return stats, 1 if stats.m == 3 else (stats.m + 1) // 2
     total = stats.m + stats.cut_edges + stats.s1_count - stats.e_ant
     if total % 2:
         raise InvariantError(
@@ -72,10 +76,7 @@ def _src_stats(d: Decomposition, cat: SegmentCatalog) -> tuple[SrcStats, int]:
 
 def src_formula(d: Decomposition, cat: SegmentCatalog) -> int:
     """Evaluate the closed form for src(G) from the decomposition stats."""
-    cls = require_odd_cactus(d)
-    if cls.tag is GraphClass.ODD_CYCLE:
-        length = cls.cycle_length
-        return 1 if length == 3 else (length + 1) // 2
+    require_odd_cactus(d)
     return _src_stats(d, cat)[1]
 
 
@@ -147,22 +148,13 @@ def strong_rainbow_coloring(
     m = g.edge_count
 
     if cls.tag is GraphClass.ODD_CYCLE:
-        length = cls.cycle_length
-        if length == 3:
-            return SrcResult(
-                1, EdgeColoring(1, (1, 1, 1)), SrcStats(3, 0, 0, 0), SrcCase.TRIANGLE
-            )
-        period = (length + 1) // 2
+        stats, period = _src_stats(d, cat)
         colors_list = [0] * m
         for i, e in enumerate(d.blocks[0].ordered_edges):
-            # any (length - 1) / 2 consecutive edges get distinct colors
+            # any (m - 1) / 2 consecutive edges get distinct colors
             colors_list[e] = (i % period) + 1
-        return SrcResult(
-            period,
-            EdgeColoring(period, tuple(colors_list)),
-            SrcStats(m, 0, 0, 0),
-            SrcCase.ODD_CYCLE,
-        )
+        case = SrcCase.TRIANGLE if m == 3 else SrcCase.ODD_CYCLE
+        return SrcResult(period, EdgeColoring(period, tuple(colors_list)), stats, case)
 
     # a tree has no segments and no antipodal edges: its m cut edges get
     # the colors 1..m in edge-id order

@@ -10,6 +10,9 @@ from rainbow_cactus.cli import build_report, main
 from rainbow_cactus.errors import InvalidSpecError
 from rainbow_cactus.selftest import MIN_MAX_N, run_selftest, spec_for_seed
 
+# a label past CPython's default limit of 4300 digits for int(str)
+TOO_LONG = "7" * 5000
+
 
 def write_edges(tmp_path, name, edges):
     path = tmp_path / name
@@ -76,6 +79,12 @@ class TestAnalyze:
         bad.write_bytes(b"0 1\n1 2\n2 \xff\n")
         assert main(["analyze", str(bad)]) == 1
         assert "line 3" in capsys.readouterr().err
+
+    def test_label_too_long_for_int_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1\n1 " + TOO_LONG + "\n")
+        assert main(["analyze", str(bad)]) == 1
+        assert "line 2" in capsys.readouterr().err
 
     def test_full_report_includes_partition_and_coloring(self, sample_path, capsys):
         assert main(["analyze", sample_path, "--full"]) == 0
@@ -197,6 +206,23 @@ class TestVerify:
     def test_coloring_file_not_utf8_is_an_error(self, sample_path, tmp_path, capsys):
         coloring_file = tmp_path / "latin1.json"
         coloring_file.write_bytes(b'{"coloring": {}, "note": "\xff"}')
+        assert main(["verify", sample_path, str(coloring_file)]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_key_label_too_long_for_int_is_not_an_edge(self, sample_path, tmp_path, capsys):
+        coloring_file = tmp_path / "long.json"
+        coloring_file.write_text(json.dumps({"coloring": {f"1,{TOO_LONG}": 1}}))
+        assert main(["verify", sample_path, str(coloring_file)]) == 1
+        assert "is not an edge of the graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"coloring": {"1,2": ' + TOO_LONG + "}}", "[" * 100_000 + "]" * 100_000],
+        ids=["number-too-long", "nested-too-deep"],
+    )
+    def test_json_the_decoder_cannot_read_is_an_error(self, sample_path, tmp_path, capsys, text):
+        coloring_file = tmp_path / "hostile.json"
+        coloring_file.write_text(text)
         assert main(["verify", sample_path, str(coloring_file)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import random
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 from conftest import cycle_edges, eid, k4_edges, path_edges, vid
@@ -20,8 +21,29 @@ from rainbow_cactus import (
     generate,
     leaf_blocks,
 )
-from rainbow_cactus.decomposition import gc_paused
-from rainbow_cactus.errors import NotOddCactusError
+from rainbow_cactus.errors import DisconnectedError, NotOddCactusError, ParallelEdgeError
+from rainbow_cactus.graph import gc_paused
+
+
+@contextmanager
+def _collector_passes():
+    """Record (generation, collector enabled) at the start of every
+    collector pass made while the block runs with the collector on."""
+    passes = []
+
+    def record(phase, info):
+        if phase == "start":
+            passes.append((info["generation"], gc.isenabled()))
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        yield passes
+    finally:
+        gc.callbacks.remove(record)
+        if not was_enabled:
+            gc.disable()
 
 
 def _connected_without(g, removed_vertex=None, removed_edge=None):
@@ -206,6 +228,13 @@ class TestDecompose:
                 with pytest.raises(NotOddCactusError):
                     build_antipodal_index(decompose(build_graph(edges)))
                 assert gc.isenabled()
+            for edges, error in (
+                ([(0, 1), (1, 2), (2, 1)], ParallelEdgeError),
+                ([(0, 1), (2, 3)], DisconnectedError),
+            ):
+                with pytest.raises(error):
+                    build_graph(edges)
+                assert gc.isenabled()
         finally:
             if was_enabled:
                 gc.enable()
@@ -216,25 +245,21 @@ class TestDecompose:
         # left to the collector, the first pass after the pause may be a
         # full one over the whole heap; the explicit pass on exit, made
         # before the collector resumes, never is
-        passes = []
-
-        def record(phase, info):
-            if phase == "start":
-                passes.append((info["generation"], gc.isenabled()))
-
-        was_enabled = gc.isenabled()
-        gc.enable()
-        gc.callbacks.append(record)
-        try:
+        with _collector_passes() as passes:
             with gc_paused():
                 # enough survivors that a pass is due when the pause ends
                 held = [[] for _ in range(gc.get_threshold()[0] + 1000)]
             assert gc.isenabled()
-        finally:
-            gc.callbacks.remove(record)
-            if not was_enabled:
-                gc.disable()
         assert held
+        assert passes == [(0, False)]
+
+    def test_build_graph_makes_only_the_pause_exit_pass(self):
+        # unpaused, building 20k edges triggers automatic passes, older
+        # generations among them, inside the call
+        edges = path_edges(20_001)
+        with _collector_passes() as passes:
+            g = build_graph(edges)
+        assert g.edge_count == 20_000
         assert passes == [(0, False)]
 
     def test_block_cut_tree_shape(self, sample_cactus):

@@ -44,6 +44,19 @@ class TestBuildGraph:
             build_graph([(1, 2), (3, 3)])
         assert exc.value.label == 3
 
+    def test_first_bad_pair_in_input_order_is_reported(self):
+        with pytest.raises(SelfLoopError) as exc:
+            build_graph([(0, 1), (2, 2), (1, 0)])
+        assert exc.value.label == 2
+        with pytest.raises(ParallelEdgeError) as exc:
+            build_graph([(0, 1), (1, 0), (2, 2)])
+        assert exc.value.edge == (0, 1)
+
+    def test_parallel_edge_reports_raw_labels_in_ascending_order(self):
+        with pytest.raises(ParallelEdgeError) as exc:
+            build_graph([(50, 7), (7, 50)])
+        assert exc.value.edge == (7, 50)
+
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedError):
             build_graph([(0, 1), (2, 3)])
@@ -207,6 +220,12 @@ class TestEdgeListFormat:
             parse_edge_list(text)
         assert exc.value.line_number == 1
         assert parse_edge_list("1 2\r\n2 3\r\n3 1\r\n") == [(1, 2), (2, 3), (3, 1)]
+
+    def test_label_too_long_for_int_is_a_format_error(self):
+        # past CPython's default limit of 4300 digits for int(str)
+        with pytest.raises(EdgeListFormatError) as exc:
+            parse_edge_list("0 1\n1 " + "7" * 5000 + "\n")
+        assert exc.value.line_number == 2
 
     def test_line_number_counts_line_feeds_as_load_does(self, tmp_path):
         # a "\x0b" inside a comment does not start a new line

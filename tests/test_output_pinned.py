@@ -11,6 +11,7 @@ re-record them and say why.
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 from conftest import SAMPLE_EDGES, bowtie_edges, cycle_edges, k4_edges
@@ -24,11 +25,25 @@ TAILED_C4_EDGES = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3
 REJECTED = {"c4", "k4", "tailed-c4"}
 
 
+GENERATED_SPEC = GenSpec(seed=20261019, target_vertices=200, cycle_lengths=(3, 5, 7, 9))
+
+
+def shuffled_edges() -> list[tuple[int, int]]:
+    """The generated instance under a fixed permutation onto sparse labels,
+    in shuffled edge order with every second edge reversed, so the dense
+    remap in `build_graph` has work to do."""
+    g = generate(GENERATED_SPEC)
+    rng = random.Random(20261019)
+    labels = rng.sample(range(1_000_000), g.vertex_count)
+    edges = [(labels[u], labels[v]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(edges)]
+
+
 def instance_text(name: str) -> str:
     if name == "generated":
-        spec = GenSpec(seed=20261019, target_vertices=200, cycle_lengths=(3, 5, 7, 9))
-        return format_edge_list(generate(spec))
-    edges = {
+        return format_edge_list(generate(GENERATED_SPEC))
+    edges = shuffled_edges() if name == "shuffled" else {
         "sample": SAMPLE_EDGES,
         "c3": cycle_edges(3),
         "c4": cycle_edges(4),
@@ -67,6 +82,9 @@ PINNED = {
     "sample/analyze-full": "e003635e76e8d617e0faaa5b5f23a373b181c2d5265ae7d4cdbd8b18025e9d5b",
     "sample/color": "5c69fce7f3cc8b17136214d03b2dd0f4f9c71d6d11ba6a0c34399f83592e0942",
     "sample/color-dot": "48bfa8ea8d8619034ce883bfe2c03d0e9dca4317bb705f49351f8350050ef0a9",
+    "shuffled/analyze-full": "049803ad6cbceb917f692b19e39982378edc5205583c600e22c0951c3e5f64cd",
+    "shuffled/color": "2d1c3801927636deeacb5bac4977effcb9d87d68906af13f0b9211c0e408b9de",
+    "shuffled/color-dot": "de229fbb232e4a442f35d6753fc2a405e47d58a5ab36e6b292f493682b253230",
     "tailed-c4/analyze-full": "bf901b8d72751a96d78cccd4c67940946ffc0136d3f6228783f6d5a51fff8cc2",
     "tailed-c4/color": "bf901b8d72751a96d78cccd4c67940946ffc0136d3f6228783f6d5a51fff8cc2",
     "tree/analyze-full": "58aad173964ef10a5c76461c69472d7db48533eba17f6e3161fa69b067e7f946",
