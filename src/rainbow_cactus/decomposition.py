@@ -114,7 +114,7 @@ class Classification:
         return self.tag is not GraphClass.REJECTED
 
 
-@gc_paused()
+@gc_paused
 def decompose(g: Graph) -> Decomposition:
     """Cut vertices, blocks and the rooted block tree of a connected simple graph.
 

@@ -19,6 +19,12 @@ class EmptyInputError(RainbowCactusError):
     pass
 
 
+class InvalidLabelError(RainbowCactusError):
+    def __init__(self, label: object):
+        super().__init__(f"vertex label {label!r} is not a non-negative int")
+        self.label = label
+
+
 class SelfLoopError(RainbowCactusError):
     def __init__(self, label: int):
         super().__init__(f"self-loop at vertex {label}")

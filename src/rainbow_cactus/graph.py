@@ -7,16 +7,18 @@ output. Edge ids are stable positions in the edge tuple.
 
 from __future__ import annotations
 
+import functools
 import gc
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path as FsPath
 
 from .errors import (
     DisconnectedError,
     EdgeListFormatError,
     EmptyInputError,
+    InvalidLabelError,
     NotGeodeticError,
     ParallelEdgeError,
     SelfLoopError,
@@ -26,33 +28,36 @@ VertexId = int
 EdgeId = int
 
 
-@contextmanager
-def gc_paused():
-    """Pause the cyclic garbage collector for a bulk build of acyclic data.
+def gc_paused(fn):
+    """Decorator: pause the cyclic garbage collector while `fn` builds bulk data.
 
     Building hundreds of thousands of tuples, frozensets and records that
     survive the build triggers repeated full collections, each a pass over
     the whole heap, that can find nothing: the data has no reference cycles,
     and temporaries are freed by reference counting as before. The
-    collector's previous state is restored on exit.
+    collector's previous state is restored on exit, also when `fn` raises.
 
     If a pass is due when the pause ends, it is made explicitly over the
     youngest generation only, which holds what the build allocated and still
     holds. Left to the collector, that first pass may instead be a full one
-    over the whole heap, paid inside the build. Used as a decorator
-    (`@gc_paused()`), the function's local temporaries are already freed by
-    then, so that pass only visits what the function returned.
+    over the whole heap, paid inside the build. The function's local
+    temporaries are already freed by then, so that pass only visits what the
+    function returned.
     """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        if gc.get_count()[0] > gc.get_threshold()[0]:
-            gc.collect(0)
-        gc.enable()
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if gc.get_count()[0] > gc.get_threshold()[0]:
+                gc.collect(0)
+            gc.enable()
+
+    return paused
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,18 +107,25 @@ class Path:
         return len(self.edges)
 
 
-@gc_paused()
+@gc_paused
 def build_graph(edge_pairs) -> Graph:
     """Validate raw (label, label) pairs and build a dense-id Graph.
 
-    Rejects self-loops, duplicate unordered pairs, disconnected inputs and
-    empty input; the raised error carries the offending raw labels of the
-    first bad pair in input order.
+    Rejects labels other than non-negative ints (bools too), self-loops,
+    duplicate unordered pairs, disconnected inputs and empty input; the
+    raised error carries the first bad label, or the raw labels of the first
+    bad pair, in input order.
     """
-    pairs = [(int(u), int(v)) for u, v in edge_pairs]
+    pairs = list(edge_pairs)
     if not pairs:
         raise EmptyInputError("edge list is empty")
-    labels = tuple(sorted({x for pair in pairs for x in pair}))
+    label_set = set(chain.from_iterable(pairs))
+    # types too: 1.0 or True equals 1, so the label set can hide it
+    if set(map(type, chain.from_iterable(pairs))) != {int} or min(label_set) < 0:
+        raise InvalidLabelError(
+            next(x for x in chain.from_iterable(pairs) if type(x) is not int or x < 0)
+        )
+    labels = tuple(sorted(label_set))
     dense = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
 

@@ -78,8 +78,8 @@ def _repeated_color(edge_ids, colors) -> int | None:
 def _bfs_parents(g: Graph, source: int) -> tuple[list[int], list[int]]:
     """Parent vertex and parent edge per vertex of the BFS tree from source.
 
-    In a geodetic graph the shortest-path predecessor is unique, so the
-    parent chain reproduces the unique shortest path.
+    Each parent chain is a shortest path to the source; in a geodetic graph
+    it is the only one.
     """
     n = g.vertex_count
     par_v = [-1] * n
@@ -97,32 +97,15 @@ def _bfs_parents(g: Graph, source: int) -> tuple[list[int], list[int]]:
     return par_v, par_e
 
 
-def _walk_back(par_v, par_e, source: int, target: int) -> Path:
-    verts = [target]
-    eids = []
-    cur = target
-    while cur != source:
-        eids.append(par_e[cur])
-        cur = par_v[cur]
-        verts.append(cur)
-    verts.reverse()
-    eids.reverse()
-    return Path(tuple(verts), tuple(eids))
-
-
-def _failure(colors, u: int, v: int, path: Path) -> VerificationOutcome:
-    rep = _repeated_color(path.edges, colors)
-    return VerificationOutcome(False, RainbowWitness(u, v, path, rep))
-
-
 def _check_tree_paths(g: Graph, colors, jobs) -> VerificationOutcome:
-    """Check BFS-tree paths for (source, targets) jobs, in the order given.
+    """Check (source, targets) jobs in the order given, exactly on any graph.
 
-    One BFS per source; each target is checked by walking its parent chain
+    One BFS per source; each target walks its parent chain, a shortest path,
     back to the source. A walk marks the colors it meets in `stamp` with its
     own tick, so nothing is cleared between walks, and a target listed twice
-    never sees its own earlier marks. Only the first failing pair gets a
-    `Path`.
+    never sees its own earlier marks. Only a pair whose tree path repeats a
+    color searches its other shortest paths (none in a geodetic graph), and
+    only the first failing pair gets a `Path`.
     """
     # colors renumbered 0..k-1, so the stamp array is sized by the number of
     # colors in use, not by their values
@@ -132,13 +115,20 @@ def _check_tree_paths(g: Graph, colors, jobs) -> VerificationOutcome:
     tick = 0
     for u, targets in jobs:
         par_v, par_e = _bfs_parents(g, u)
+        du = None
         for v in targets:
             tick += 1
             x = v
             while x != u:
                 c = dense[par_e[x]]
                 if stamp[c] == tick:
-                    return _failure(colors, u, v, _walk_back(par_v, par_e, u, v))
+                    if du is None:
+                        du = _bfs_dist(g, u)
+                    if _has_rainbow_geodesic(g.adjacency, du, colors, u, v):
+                        break
+                    path = _lex_first_geodesic(g, du, u, v)
+                    rep = _repeated_color(path.edges, colors)
+                    return VerificationOutcome(False, RainbowWitness(u, v, path, rep))
                 stamp[c] = tick
                 x = par_v[x]
     return VerificationOutcome(True, None)
@@ -198,28 +188,20 @@ def verify_strong_rainbow(
     """Check that every vertex pair has a rainbow shortest path.
 
     Pairs are checked in (u, v) order and the first failing pair is the
-    witness. With `geodetic_hint` the unique shortest path per pair is
-    checked (valid for odd cacti): one BFS per source, then a walk up the BFS
-    tree per target. Otherwise each pair searches its shortest paths until
-    one is rainbow; that is exhaustive, and exponential in the worst case.
-    A failing pair's witness path is the lexicographically first shortest
-    path, as `all_shortest_paths` orders them.
+    witness. Each pair's BFS-tree path is walked first; only a pair whose
+    tree path repeats a color searches its other shortest paths, which is
+    exhaustive and exponential in the worst case, but follows the one path
+    on a geodetic graph such as an odd cactus. A failing pair's witness path
+    is the lexicographically first shortest path, as `all_shortest_paths`
+    orders them. `geodetic_hint` is accepted for the call shape and not read.
     """
     colors = _total_colors(g, coloring)
     n = g.vertex_count
-    if geodetic_hint:
-        return _check_tree_paths(g, colors, ((u, range(u + 1, n)) for u in range(n - 1)))
-    adj = g.adjacency
-    for u in range(n - 1):
-        du = _bfs_dist(g, u)
-        for v in range(u + 1, n):
-            if not _has_rainbow_geodesic(adj, du, colors, u, v):
-                return _failure(colors, u, v, _lex_first_geodesic(g, du, u, v))
-    return VerificationOutcome(True, None)
+    return _check_tree_paths(g, colors, ((u, range(u + 1, n)) for u in range(n - 1)))
 
 
 def verify_pairs(g: Graph, coloring: EdgeColoring, pairs) -> VerificationOutcome:
-    """Spot-check specific vertex pairs (geodetic graphs).
+    """Spot-check specific vertex pairs, as exactly as `verify_strong_rainbow`.
 
     Pairs are grouped by source so each source costs one BFS; useful at sizes
     where the full pair enumeration is out of reach. Sources are checked in

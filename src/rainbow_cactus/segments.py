@@ -91,7 +91,7 @@ class AntipodalIndex:
     e_ant: frozenset[EdgeId]
 
 
-@gc_paused()
+@gc_paused
 def build_antipodal_index(d: Decomposition) -> AntipodalIndex:
     """Antipodal maps for every cycle block, by index arithmetic on the
     canonical cyclic order (O(1) per element).
@@ -177,7 +177,7 @@ def _cycle_segments(
     ]
 
 
-@gc_paused()
+@gc_paused
 def enumerate_segments(d: Decomposition, a: AntipodalIndex, *, reverse: bool = False) -> SegmentCatalog:
     """All cycle segments, cycles in block order, trail order within a cycle.
 

@@ -451,7 +451,7 @@ def check_instance(g: Graph) -> SrcResult:
         if cls.tag is GraphClass.GENERAL_ODD_CACTUS:
             check_orientation_invariance(d, a, cat, k)
 
-    outcome = verify_strong_rainbow(g, res.coloring, geodetic_hint=True)
+    outcome = verify_strong_rainbow(g, res.coloring)
     _require(outcome.ok, "coloring_verifies", repr(outcome.witness))
 
     n = g.vertex_count
@@ -460,11 +460,8 @@ def check_instance(g: Graph) -> SrcResult:
         check_edge_antipode_exclusion(g, a)
     if part is not None and a.e_ant and n <= _PATH_ENUM_N:
         check_line18_equivalence(g, d, a, cat, part)
-    if n <= _PAIRWISE_BLACK_N:
-        slow = verify_strong_rainbow(g, res.coloring, geodetic_hint=False)
-        _require(slow.ok == outcome.ok, "verify_modes_agree")
-        if part is not None:
-            check_black_pairs_forced(g, part)
+    if part is not None and n <= _PAIRWISE_BLACK_N:
+        check_black_pairs_forced(g, part)
     if g.edge_count <= _BRUTE_FORCE_M:
         bf = brute_force_search(g)
         _require(bf.src == k, "brute_force_agrees", f"{bf.src} vs {k}")

@@ -245,10 +245,13 @@ class TestDecompose:
         # left to the collector, the first pass after the pause may be a
         # full one over the whole heap; the explicit pass on exit, made
         # before the collector resumes, never is
+        @gc_paused
+        def build():
+            # enough survivors that a pass is due when the pause ends
+            return [[] for _ in range(gc.get_threshold()[0] + 1000)]
+
         with _collector_passes() as passes:
-            with gc_paused():
-                # enough survivors that a pass is due when the pause ends
-                held = [[] for _ in range(gc.get_threshold()[0] + 1000)]
+            held = build()
             assert gc.isenabled()
         assert held
         assert passes == [(0, False)]

@@ -18,6 +18,7 @@ from rainbow_cactus.errors import (
     DisconnectedError,
     EdgeListFormatError,
     EmptyInputError,
+    InvalidLabelError,
     NotGeodeticError,
     ParallelEdgeError,
     SelfLoopError,
@@ -56,6 +57,23 @@ class TestBuildGraph:
         with pytest.raises(ParallelEdgeError) as exc:
             build_graph([(50, 7), (7, 50)])
         assert exc.value.edge == (7, 50)
+
+    @pytest.mark.parametrize(
+        "pairs, bad",
+        [
+            # 1.9 would truncate to 1 and -1 would not parse back
+            ([(-1, 0), (0, 1.9), (1.9, -1)], -1),
+            ([(0, 1), (1, 1.9), (1.9, 0)], 1.9),
+            # equal to 1 and 2 in a set, so found by type only
+            ([(0, 1), (True, 2)], True),
+            ([(0, 1), (1, 2.0)], 2.0),
+            ([(0, "3")], "3"),
+        ],
+    )
+    def test_label_that_is_not_a_non_negative_int_rejected(self, pairs, bad):
+        with pytest.raises(InvalidLabelError) as exc:
+            build_graph(pairs)
+        assert exc.value.label == bad and type(exc.value.label) is type(bad)
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedError):

@@ -174,26 +174,23 @@ class TestVerifyStrongRainbow:
                     )
                 )
                 base = algorithm_coloring(g).color
-                hints = (True, False)
             else:
                 g = random_non_geodetic_graph(rng)
                 base = tuple(range(1, g.edge_count + 1))
-                hints = (False,)
             coloring = plant_faults(rng, base, rng.randint(0, 2))
             n = g.vertex_count
             all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             want = reference_witness(g, coloring.color, all_pairs)
             outcomes[want is None] += 1
-            for hint in hints:
+            for hint in (True, False):
                 got = verify_strong_rainbow(g, coloring, geodetic_hint=hint)
                 assert witness_tuple(got) == want, (g.edges, coloring.color, hint)
-            if hints == (True, False):
-                # pairs in any order, with repeats and u == v; verify_pairs
-                # takes sources in ascending order, targets as given
-                pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
-                by_source = [(u, v) for u, v in sorted(pairs, key=lambda p: p[0]) if u != v]
-                got = verify_pairs(g, coloring, pairs)
-                assert witness_tuple(got) == reference_witness(g, coloring.color, by_source)
+            # pairs in any order, with repeats and u == v; verify_pairs
+            # takes sources in ascending order, targets as given
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+            by_source = [(u, v) for u, v in sorted(pairs, key=lambda p: p[0]) if u != v]
+            got = verify_pairs(g, coloring, pairs)
+            assert witness_tuple(got) == reference_witness(g, coloring.color, by_source)
         assert min(outcomes.values()) >= 20, outcomes
 
 
@@ -219,6 +216,15 @@ class TestNonGeodetic:
         w = out.witness
         assert (w.u, w.v, w.repeated_color) == (0, 1000, 1)
         assert w.path.vertices == tuple(range(1001))
+
+    def test_c4_tree_path_repeats_but_other_geodesic_is_rainbow(self):
+        # the BFS tree from 0 reaches 2 by 0-1-2, colours 1, 1; the other
+        # geodesic 0-3-2 has colours 2, 1
+        g = build_graph(cycle_edges(4))
+        c = EdgeColoring(2, (1, 1, 1, 2))
+        assert verify_pairs(g, c, [(0, 2)]).ok
+        for hint in (True, False):
+            assert verify_strong_rainbow(g, c, geodetic_hint=hint).ok
 
 
 class TestVerifyPairs:

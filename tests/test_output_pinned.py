@@ -3,14 +3,16 @@
 Each digest is the sha256 of stdout from `analyze --full`, `color` or
 `color --dot`, recorded from an earlier release of the package, together
 with the exit code: 0, or 2 for a rejected graph, whose JSON still carries
-its cut vertices and witness edge. A refactor that keeps the outputs keeps
-these digests; a change that alters any output byte on purpose must
+its cut vertices and witness edge. `verify` output is short, so its stdout
+is pinned as text, with exit code 0 or 3. A refactor that keeps the outputs
+keeps these pins; a change that alters any output byte on purpose must
 re-record them and say why.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -103,3 +105,29 @@ def test_stdout_matches_pinned_digest(key, tmp_path, capsys, monkeypatch):
     assert main([argv[0], str(path), *argv[1:]]) == (2 if name in REJECTED else 0)
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == PINNED[key]
+
+
+SAMPLE_OPTIMAL = (4, 1, 6, 4, 5, 6, 2, 1, 2, 3, 7, 4, 7)
+# colour 5 merged into 4: edges 4-5 and 5-6 then share colour 4
+SAMPLE_MERGED = (4, 1, 6, 4, 4, 6, 2, 1, 2, 3, 7, 4, 7)
+
+# instance, colours in edge-list order: exit code, stdout
+VERIFY_PINNED = {
+    ("sample", SAMPLE_OPTIMAL): (0, "OK k=7\n"),
+    ("sample", SAMPLE_MERGED): (3, "FAIL: pair (3,6) path 3-4-5-6 repeats color 4\n"),
+    ("c4", (1, 2, 1, 2)): (0, "OK k=2\n"),
+    ("c4", (1, 1, 1, 1)): (3, "FAIL: pair (0,2) path 0-1-2 repeats color 1\n"),
+}
+
+
+@pytest.mark.parametrize("name, colors", sorted(VERIFY_PINNED))
+def test_verify_stdout_pinned(name, colors, tmp_path, capsys):
+    graph = tmp_path / f"{name}.txt"
+    graph.write_text(instance_text(name))
+    edges = {"sample": SAMPLE_EDGES, "c4": cycle_edges(4)}[name]
+    coloring = tmp_path / "coloring.json"
+    coloring.write_text(
+        json.dumps({"coloring": {f"{min(e)},{max(e)}": c for e, c in zip(edges, colors)}})
+    )
+    code = main(["verify", str(graph), str(coloring)])
+    assert (code, capsys.readouterr().out) == VERIFY_PINNED[name, colors]
