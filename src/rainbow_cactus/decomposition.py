@@ -7,6 +7,7 @@ reproducible for a given edge list.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -51,41 +52,83 @@ class Block:
         return self.kind is BlockKind.CYCLE
 
 
+# codes of `Decomposition.block_kind`, positions in BlockKind's order
+_CUT_EDGE, _CYCLE, _OTHER = range(3)
+_KINDS = tuple(BlockKind)
+
+
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    cut_vertices: frozenset[VertexId]
-    blocks: tuple[Block, ...]
+    """Blocks, cut vertices and the rooted block tree, held in flat arrays.
+
+    Cycle c is block `cycle_block[c]`; its canonical vertex order (the
+    order of `Block.vertices`) is `cycle_vertices[cycle_start[c]:
+    cycle_start[c + 1]]`, and `cycle_edges` over the same range holds its
+    edges in `Block.ordered_edges` order. `blocks` and `cut_vertices` are
+    views built from these arrays on first read; the solver reads neither.
+    """
+
+    graph_edges: tuple[tuple[VertexId, VertexId], ...]
+    is_cut: bytes  # per vertex: 1 for a cut vertex
     cut_edges: frozenset[EdgeId]
+    block_kind: bytes  # per block: the position of its kind in BlockKind
     block_of_edge: tuple[int, ...]
     # the block-cut tree rooted at block 0: block b > 0 hangs from its top
     # vertex, a cut vertex of its parent block; both are -1 for block 0
     block_top: tuple[VertexId, ...]
     block_parent: tuple[int, ...]
+    cycle_block: tuple[int, ...]
+    cycle_start: tuple[int, ...]
+    cycle_vertices: tuple[VertexId, ...]
+    cycle_edges: tuple[EdgeId, ...]
+
+    @cached_property
+    def cut_vertices(self) -> frozenset[VertexId]:
+        return frozenset(compress(range(len(self.is_cut)), self.is_cut))
+
+    def cycles(self) -> Iterator[tuple[int, tuple[VertexId, ...], tuple[EdgeId, ...]]]:
+        """(block index, vertices, edges) of each cycle, in block order."""
+        cv, ce, starts = self.cycle_vertices, self.cycle_edges, self.cycle_start
+        for b, s, t in zip(self.cycle_block, starts, starts[1:]):
+            yield b, cv[s:t], ce[s:t]
+
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        edges = self.graph_edges
+        cyc = {b: (verts, oedges) for b, verts, oedges in self.cycles()}
+        members: list[list[EdgeId]] = [[] for _ in self.block_kind]
+        for e, b in enumerate(self.block_of_edge):
+            members[b].append(e)
+        return tuple(
+            Block(b, _KINDS[kind], *cyc[b]) if b in cyc
+            else Block(b, _KINDS[kind], tuple(sorted({x for e in es for x in edges[e]})), tuple(es))
+            for b, (kind, es) in enumerate(zip(self.block_kind, members))
+        )
 
     @cached_property
     def classification(self) -> Classification:
         """Tree / odd cycle / general odd cactus, or a rejection with a witness.
 
         The one place the case split is made; `classify` and both solver
-        entries read it from here.
+        entries read it from here. The witness is the first block, in block
+        order, that is not an odd cycle or a bridge, with its lowest edge id.
         """
-        for b in self.blocks:
-            if b.kind is BlockKind.OTHER:
-                reason = RejectionReason.NOT_CACTUS
-            elif b.is_cycle and b.length % 2 == 0:
-                reason = RejectionReason.CONTAINS_EVEN_CYCLE
-            else:
-                continue
+        starts = self.cycle_start
+        even = next((b for b, s, t in zip(self.cycle_block, starts, starts[1:]) if (t - s) % 2 == 0), -1)
+        other = self.block_kind.find(_OTHER)
+        bad = [b for b in (even, other) if b >= 0]
+        if bad:
+            b = min(bad)
             return Classification(
                 GraphClass.REJECTED,
-                reason=reason,
-                witness_block=b.index,
-                witness_edge=min(b.ordered_edges),
+                reason=RejectionReason.NOT_CACTUS if b == other else RejectionReason.CONTAINS_EVEN_CYCLE,
+                witness_block=b,
+                witness_edge=self.block_of_edge.index(b),
             )
-        if all(b.kind is BlockKind.CUT_EDGE for b in self.blocks):
+        if not self.cycle_block:
             return Classification(GraphClass.TREE)
-        if len(self.blocks) == 1:
-            return Classification(GraphClass.ODD_CYCLE, cycle_length=self.blocks[0].length)
+        if len(self.block_kind) == 1:
+            return Classification(GraphClass.ODD_CYCLE, cycle_length=starts[1])
         return Classification(GraphClass.GENERAL_ODD_CACTUS)
 
 
@@ -195,19 +238,21 @@ def decompose(g: Graph) -> Decomposition:
 
     comps = list(filter(None, comp_at))
 
-    cut_vertices = frozenset(compress(range(n), is_cut))
     edges_arr = g.edges
-    blocks: list[Block] = []
+    block_kind = bytearray(len(comps))  # _CUT_EDGE unless set below
     block_of_edge = [-1] * m
     block_top: list[int] = []
     block_parent: list[int] = []
     cut_edge_ids: list[int] = []
-    cut_edge, cycle, other = BlockKind.CUT_EDGE, BlockKind.CYCLE, BlockKind.OTHER
+    cycle_block: list[int] = []
+    cycle_start = [0]
+    cycle_vertices: list[int] = []
+    cycle_edges: list[int] = []
     for bidx, comp in enumerate(comps):
         # comp[0] is the tree edge from the vertex the DFS popped the block
         # at, its top, down into the block
         first = comp[0]
-        a, b = ab = edges_arr[first]
+        a, b = edges_arr[first]
         top = a if tree_child[first] == b else b
         block_top.append(top)
         # the block holding the tree edge into top, filed earlier; the root
@@ -216,28 +261,31 @@ def decompose(g: Graph) -> Decomposition:
         for e in comp:
             block_of_edge[e] = bidx
         if len(comp) == 1:
-            blocks.append(Block(bidx, cut_edge, ab, (first,)))
             cut_edge_ids.append(first)
         elif sum(map(is_back.__getitem__, comp)) != 1:
-            cverts = tuple(sorted({x for e in comp for x in edges_arr[e]}))
-            blocks.append(Block(bidx, other, cverts, tuple(sorted(comp))))
+            block_kind[bidx] = _OTHER
         else:
             # a 2-connected block with one back edge has |V| == |E|: a
             # cycle. comp is [tree edges down the path..., back edge up].
-            verts = (top, *map(tree_child.__getitem__, comp[:-1]))
+            block_kind[bidx] = _CYCLE
+            verts = [top, *map(tree_child.__getitem__, comp[:-1])]
             # canonical order: lowest id first, toward its lower-id neighbour
             i = verts.index(min(verts))
             if verts[(i + 1) % len(verts)] < verts[i - 1]:
-                cverts = verts[i:] + verts[:i]
-                cedges = comp[i:] + comp[:i]
+                cycle_vertices += verts[i:] + verts[:i]
+                cycle_edges += comp[i:] + comp[:i]
             else:
-                cverts = verts[i::-1] + verts[:i:-1]
-                cedges = comp[i - 1 :: -1] + comp[: i - 1 : -1]
-            blocks.append(Block(bidx, cycle, cverts, tuple(cedges)))
+                cycle_vertices += verts[i::-1] + verts[:i:-1]
+                cycle_edges += comp[i - 1 :: -1] + comp[: i - 1 : -1]
+            cycle_block.append(bidx)
+            cycle_start.append(len(cycle_edges))
     # block 0 is popped at the root too, but hangs from nothing
     block_top[0] = block_parent[0] = -1
-    return Decomposition(cut_vertices, tuple(blocks), frozenset(cut_edge_ids),
-                         tuple(block_of_edge), tuple(block_top), tuple(block_parent))
+    return Decomposition(
+        edges_arr, bytes(is_cut), frozenset(cut_edge_ids), bytes(block_kind),
+        tuple(block_of_edge), tuple(block_top), tuple(block_parent),
+        tuple(cycle_block), tuple(cycle_start), tuple(cycle_vertices), tuple(cycle_edges),
+    )
 
 
 def classify(g: Graph, d: Decomposition) -> Classification:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .decomposition import BlockKind, Decomposition
+from .decomposition import Decomposition
 from .errors import InvalidPartitionError
 from .graph import EdgeId, Graph
 from .segments import AntipodalIndex, SegmentCatalog, SegmentClass
@@ -54,14 +54,8 @@ class ValidationReport:
 
 def graph_leaves(d: Decomposition) -> frozenset[int]:
     """Degree-1 vertices: non-cut endpoints of cut-edge blocks."""
-    cuts = d.cut_vertices
-    leaves = set()
-    for b in d.blocks:
-        if b.kind is BlockKind.CUT_EDGE:
-            for v in b.vertices:
-                if v not in cuts:
-                    leaves.add(v)
-    return frozenset(leaves)
+    is_cut, edges = d.is_cut, d.graph_edges
+    return frozenset(v for e in d.cut_edges for v in edges[e] if not is_cut[v])
 
 
 def black_edges(d: Decomposition, cat: SegmentCatalog) -> list[EdgeId]:
@@ -73,9 +67,12 @@ def black_edges(d: Decomposition, cat: SegmentCatalog) -> list[EdgeId]:
     canonical partition takes its black edges from here.
     """
     out = sorted(d.cut_edges)
-    for klass in (SegmentClass.S1, SegmentClass.S2):
-        for s in cat.of_class(klass):
-            out += s.edges
+    s2: list[EdgeId] = []
+    for _, _, re_, bpos in cat.walks:
+        for x, y in zip(bpos, bpos[1:]):
+            if not x & 1:  # a cut vertex on the left: S2 if an edge on the right
+                (s2 if y & 1 else out).extend(re_[x >> 1 : y >> 1])
+    out += s2
     return out
 
 

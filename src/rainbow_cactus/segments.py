@@ -8,11 +8,13 @@ classified S1..S4 by the kinds of the two boundary elements.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from functools import cached_property, lru_cache
+from itertools import chain, compress
 
-from .decomposition import Block, BlockKind, Decomposition, require_odd_cactus
+from .decomposition import Block, Decomposition, require_odd_cactus
 from .graph import EdgeId, VertexId, gc_paused
 
 
@@ -62,14 +64,47 @@ class CycleSegment:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class SegmentCatalog:
-    """The cycle segments, their S1..S4 counts, and E_ant as the antipodal
-    index derived it (the cycle edges that no segment holds)."""
+# one cycle's walk: its block index, its vertices and edges read from a cut
+# vertex (against the canonical direction if reversed), and the sorted trail
+# positions of its boundaries followed by 2 * length
+Walk = tuple[int, tuple[VertexId, ...], tuple[EdgeId, ...], tuple[int, ...]]
 
-    segments: tuple[CycleSegment, ...]
+
+@dataclass(frozen=True, eq=False)
+class SegmentCatalog:
+    """The S1..S4 counts of the cycle segments, E_ant as the antipodal index
+    derived it (the cycle edges that no segment holds), and, built on first
+    read, each cycle's walk and the `CycleSegment` records.
+
+    The segment after boundary `bpos[k]` of a walk runs to `bpos[k + 1]`.
+    """
+
+    decomposition: Decomposition
     counts: tuple[int, int, int, int]
     e_ant: frozenset[EdgeId] = frozenset()
+    reverse: bool = False
+
+    @cached_property
+    @gc_paused
+    def walks(self) -> tuple[Walk, ...]:
+        """Cycles in block order, each walked from its lowest-id cut vertex."""
+        d, reverse = self.decomposition, self.reverse
+        cv, ce, starts = d.cycle_vertices, d.cycle_edges, d.cycle_start
+        flags = bytes(map(d.is_cut.__getitem__, cv))
+        out: list[Walk] = []
+        for b, lo, hi in zip(d.cycle_block, starts, starts[1:]):
+            pattern = flags[lo:hi]
+            if 1 not in pattern:
+                continue  # a bare cycle has no segments
+            verts = cv[lo:hi]
+            s = verts.index(min(compress(verts, pattern)))
+            rv, re_ = _turn(verts, s, reverse), _turn(ce[lo:hi], s - 1 if reverse else s, reverse)
+            out.append((b, rv, re_, _boundaries(pattern, s, reverse)))
+        return tuple(out)
+
+    @cached_property
+    def segments(self) -> tuple[CycleSegment, ...]:
+        return tuple(chain.from_iterable(_segments_of(*w) for w in self.walks))
 
     def of_class(self, klass: SegmentClass) -> tuple[CycleSegment, ...]:
         return tuple(s for s in self.segments if s.klass is klass)
@@ -80,40 +115,107 @@ class SegmentCatalog:
 
 @dataclass(frozen=True, eq=False)
 class AntipodalIndex:
-    """opp(e) for every cycle edge, opp(v, C) per cycle block, and E_ant.
+    """E_ant with the cut vertex opposite each of its edges; opp(e) for every
+    cycle edge and opp(v, C) per cycle block, built on first read.
 
     The one place E_ant is derived; `enumerate_segments` hands it on to the
     segment catalog.
     """
 
-    opp_vertex: dict[EdgeId, VertexId]
-    opp_edge: dict[int, dict[VertexId, EdgeId]]
+    decomposition: Decomposition
+    pivot: dict[EdgeId, VertexId]  # E_ant edge -> the cut vertex opposite it
     e_ant: frozenset[EdgeId]
 
+    @cached_property
+    def opp_vertex(self) -> dict[EdgeId, VertexId]:
+        opp_v: dict[int, int] = {}
+        for _, verts, oedges in self.decomposition.cycles():
+            off_v = (len(verts) + 1) // 2
+            opp_v.update(zip(oedges, verts[off_v:] + verts[:off_v]))
+        return opp_v
 
-@gc_paused
+    @cached_property
+    def opp_edge(self) -> dict[int, dict[VertexId, EdgeId]]:
+        opp_e: dict[int, dict[int, int]] = {}
+        for b, verts, oedges in self.decomposition.cycles():
+            off_e = (len(verts) - 1) // 2
+            opp_e[b] = dict(zip(verts, oedges[off_e:] + oedges[:off_e]))
+        return opp_e
+
+
 def build_antipodal_index(d: Decomposition) -> AntipodalIndex:
-    """Antipodal maps for every cycle block, by index arithmetic on the
-    canonical cyclic order (O(1) per element).
+    """E_ant by index arithmetic on the canonical cyclic order: the cut
+    vertex at position q of a cycle of length L is opposite the edge at
+    position (q + (L - 1) / 2) mod L.
 
     Raises NotOddCactusError unless the graph is an odd cactus.
     """
     require_odd_cactus(d)
-    opp_v: dict[int, int] = {}
-    opp_e: dict[int, dict[int, int]] = {}
-    cycle_kind = BlockKind.CYCLE
-    for block in d.blocks:
-        if block.kind is not cycle_kind:
-            continue
-        verts = block.vertices
-        oedges = block.ordered_edges
-        length = len(verts)
-        off_v = (length + 1) // 2
-        off_e = (length - 1) // 2
-        opp_v.update(zip(oedges, verts[off_v:] + verts[:off_v]))
-        opp_e[block.index] = dict(zip(verts, oedges[off_e:] + oedges[:off_e]))
-    e_ant = frozenset(compress(opp_v, map(d.cut_vertices.__contains__, opp_v.values())))
-    return AntipodalIndex(opp_v, opp_e, e_ant)
+    cv, ce, starts = d.cycle_vertices, d.cycle_edges, d.cycle_start
+    # per position of the flat cycle arrays, the position of the edge
+    # opposite its vertex
+    opp: list[int] = []
+    for s, t in zip(starts, starts[1:]):
+        h = s + (t - s - 1) // 2
+        opp += range(h, t)
+        opp += range(s, h)
+    cut_pos = list(compress(range(len(cv)), map(d.is_cut.__getitem__, cv)))
+    pivot = dict(zip(map(ce.__getitem__, map(opp.__getitem__, cut_pos)), map(cv.__getitem__, cut_pos)))
+    return AntipodalIndex(d, pivot, frozenset(pivot))
+
+
+def _turn(seq: tuple[int, ...], s: int, reverse: bool) -> tuple[int, ...]:
+    """`seq` read cyclically from position s, backwards if `reverse`.
+
+    Backwards, the edge after vertex s is the one before it in canonical
+    order, so a cycle's edges are turned from s - 1.
+    """
+    return seq[s::-1] + seq[:s:-1] if reverse else seq[s:] + seq[:s]
+
+
+# cycles of equal cut pattern and start share their boundaries, within a
+# graph and across the many small graphs of a batch; bounded, as each entry
+# holds its cycle's pattern
+@lru_cache(maxsize=1 << 12)
+def _boundaries(pattern: bytes, s: int, reverse: bool) -> tuple[int, ...]:
+    """The boundary positions of a cycle whose position i holds a cut vertex
+    iff `pattern[i]`, on its closed trail from the cut vertex at position s;
+    sorted and followed by 2 * length.
+
+    Trail position 2q is the q-th vertex of the walk, position 2q+1 the edge
+    after it; in either direction the antipodal edge of walk vertex q is walk
+    edge (q + (length - 1) / 2) mod length. Boundary positions follow from
+    the cycle's cut vertices alone: the antipodal-to-cut edges of a cycle are
+    exactly the opp images of its cut vertices. They are placed here by
+    position, apart from the antipodal index; the closed form's parity check
+    compares the two. Position 0 is the starting cut vertex, so no segment
+    wraps.
+    """
+    length = len(pattern)
+    off_e = (length - 1) // 2
+    sign = -1 if reverse else 1
+    qs = [sign * (i - s) % length for i in compress(range(length), pattern)]
+    bpos = [2 * q for q in qs] + [2 * ((q + off_e) % length) + 1 for q in qs]
+    bpos.sort()
+    bpos.append(2 * length)
+    return tuple(bpos)
+
+
+def _segments_of(index: int, rv, re_, bpos: tuple[int, ...]) -> list[CycleSegment]:
+    """The segments of one walk; the one after boundary b holds trail
+    positions b+1 .. end-1, where end is the next boundary. Its class is
+    fixed by the parity of b and of end: the last end, 2 * length, is the
+    starting cut vertex again."""
+    return [
+        CycleSegment(
+            index,
+            rv[(b + 2) >> 1 : (end + 1) >> 1],
+            re_[(b + 1) >> 1 : end >> 1],
+            _CLASS_BY_PARITY[(b & 1) << 1 | (end & 1)],
+        )
+        for b, end in zip(bpos, bpos[1:])
+        if end - b > 1
+    ]
 
 
 def _cycle_segments(
@@ -122,79 +224,37 @@ def _cycle_segments(
     start: VertexId | None = None,
     reverse: bool = False,
 ) -> list[CycleSegment]:
-    """Segments of one cycle, walking the closed trail from `start` (a cut
-    vertex of the cycle; defaults to the lowest-id one).
-
-    Trail position 2q is the q-th vertex of the walk, position 2q+1 the edge
-    after it. Boundary positions follow from the cycle's cut vertices alone:
-    the antipodal-to-cut edges of a cycle are exactly the opp images of its
-    cut vertices. They are placed here by position, apart from the antipodal
-    index; the closed form's parity check compares the two. Position 0 is the
-    starting cut vertex, so no segment wraps.
-    """
+    """Segments of one cycle block, walking the closed trail from `start` (a
+    cut vertex of the cycle; defaults to the lowest-id one)."""
     verts = block.vertices
-    oedges = block.ordered_edges
-    length = len(verts)
-    cut_idx = list(compress(range(length), map(cut_vertices.__contains__, verts)))
-    if not cut_idx:
+    pattern = bytes(map(cut_vertices.__contains__, verts))
+    if 1 not in pattern:
         return []
-    if start is None:
-        s = min(cut_idx, key=verts.__getitem__)
-    else:
-        s = verts.index(start)
-    off_e = (length - 1) // 2
-
-    # rotate once so trail position 2q is rv[q] and position 2q+1 is re_[q],
-    # the edge joining rv[q] and rv[q + 1]; in either direction the
-    # antipodal edge of rv[q] is then re_[(q + off_e) % length]
-    if not reverse:
-        rv = verts[s:] + verts[:s] if s else verts
-        re_ = oedges[s:] + oedges[:s] if s else oedges
-        qs = [(i - s) % length for i in cut_idx]
-    else:
-        rv = verts[s::-1] + verts[:s:-1]
-        re_ = oedges[s - 1 :: -1] + oedges[: s - 1 : -1] if s else oedges[::-1]
-        qs = [(s - i) % length for i in cut_idx]
-    bpos = [2 * q for q in qs] + [2 * ((q + off_e) % length) + 1 for q in qs]
-    bpos.sort()
-
-    # the segment after boundary b holds trail positions b+1 .. end-1, where
-    # end is the next boundary (the trail's end after the last one); its
-    # class is fixed by the parity of b and of the boundary that follows it
-    ends = bpos[1:]
-    succs = ends + bpos[:1]
-    ends.append(2 * length)
-    index = block.index
-    return [
-        CycleSegment(
-            index,
-            rv[(b + 2) >> 1 : (end + 1) >> 1],
-            re_[(b + 1) >> 1 : end >> 1],
-            _CLASS_BY_PARITY[(b & 1) << 1 | (succ & 1)],
-        )
-        for b, end, succ in zip(bpos, ends, succs)
-        if end - b > 1
-    ]
+    s = verts.index(min(compress(verts, pattern)) if start is None else start)
+    rv, re_ = _turn(verts, s, reverse), _turn(block.ordered_edges, s - 1 if reverse else s, reverse)
+    return _segments_of(block.index, rv, re_, _boundaries(pattern, s, reverse))
 
 
-@gc_paused
 def enumerate_segments(d: Decomposition, a: AntipodalIndex, *, reverse: bool = False) -> SegmentCatalog:
     """All cycle segments, cycles in block order, trail order within a cycle.
 
     The trail starts at the lowest-id cut vertex of each cycle. `reverse=True`
     walks the opposite orientation; downstream quantities are invariant to the
     choice (S2 and S3 labels swap). The catalog carries `a.e_ant`.
+
+    The counts are taken here from boundary positions alone. A cycle's
+    segment classes depend only on which of its positions hold a cut vertex,
+    not on the walk's start, so each distinct pattern is placed once.
     """
-    segments: list[CycleSegment] = []
-    cuts = d.cut_vertices
-    cycle_kind = BlockKind.CYCLE
-    for block in d.blocks:
-        if block.kind is cycle_kind:
-            segments += _cycle_segments(block, cuts, reverse=reverse)
-    klasses = [seg.klass for seg in segments]
-    s1, s2, s3, s4 = _CLASS_BY_PARITY
-    return SegmentCatalog(
-        tuple(segments),
-        (klasses.count(s1), klasses.count(s2), klasses.count(s3), klasses.count(s4)),
-        a.e_ant,
-    )
+    starts = d.cycle_start
+    flags = bytes(map(d.is_cut.__getitem__, d.cycle_vertices))
+    patterns = Counter(map(flags.__getitem__, map(slice, starts, starts[1:])))
+    counts = [0, 0, 0, 0]
+    for pattern, times in patterns.items():
+        if 1 not in pattern:
+            continue  # a bare cycle has no segments
+        bpos = _boundaries(pattern, pattern.index(1), reverse)
+        for x, y in zip(bpos, bpos[1:]):
+            if y - x > 1:
+                counts[(x & 1) << 1 | (y & 1)] += times
+    return SegmentCatalog(d, tuple(counts), a.e_ant, reverse)

@@ -2,9 +2,11 @@
 
 Each check encodes a structural claim the rest of the package relies on:
 segment pairing, the partition identities, partition validity, the parity of
-the closed form, agreement between the formula, the coloring and the brute
-force, and independence from the traversal orientation. The CLI `selftest`
-command and the acceptance tests both drive this module.
+the closed form, the counts the solver takes from cycle positions against the
+materialised segment and antipodal views, agreement between the formula, the
+coloring and the brute force, and independence from the traversal
+orientation. The CLI `selftest` command and the acceptance tests both drive
+this module.
 """
 
 from __future__ import annotations
@@ -195,6 +197,26 @@ def check_antipodal(g: Graph, d: Decomposition, a: AntipodalIndex) -> None:
                 _require(dist[u] == dist[v], "antipodal_equidistant", f"edge {eid}")
     expected = frozenset(e for e, w in a.opp_vertex.items() if w in d.cut_vertices)
     _require(a.e_ant == expected, "e_ant_definition")
+
+
+def check_counts_match_views(d: Decomposition, a: AntipodalIndex) -> None:
+    """The counts and E_ant that the solver takes from cycle positions
+    alone, against the materialised segment and antipodal views, in both
+    orientations. Bare cycles hold no segment and no E_ant edge."""
+    cuts = d.cut_vertices
+    by_opp = {e: w for e, w in a.opp_vertex.items() if w in cuts}
+    _require(a.pivot == by_opp, "counts_match_views", "E_ant pivots")
+    walked = {e for b in d.blocks if b.is_cycle and not cuts.isdisjoint(b.vertices) for e in b.edges}
+    for reverse in (False, True):
+        cat = enumerate_segments(d, a, reverse=reverse)
+        by_class = Counter(s.klass for s in cat.segments)
+        held = {e for s in cat.segments for e in s.edges}
+        _require(
+            cat.counts == tuple(by_class[k] for k in SegmentClass)
+            and cat.e_ant == walked - held == by_opp.keys(),
+            "counts_match_views",
+            f"reverse={reverse}: counts {cat.counts}, |E_ant| {len(cat.e_ant)}",
+        )
 
 
 def check_partition_identities(
@@ -423,6 +445,7 @@ def check_instance(g: Graph) -> SrcResult:
     a = build_antipodal_index(d)
     check_antipodal(g, d, a)
     cat = enumerate_segments(d, a)
+    check_counts_match_views(d, a)
     if cls.tag is GraphClass.GENERAL_ODD_CACTUS:
         check_partition_identities(g, d, a, cat)
         check_segment_pairing(d, a, cat)

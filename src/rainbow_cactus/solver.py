@@ -18,7 +18,7 @@ from .decomposition import Decomposition, GraphClass, require_odd_cactus
 from .errors import InvariantError
 from .graph import EdgeId, Graph, VertexId
 from .partition import black_edges
-from .segments import AntipodalIndex, SegmentCatalog, SegmentClass
+from .segments import AntipodalIndex, SegmentCatalog
 
 _UNSET = 1 << 60
 
@@ -94,7 +94,7 @@ def _branch_min_black(
     b's top leaves everything outside that range; pivoting at another cut
     vertex w of b leaves the subtrees of the blocks hanging at w.
     """
-    nblocks = len(d.blocks)
+    nblocks = len(d.block_top)
     boe = d.block_of_edge
     top, parent = d.block_top, d.block_parent
     # each block's lowest black edge until `before` and `after` are taken;
@@ -150,7 +150,7 @@ def strong_rainbow_coloring(
     if cls.tag is GraphClass.ODD_CYCLE:
         stats, period = _src_stats(d, cat)
         colors_list = [0] * m
-        for i, e in enumerate(d.blocks[0].ordered_edges):
+        for i, e in enumerate(d.cycle_edges):
             # any (m - 1) / 2 consecutive edges get distinct colors
             colors_list[e] = (i % period) + 1
         case = SrcCase.TRIANGLE if m == 3 else SrcCase.ODD_CYCLE
@@ -164,16 +164,19 @@ def strong_rainbow_coloring(
         colors_list[e] = c
     # an S1 segment has one edge more than vertices, an S2 segment as many;
     # each vertex's antipodal edge, in the paired S4 or S3 segment, mirrors
-    # the color of the edge before it
-    s1, s2 = SegmentClass.S1, SegmentClass.S2
-    for seg in cat.segments:
-        if seg.klass is s1 or seg.klass is s2:
-            opp_edge = a.opp_edge[seg.cycle]
-            for v, e in zip(seg.vertices, seg.edges):
-                colors_list[opp_edge[v]] = colors_list[e]
+    # the color of the edge before it. The walk edge q is followed by the
+    # vertex q + 1, whose antipodal edge is the walk edge q + (L + 1) / 2.
+    for _, _, re_, bpos in cat.walks:
+        shift = (len(re_) + 1) // 2
+        re2 = re_ + re_
+        for x, y in zip(bpos, bpos[1:]):
+            if not x & 1:  # a cut vertex on the left: S1 or S2
+                q0, q1 = x >> 1, ((y + 1) >> 1) - 1
+                for e, t in zip(re_[q0:q1], re2[q0 + shift : q1 + shift]):
+                    colors_list[t] = colors_list[e]
 
     if a.e_ant:
-        targets = _branch_min_black(d, blacks, a.e_ant, a.opp_vertex)
+        targets = _branch_min_black(d, blacks, a.e_ant, a.pivot)
         for e, t in targets.items():
             colors_list[e] = colors_list[t]
 

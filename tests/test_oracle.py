@@ -92,8 +92,7 @@ def random_non_geodetic_graph(rng):
 class TestVerifyStrongRainbow:
     def test_sample_algorithm_coloring_ok(self, sample_cactus):
         c = algorithm_coloring(sample_cactus)
-        assert verify_strong_rainbow(sample_cactus, c, geodetic_hint=True).ok
-        assert verify_strong_rainbow(sample_cactus, c, geodetic_hint=False).ok
+        assert verify_strong_rainbow(sample_cactus, c).ok
 
     def test_monochrome_c5_fails_with_witness(self, c5):
         out = verify_strong_rainbow(c5, EdgeColoring(1, (1, 1, 1, 1, 1)))
@@ -120,14 +119,15 @@ class TestVerifyStrongRainbow:
         with pytest.raises(PartialColoringError):
             verify_strong_rainbow(c5, EdgeColoring(1, (1, 1, 1, 1, 0)))
 
-    def test_hint_modes_agree_on_small_cacti(self, sample_cactus, bowtie):
+    def test_small_cacti_match_naive_reference(self, sample_cactus, bowtie):
         for g in (sample_cactus, bowtie):
             good = algorithm_coloring(g)
             bad = EdgeColoring(1, tuple(1 for _ in range(g.edge_count)))
+            n = g.vertex_count
+            all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             for coloring in (good, bad):
-                fast = verify_strong_rainbow(g, coloring, geodetic_hint=True)
-                slow = verify_strong_rainbow(g, coloring, geodetic_hint=False)
-                assert fast.ok == slow.ok
+                got = verify_strong_rainbow(g, coloring)
+                assert witness_tuple(got) == reference_witness(g, coloring.color, all_pairs)
 
     def test_corrupted_optimal_coloring_is_caught(self, sample_cactus):
         # merging the two colors inside the cut-vertex-bounded segment breaks
@@ -182,9 +182,8 @@ class TestVerifyStrongRainbow:
             all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             want = reference_witness(g, coloring.color, all_pairs)
             outcomes[want is None] += 1
-            for hint in (True, False):
-                got = verify_strong_rainbow(g, coloring, geodetic_hint=hint)
-                assert witness_tuple(got) == want, (g.edges, coloring.color, hint)
+            got = verify_strong_rainbow(g, coloring)
+            assert witness_tuple(got) == want, (g.edges, coloring.color)
             # pairs in any order, with repeats and u == v; verify_pairs
             # takes sources in ascending order, targets as given
             pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
@@ -223,8 +222,7 @@ class TestNonGeodetic:
         g = build_graph(cycle_edges(4))
         c = EdgeColoring(2, (1, 1, 1, 2))
         assert verify_pairs(g, c, [(0, 2)]).ok
-        for hint in (True, False):
-            assert verify_strong_rainbow(g, c, geodetic_hint=hint).ok
+        assert verify_strong_rainbow(g, c).ok
 
 
 class TestVerifyPairs:

@@ -4,12 +4,17 @@ import pytest
 from conftest import cycle_edges, eid, vid
 
 from rainbow_cactus import (
+    GenSpec,
+    GraphClass,
     SegmentClass,
+    analyze_graph,
     bfs_distances,
     build_antipodal_index,
     build_graph,
     decompose,
     enumerate_segments,
+    generate,
+    src_formula,
 )
 from rainbow_cactus.segments import _cycle_segments
 
@@ -214,3 +219,36 @@ class TestSegmentInvariants:
         from_low = _cycle_segments(seven, d.cut_vertices, start=vid["v4"])
         from_high = _cycle_segments(seven, d.cut_vertices, start=vid["v6"])
         assert {s.elements for s in from_low} == {s.elements for s in from_high}
+
+
+class TestRecordsStayUnbuilt:
+    """src and `analyze_graph` read the flat cycle arrays only: the Block,
+    CycleSegment and antipodal-map views are built on first read, and a
+    cached view sits in the instance's __dict__ once built."""
+
+    VIEWS = {"blocks", "segments", "opp_vertex", "opp_edge"}
+
+    @pytest.fixture
+    def cactus(self):
+        g = generate(GenSpec(seed=11, target_vertices=300, cycle_lengths=(3, 5, 7, 9),
+                             pendant_probability=0.35))
+        assert decompose(g).classification.tag is GraphClass.GENERAL_ODD_CACTUS
+        return g
+
+    def built(self, *objs):
+        return {name for o in objs for name in vars(o) if name in self.VIEWS}
+
+    def test_src_formula_builds_no_view(self, cactus):
+        d = decompose(cactus)
+        a = build_antipodal_index(d)
+        cat = enumerate_segments(d, a)
+        assert src_formula(d, cat) > 0
+        assert self.built(d, a, cat) == set()
+        # the probe sees a view once it is read
+        d.blocks, cat.segments, a.opp_vertex, a.opp_edge
+        assert self.built(d, a, cat) == self.VIEWS
+
+    def test_analyze_graph_builds_no_view(self, cactus):
+        an = analyze_graph(cactus)
+        assert an.result.src > 0
+        assert self.built(an.decomposition, an.antipodal, an.catalog) == set()
