@@ -81,6 +81,7 @@ class Decomposition:
     cycle_start: tuple[int, ...]
     cycle_vertices: tuple[VertexId, ...]
     cycle_edges: tuple[EdgeId, ...]
+    cycle_cut: bytes  # per position of cycle_vertices: 1 for a cut vertex
 
     @cached_property
     def cut_vertices(self) -> frozenset[VertexId]:
@@ -285,6 +286,7 @@ def decompose(g: Graph) -> Decomposition:
         edges_arr, bytes(is_cut), frozenset(cut_edge_ids), bytes(block_kind),
         tuple(block_of_edge), tuple(block_top), tuple(block_parent),
         tuple(cycle_block), tuple(cycle_start), tuple(cycle_vertices), tuple(cycle_edges),
+        bytes(map(is_cut.__getitem__, cycle_vertices)),
     )
 
 

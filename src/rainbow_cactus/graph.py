@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import gc
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path as FsPath
@@ -222,7 +223,16 @@ def all_shortest_paths(g: Graph, u: VertexId, v: VertexId) -> tuple[Path, ...]:
             raise ValueError(f"invalid vertex {x}")
     if u == v:
         return (Path((u,), ()),)
-    du = _bfs_dist(g, u)
+    return tuple(_geodesics(g, _bfs_dist(g, u), u, v))
+
+
+def _geodesics(g: Graph, du: list[int], u: VertexId, v: VertexId) -> Iterator[Path]:
+    """The shortest paths between u != v, lazily and in lexicographic order
+    of vertex sequence; `du` holds the BFS distances from u.
+
+    Every step taken lies on a shortest u,v path, so the first path costs
+    one walk and no backtracking.
+    """
     dv = _bfs_dist(g, v)
     d = du[v]
     adj = g.adjacency
@@ -234,13 +244,12 @@ def all_shortest_paths(g: Graph, u: VertexId, v: VertexId) -> tuple[Path, ...]:
     # depth-first with an explicit stack, so no geodesic is too long for the
     # recursion limit; stack[i] yields the steps on from verts[i] in
     # ascending vertex order, which lists the paths lexicographically
-    out: list[Path] = []
     verts, eids = [u], []
     stack = [steps(u)]
     while stack:
         for w, eid in stack[-1]:
             if w == v:
-                out.append(Path((*verts, v), (*eids, eid)))
+                yield Path((*verts, v), (*eids, eid))
                 continue
             verts.append(w)
             eids.append(eid)
@@ -251,7 +260,6 @@ def all_shortest_paths(g: Graph, u: VertexId, v: VertexId) -> tuple[Path, ...]:
             verts.pop()
             if eids:
                 eids.pop()
-    return tuple(out)
 
 
 def _spaced(line: str) -> bool:

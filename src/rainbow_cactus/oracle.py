@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .decomposition import Decomposition
 from .errors import InvariantError, NotAntipodalEdgeError, PartialColoringError, TooLargeError
-from .graph import EdgeId, Graph, Path, VertexId, _bfs_dist, all_shortest_paths
+from .graph import EdgeId, Graph, Path, VertexId, _bfs_dist, _geodesics, all_shortest_paths
 from .partition import BlackWhitePartition
 from .segments import AntipodalIndex
 from .solver import EdgeColoring
@@ -126,7 +126,7 @@ def _check_tree_paths(g: Graph, colors, jobs) -> VerificationOutcome:
                         du = _bfs_dist(g, u)
                     if _has_rainbow_geodesic(g.adjacency, du, colors, u, v):
                         break
-                    path = _lex_first_geodesic(g, du, u, v)
+                    path = next(_geodesics(g, du, u, v))
                     rep = _repeated_color(path.edges, colors)
                     return VerificationOutcome(False, RainbowWitness(u, v, path, rep))
                 stamp[c] = tick
@@ -162,24 +162,6 @@ def _has_rainbow_geodesic(adj, dist, colors, u: int, v: int) -> bool:
         else:
             used.discard(stack.pop()[2])
     return False
-
-
-def _lex_first_geodesic(g: Graph, du, u: int, v: int) -> Path:
-    """The shortest u,v path that is least by vertex sequence (the first one
-    `all_shortest_paths` lists), built greedily with one BFS from v."""
-    dv = _bfs_dist(g, v)
-    d = du[v]
-    verts = [u]
-    eids = []
-    x = u
-    while x != v:
-        step = du[x] + 1
-        x, eid = min(
-            (w, eid) for w, eid in g.adjacency[x] if du[w] == step and dv[w] == d - step
-        )
-        verts.append(x)
-        eids.append(eid)
-    return Path(tuple(verts), tuple(eids))
 
 
 def verify_strong_rainbow(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .decomposition import Decomposition
 from .errors import InvalidPartitionError
 from .graph import EdgeId, Graph
-from .segments import AntipodalIndex, SegmentCatalog, SegmentClass
+from .segments import AntipodalIndex, SegmentCatalog
 
 PROPERTY_NAMES = (
     "antipodal_parity",
@@ -77,7 +77,8 @@ def black_edges(d: Decomposition, cat: SegmentCatalog) -> list[EdgeId]:
 
 
 def build_canonical_partition(d: Decomposition, cat: SegmentCatalog) -> BlackWhitePartition:
-    """The canonical black-white partition from the segment catalog.
+    """The canonical black-white partition from the catalog's walks: the run
+    after a cut vertex (S1/S2) is black, after an antipodal edge (S3/S4) white.
 
     Valid for trees and for odd cacti in which every cycle carries a cut
     vertex (i.e. anything but a bare cycle).
@@ -85,12 +86,13 @@ def build_canonical_partition(d: Decomposition, cat: SegmentCatalog) -> BlackWhi
     v_black: set[int] = set(d.cut_vertices)
     v_white: set[int] = set()
     e_white: set[int] = set(cat.e_ant)  # the antipodal-to-cut edges
-    for s in cat.segments:
-        if s.klass in (SegmentClass.S1, SegmentClass.S2):
-            v_black.update(s.vertices)
-        else:
-            v_white.update(s.vertices)
-            e_white.update(s.edges)
+    for _, rv, re_, bpos in cat.walks:
+        for x, y in zip(bpos, bpos[1:]):
+            if x & 1:
+                v_white.update(rv[(x + 2) >> 1 : (y + 1) >> 1])
+                e_white.update(re_[(x + 1) >> 1 : y >> 1])
+            else:
+                v_black.update(rv[(x + 2) >> 1 : (y + 1) >> 1])
     v_black |= graph_leaves(d)
     return BlackWhitePartition(
         frozenset(v_black), frozenset(v_white), frozenset(black_edges(d, cat)), frozenset(e_white)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import Classification, Decomposition, classify, decompose
+from .decomposition import Classification, Decomposition, decompose
 from .graph import Graph
 from .segments import AntipodalIndex, SegmentCatalog, build_antipodal_index, enumerate_segments
 from .solver import SrcResult, strong_rainbow_coloring
@@ -24,7 +24,7 @@ def analyze_graph(g: Graph) -> GraphAnalysis:
     """Decompose, classify, and (if accepted) compute segments and the
     optimal coloring."""
     d = decompose(g)
-    cls = classify(g, d)
+    cls = d.classification
     if not cls.accepted:
         return GraphAnalysis(g, d, cls, None, None, None)
     a = build_antipodal_index(d)

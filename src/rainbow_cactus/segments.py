@@ -14,7 +14,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import chain, compress
 
-from .decomposition import Block, Decomposition, require_odd_cactus
+from .decomposition import Decomposition, require_odd_cactus
 from .graph import EdgeId, VertexId, gc_paused
 
 
@@ -89,8 +89,7 @@ class SegmentCatalog:
     def walks(self) -> tuple[Walk, ...]:
         """Cycles in block order, each walked from its lowest-id cut vertex."""
         d, reverse = self.decomposition, self.reverse
-        cv, ce, starts = d.cycle_vertices, d.cycle_edges, d.cycle_start
-        flags = bytes(map(d.is_cut.__getitem__, cv))
+        cv, ce, starts, flags = d.cycle_vertices, d.cycle_edges, d.cycle_start, d.cycle_cut
         out: list[Walk] = []
         for b, lo, hi in zip(d.cycle_block, starts, starts[1:]):
             pattern = flags[lo:hi]
@@ -98,25 +97,18 @@ class SegmentCatalog:
                 continue  # a bare cycle has no segments
             verts = cv[lo:hi]
             s = verts.index(min(compress(verts, pattern)))
-            rv, re_ = _turn(verts, s, reverse), _turn(ce[lo:hi], s - 1 if reverse else s, reverse)
-            out.append((b, rv, re_, _boundaries(pattern, s, reverse)))
+            out.append(_walk(b, verts, ce[lo:hi], pattern, s, reverse))
         return tuple(out)
 
     @cached_property
     def segments(self) -> tuple[CycleSegment, ...]:
         return tuple(chain.from_iterable(_segments_of(*w) for w in self.walks))
 
-    def of_class(self, klass: SegmentClass) -> tuple[CycleSegment, ...]:
-        return tuple(s for s in self.segments if s.klass is klass)
-
-    def for_cycle(self, block_index: int) -> tuple[CycleSegment, ...]:
-        return tuple(s for s in self.segments if s.cycle == block_index)
-
 
 @dataclass(frozen=True, eq=False)
 class AntipodalIndex:
-    """E_ant with the cut vertex opposite each of its edges; opp(e) for every
-    cycle edge and opp(v, C) per cycle block, built on first read.
+    """E_ant with the cut vertex opposite each of its edges, and opp(e) for
+    every cycle edge, built on first read.
 
     The one place E_ant is derived; `enumerate_segments` hands it on to the
     segment catalog.
@@ -133,14 +125,6 @@ class AntipodalIndex:
             off_v = (len(verts) + 1) // 2
             opp_v.update(zip(oedges, verts[off_v:] + verts[:off_v]))
         return opp_v
-
-    @cached_property
-    def opp_edge(self) -> dict[int, dict[VertexId, EdgeId]]:
-        opp_e: dict[int, dict[int, int]] = {}
-        for b, verts, oedges in self.decomposition.cycles():
-            off_e = (len(verts) - 1) // 2
-            opp_e[b] = dict(zip(verts, oedges[off_e:] + oedges[:off_e]))
-        return opp_e
 
 
 def build_antipodal_index(d: Decomposition) -> AntipodalIndex:
@@ -159,7 +143,7 @@ def build_antipodal_index(d: Decomposition) -> AntipodalIndex:
         h = s + (t - s - 1) // 2
         opp += range(h, t)
         opp += range(s, h)
-    cut_pos = list(compress(range(len(cv)), map(d.is_cut.__getitem__, cv)))
+    cut_pos = list(compress(range(len(cv)), d.cycle_cut))
     pivot = dict(zip(map(ce.__getitem__, map(opp.__getitem__, cut_pos)), map(cv.__getitem__, cut_pos)))
     return AntipodalIndex(d, pivot, frozenset(pivot))
 
@@ -171,6 +155,12 @@ def _turn(seq: tuple[int, ...], s: int, reverse: bool) -> tuple[int, ...]:
     order, so a cycle's edges are turned from s - 1.
     """
     return seq[s::-1] + seq[:s:-1] if reverse else seq[s:] + seq[:s]
+
+
+def _walk(b: int, verts, edges, pattern: bytes, s: int, reverse: bool) -> Walk:
+    """Cycle block b's walk from the cut vertex at canonical position s."""
+    rv, re_ = _turn(verts, s, reverse), _turn(edges, s - 1 if reverse else s, reverse)
+    return b, rv, re_, _boundaries(pattern, s, reverse)
 
 
 # cycles of equal cut pattern and start share their boundaries, within a
@@ -218,23 +208,6 @@ def _segments_of(index: int, rv, re_, bpos: tuple[int, ...]) -> list[CycleSegmen
     ]
 
 
-def _cycle_segments(
-    block: Block,
-    cut_vertices: frozenset[int],
-    start: VertexId | None = None,
-    reverse: bool = False,
-) -> list[CycleSegment]:
-    """Segments of one cycle block, walking the closed trail from `start` (a
-    cut vertex of the cycle; defaults to the lowest-id one)."""
-    verts = block.vertices
-    pattern = bytes(map(cut_vertices.__contains__, verts))
-    if 1 not in pattern:
-        return []
-    s = verts.index(min(compress(verts, pattern)) if start is None else start)
-    rv, re_ = _turn(verts, s, reverse), _turn(block.ordered_edges, s - 1 if reverse else s, reverse)
-    return _segments_of(block.index, rv, re_, _boundaries(pattern, s, reverse))
-
-
 def enumerate_segments(d: Decomposition, a: AntipodalIndex, *, reverse: bool = False) -> SegmentCatalog:
     """All cycle segments, cycles in block order, trail order within a cycle.
 
@@ -247,8 +220,7 @@ def enumerate_segments(d: Decomposition, a: AntipodalIndex, *, reverse: bool = F
     not on the walk's start, so each distinct pattern is placed once.
     """
     starts = d.cycle_start
-    flags = bytes(map(d.is_cut.__getitem__, d.cycle_vertices))
-    patterns = Counter(map(flags.__getitem__, map(slice, starts, starts[1:])))
+    patterns = Counter(map(d.cycle_cut.__getitem__, map(slice, starts, starts[1:])))
     counts = [0, 0, 0, 0]
     for pattern, times in patterns.items():
         if 1 not in pattern:

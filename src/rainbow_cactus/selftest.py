@@ -14,14 +14,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 
-from .decomposition import (
-    Decomposition,
-    GraphClass,
-    classify,
-    decompose,
-    leaf_blocks,
-)
+from .decomposition import Decomposition, GraphClass, decompose, leaf_blocks
 from .errors import InvalidSpecError
 from .generator import GenSpec, generate
 from .graph import Graph, all_shortest_paths, bfs_distances, unique_shortest_path
@@ -42,9 +37,11 @@ from .partition import (
 )
 from .segments import (
     AntipodalIndex,
+    CycleSegment,
     SegmentCatalog,
     SegmentClass,
-    _cycle_segments,
+    _segments_of,
+    _walk,
     build_antipodal_index,
     enumerate_segments,
 )
@@ -186,12 +183,10 @@ def check_antipodal(g: Graph, d: Decomposition, a: AntipodalIndex) -> None:
     for b in d.blocks:
         if not b.is_cycle:
             continue
-        opp_edge = a.opp_edge[b.index]
-        _require(opp_edge.keys() == set(b.vertices), "opp_edge_covers_cycle", f"block {b.index}")
-        for eid in b.ordered_edges:
-            w = a.opp_vertex[eid]
-            _require(opp_edge.get(w) == eid, "antipodal_round_trip", f"edge {eid}")
-            if g.vertex_count <= _FULL_CHECK_N:
+        image = [a.opp_vertex.get(e) for e in b.ordered_edges]
+        _require(Counter(image) == Counter(b.vertices), "antipodal_bijection", f"block {b.index}")
+        if g.vertex_count <= _FULL_CHECK_N:
+            for eid, w in zip(b.ordered_edges, image):
                 u, v = g.edges[eid]
                 dist = bfs_distances(g, w)
                 _require(dist[u] == dist[v], "antipodal_equidistant", f"edge {eid}")
@@ -227,7 +222,7 @@ def check_partition_identities(
     for b in d.blocks:
         if not b.is_cycle:
             continue
-        segs = cat.for_cycle(b.index)
+        segs = [s for s in cat.segments if s.cycle == b.index]
         vruns = [s.vertices for s in segs]
         eruns = [s.edges for s in segs]
         vtotal = sum(len(s) for s in vruns)
@@ -268,15 +263,11 @@ def check_partition_identities(
     )
 
 
-def _antipodal_image(seg, a: AntipodalIndex):
-    opp_edge = a.opp_edge[seg.cycle]
-    out = []
-    for kind, x in seg.elements:
-        if kind == "v":
-            out.append(("e", opp_edge[x]))
-        else:
-            out.append(("v", a.opp_vertex[x]))
-    return tuple(out)
+def _antipodal_image(seg: CycleSegment, opp_vertex: dict[int, int], opp_edge: dict[int, int]):
+    """The segment's elements mapped by opp, each to its antipodal element."""
+    return tuple(
+        ("e", opp_edge[x]) if kind == "v" else ("v", opp_vertex[x]) for kind, x in seg.elements
+    )
 
 
 _PAIRED = {
@@ -291,7 +282,9 @@ def check_segment_pairing(d: Decomposition, a: AntipodalIndex, cat: SegmentCatal
     for b in d.blocks:
         if not b.is_cycle:
             continue
-        segs = cat.for_cycle(b.index)
+        segs = [s for s in cat.segments if s.cycle == b.index]
+        # opp of a vertex within this cycle: the inverse of opp_vertex on its edges
+        opp_edge = {a.opp_vertex[e]: e for e in b.ordered_edges}
         by_class = {k: [s for s in segs if s.klass is k] for k in SegmentClass}
         _require(
             len(by_class[SegmentClass.S1]) == len(by_class[SegmentClass.S4]),
@@ -305,7 +298,7 @@ def check_segment_pairing(d: Decomposition, a: AntipodalIndex, cat: SegmentCatal
         )
         by_elements = {s.elements: s for s in segs}
         for s in segs:
-            image_elems = _antipodal_image(s, a)
+            image_elems = _antipodal_image(s, a.opp_vertex, opp_edge)
             partner = by_elements.get(image_elems) or by_elements.get(image_elems[::-1])
             _require(partner is not None, "antipodal_image_is_segment", f"block {b.index}")
             _require(
@@ -358,18 +351,17 @@ def check_orientation_invariance(
     )
     _require(src_formula(d, rev) == src, "src_orientation_invariant")
     # a different starting cut vertex must give the same segments outright
-    for b in d.blocks:
-        if not b.is_cycle:
+    starts = d.cycle_start
+    for (b, verts, edges), lo, hi in zip(d.cycles(), starts, starts[1:]):
+        pattern = d.cycle_cut[lo:hi]
+        if pattern.count(1) < 2:
             continue
-        cycle_cuts = [v for v in b.vertices if v in d.cut_vertices]
-        if len(cycle_cuts) < 2:
-            continue
-        base = {s.elements for s in cat.for_cycle(b.index)}
-        alt = _cycle_segments(b, d.cut_vertices, start=max(cycle_cuts))
+        s = verts.index(max(compress(verts, pattern)))
+        alt = _segments_of(*_walk(b, verts, edges, pattern, s, cat.reverse))
         _require(
-            {s.elements for s in alt} == base,
+            {x.elements for x in alt} == {x.elements for x in cat.segments if x.cycle == b},
             "start_vertex_invariant",
-            f"block {b.index}",
+            f"block {b}",
         )
 
 
@@ -439,7 +431,7 @@ def check_instance(g: Graph) -> SrcResult:
     """Run every applicable invariant check on one graph; returns the result."""
     check_graph_core(g)
     d = decompose(g)
-    cls = classify(g, d)
+    cls = d.classification
     _require(cls.accepted, "generated_graph_accepted", str(cls.reason))
     check_decomposition(g, d, cls.tag)
     a = build_antipodal_index(d)

@@ -9,6 +9,7 @@ from rainbow_cactus import (
     BlackWhitePartition,
     GenSpec,
     GraphClass,
+    SegmentClass,
     black_edges,
     brute_force_src,
     build_antipodal_index,
@@ -79,6 +80,29 @@ class TestCanonicalPartition:
         p = build_canonical_partition(d, cat)
         for b in leaf_blocks(d):
             assert b.edges & p.e_black
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_walks_match_segment_records(self, reverse):
+        # the partition reads the catalog's walks; the CycleSegment records
+        # are the reference: S1/S2 runs black, S3/S4 runs and E_ant white
+        general = 0
+        for seed in range(20):
+            g = generate(GenSpec(seed=seed, target_vertices=10 + 3 * seed,
+                                 cycle_lengths=(3, 5, 7, 9), pendant_probability=0.3))
+            d = decompose(g)
+            if d.classification.tag is GraphClass.ODD_CYCLE:
+                continue
+            general += d.classification.tag is GraphClass.GENERAL_ODD_CACTUS
+            a = build_antipodal_index(d)
+            cat = enumerate_segments(d, a, reverse=reverse)
+            black = [s for s in cat.segments if s.klass in (SegmentClass.S1, SegmentClass.S2)]
+            white = [s for s in cat.segments if s.klass in (SegmentClass.S3, SegmentClass.S4)]
+            p = build_canonical_partition(d, cat)
+            assert p.v_black == d.cut_vertices | graph_leaves(d) | {v for s in black for v in s.vertices}
+            assert p.v_white == {v for s in white for v in s.vertices}
+            assert p.e_black == d.cut_edges | {e for s in black for e in s.edges}
+            assert p.e_white == a.e_ant | {e for s in white for e in s.edges}
+        assert general >= 15
 
     def test_leaves_helper(self, sample_cactus):
         d = decompose(sample_cactus)

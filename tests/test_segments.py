@@ -10,13 +10,14 @@ from rainbow_cactus import (
     analyze_graph,
     bfs_distances,
     build_antipodal_index,
+    build_canonical_partition,
     build_graph,
     decompose,
     enumerate_segments,
     generate,
     src_formula,
 )
-from rainbow_cactus.segments import _cycle_segments
+from rainbow_cactus.segments import _segments_of, _walk
 
 
 def nine_cycle_with_pendants():
@@ -32,14 +33,14 @@ class TestAntipodalPairs:
         a = build_antipodal_index(d)
         e01 = triangle.edge_between(0, 1)
         assert a.opp_vertex[e01] == 2
-        assert a.opp_edge[d.blocks[0].index][2] == e01
+        assert [e for e in d.blocks[0].ordered_edges if a.opp_vertex[e] == 2] == [e01]
 
     def test_sample_e7_is_opposite_v4(self, sample_cactus):
         d = decompose(sample_cactus)
         a = build_antipodal_index(d)
         seven = d.blocks[0]
         assert a.opp_vertex[eid["e7"]] == vid["v4"]
-        assert a.opp_edge[seven.index][vid["v4"]] == eid["e7"]
+        assert [e for e in seven.ordered_edges if a.opp_vertex[e] == vid["v4"]] == [eid["e7"]]
 
     def test_c5_by_distance(self, c5):
         a = build_antipodal_index(decompose(c5))
@@ -62,27 +63,22 @@ class TestAntipodalPairs:
                 dist = bfs_distances(g, w)
                 assert dist[u] == dist[v]
 
-    def test_round_trip_bijection(self, sample_cactus):
+    def test_bijection_per_cycle(self, sample_cactus):
+        # opp maps each cycle's edges one-to-one onto its vertices
         d = decompose(sample_cactus)
         a = build_antipodal_index(d)
         for b in d.blocks:
             if not b.is_cycle:
                 continue
-            opp_edge = a.opp_edge[b.index]
-            for e in b.ordered_edges:
-                assert opp_edge[a.opp_vertex[e]] == e
-            for v in b.vertices:
-                assert a.opp_vertex[opp_edge[v]] == v
+            image = [a.opp_vertex[e] for e in b.ordered_edges]
+            assert sorted(image) == sorted(b.vertices)
 
     def test_membership_errors(self, sample_cactus):
-        # a bridge has no antipodal vertex, and a vertex off a cycle has no
-        # antipodal edge in it
+        # a bridge has no antipodal vertex
         d = decompose(sample_cactus)
         a = build_antipodal_index(d)
         with pytest.raises(KeyError):
             a.opp_vertex[eid["e10"]]  # the bridge 9-10
-        with pytest.raises(KeyError):
-            a.opp_edge[d.blocks[0].index][vid["v10"]]
 
 
 class TestEAnt:
@@ -107,7 +103,7 @@ class TestEnumerateSegments:
         cat = enumerate_segments(d, a)
         assert cat.counts == (1, 2, 2, 1)
         by_class = {
-            k: [s.elements for s in cat.of_class(k)] for k in SegmentClass
+            k: [s.elements for s in cat.segments if s.klass is k] for k in SegmentClass
         }
         assert by_class[SegmentClass.S1] == [
             (("e", eid["e4"]), ("v", vid["v5"]), ("e", eid["e5"])),
@@ -152,7 +148,7 @@ class TestEnumerateSegments:
         cat = enumerate_segments(d, a)
         assert cat.counts == (0, 2, 2, 0)
         for b in d.blocks:
-            klasses = [s.klass.value for s in cat.for_cycle(b.index)]
+            klasses = [s.klass.value for s in cat.segments if s.cycle == b.index]
             assert klasses == ["S2", "S3"]
 
     def test_bare_cycle_has_no_segments(self):
@@ -170,7 +166,7 @@ class TestSegmentInvariants:
         for b in d.blocks:
             if not b.is_cycle:
                 continue
-            segs = cat.for_cycle(b.index)
+            segs = [s for s in cat.segments if s.cycle == b.index]
             counts = {k: sum(1 for s in segs if s.klass is k) for k in SegmentClass}
             assert counts[SegmentClass.S1] == counts[SegmentClass.S4]
             assert counts[SegmentClass.S2] == counts[SegmentClass.S3]
@@ -183,7 +179,7 @@ class TestSegmentInvariants:
         for b in d.blocks:
             if not b.is_cycle:
                 continue
-            segs = cat.for_cycle(b.index)
+            segs = [s for s in cat.segments if s.cycle == b.index]
             seg_vertices = set().union(*(s.vertices for s in segs))
             seg_edges = set().union(*(s.edges for s in segs))
             cuts_in = set(b.vertices) & d.cut_vertices
@@ -214,19 +210,24 @@ class TestSegmentInvariants:
 
     def test_start_vertex_does_not_matter(self, sample_cactus):
         d = decompose(sample_cactus)
-        a = build_antipodal_index(d)
         seven = d.blocks[0]
-        from_low = _cycle_segments(seven, d.cut_vertices, start=vid["v4"])
-        from_high = _cycle_segments(seven, d.cut_vertices, start=vid["v6"])
-        assert {s.elements for s in from_low} == {s.elements for s in from_high}
+        verts = seven.vertices
+        pattern = bytes(v in d.cut_vertices for v in verts)
+
+        def from_vertex(v):
+            walk = _walk(seven.index, verts, seven.ordered_edges, pattern, verts.index(v), False)
+            return {s.elements for s in _segments_of(*walk)}
+
+        assert from_vertex(vid["v4"]) == from_vertex(vid["v6"])
 
 
 class TestRecordsStayUnbuilt:
-    """src and `analyze_graph` read the flat cycle arrays only: the Block,
-    CycleSegment and antipodal-map views are built on first read, and a
-    cached view sits in the instance's __dict__ once built."""
+    """src, `analyze_graph` and the canonical partition read the flat cycle
+    arrays only: the Block, CycleSegment and antipodal-map views are built
+    on first read, and a cached view sits in the instance's __dict__ once
+    built."""
 
-    VIEWS = {"blocks", "segments", "opp_vertex", "opp_edge"}
+    VIEWS = {"blocks", "segments", "opp_vertex"}
 
     @pytest.fixture
     def cactus(self):
@@ -245,8 +246,16 @@ class TestRecordsStayUnbuilt:
         assert src_formula(d, cat) > 0
         assert self.built(d, a, cat) == set()
         # the probe sees a view once it is read
-        d.blocks, cat.segments, a.opp_vertex, a.opp_edge
+        d.blocks, cat.segments, a.opp_vertex
         assert self.built(d, a, cat) == self.VIEWS
+
+    def test_canonical_partition_builds_no_view(self, cactus):
+        # the partition reads the catalog's walks, not its segment records
+        d = decompose(cactus)
+        a = build_antipodal_index(d)
+        cat = enumerate_segments(d, a)
+        assert build_canonical_partition(d, cat).e_black
+        assert self.built(d, a, cat) == set()
 
     def test_analyze_graph_builds_no_view(self, cactus):
         an = analyze_graph(cactus)
