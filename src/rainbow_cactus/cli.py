@@ -221,6 +221,8 @@ def cmd_verify(args) -> int:
         print("error: coloring file has no 'coloring' object", file=sys.stderr)
         return EXIT_INPUT_ERROR
     dense = {lab: i for i, lab in enumerate(g.labels)}
+    # edges are (min, max) in dense ids, so one index answers every key
+    index = dict(zip(g.edges, range(g.edge_count)))
     colors: list[int | None] = [None] * g.edge_count
     for key, value in cmap.items():
         # two labels in ASCII digits around one comma, as in the edge list
@@ -232,7 +234,8 @@ def cmd_verify(args) -> int:
             )
             return EXIT_INPUT_ERROR
         try:
-            eid = g.edge_between(dense[int(a_str)], dense[int(b_str)])
+            a, b = dense[int(a_str)], dense[int(b_str)]
+            eid = index[(a, b) if a < b else (b, a)]
         except (KeyError, ValueError):  # ValueError: a label too long for int()
             print(f"error: coloring entry {key!r} is not an edge of the graph", file=sys.stderr)
             return EXIT_INPUT_ERROR

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import gc
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
@@ -147,7 +146,12 @@ def build_graph(edge_pairs) -> Graph:
         adj[a].append((b, eid))
         adj[b].append((a, eid))
 
-    g = Graph(n, tuple(index), tuple(map(tuple, adj)), labels)
+    # rows become tuples one at a time, so the lists and the tuples never
+    # all coexist; the build's maps go before the connectivity BFS
+    for i in range(n):
+        adj[i] = tuple(adj[i])
+    g = Graph(n, tuple(index), tuple(adj), labels)
+    del pairs, label_set, dense, index, adj
     dist = _bfs_dist(g, 0)
     if -1 in dist:
         # the lowest unreachable dense id, i.e. the lowest unreachable label
@@ -158,15 +162,16 @@ def build_graph(edge_pairs) -> Graph:
 def _bfs_dist(g: Graph, source: VertexId) -> list[int]:
     dist = [-1] * g.vertex_count
     dist[source] = 0
-    queue = deque([source])
+    # the visit order is the queue: iterating a list that grows under the
+    # loop costs less than deque.popleft
+    order = [source]
     adj = g.adjacency
-    while queue:
-        x = queue.popleft()
+    for x in order:
         dx = dist[x] + 1
         for w, _ in adj[x]:
             if dist[w] < 0:
                 dist[w] = dx
-                queue.append(w)
+                order.append(w)
     return dist
 
 
@@ -230,16 +235,24 @@ def _geodesics(g: Graph, du: list[int], u: VertexId, v: VertexId) -> Iterator[Pa
     """The shortest paths between u != v, lazily and in lexicographic order
     of vertex sequence; `du` holds the BFS distances from u.
 
-    Every step taken lies on a shortest u,v path, so the first path costs
-    one walk and no backtracking.
+    Steps are pruned to `between`, the vertices v reaches by stepping down
+    in `du`, which are exactly those on a shortest u,v path. So every step
+    taken lies on one, and the first path costs one walk and no
+    backtracking.
     """
-    dv = _bfs_dist(g, v)
-    d = du[v]
     adj = g.adjacency
+    between = {v}
+    todo = [v]
+    for x in todo:
+        want = du[x] - 1
+        for w, _ in adj[x]:
+            if du[w] == want and w not in between:
+                between.add(w)
+                todo.append(w)
 
     def steps(x: int):
         nxt = du[x] + 1
-        return iter(sorted((w, eid) for w, eid in adj[x] if du[w] == nxt and dv[w] == d - nxt))
+        return iter(sorted((w, eid) for w, eid in adj[x] if du[w] == nxt and w in between))
 
     # depth-first with an explicit stack, so no geodesic is too long for the
     # recursion limit; stack[i] yields the steps on from verts[i] in

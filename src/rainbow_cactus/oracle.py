@@ -97,41 +97,24 @@ def _bfs_parents(g: Graph, source: int) -> tuple[list[int], list[int]]:
     return par_v, par_e
 
 
-def _check_tree_paths(g: Graph, colors, jobs) -> VerificationOutcome:
-    """Check (source, targets) jobs in the order given, exactly on any graph.
-
-    One BFS per source; each target walks its parent chain, a shortest path,
-    back to the source. A walk marks the colors it meets in `stamp` with its
-    own tick, so nothing is cleared between walks, and a target listed twice
-    never sees its own earlier marks. Only a pair whose tree path repeats a
-    color searches its other shortest paths (none in a geodetic graph), and
-    only the first failing pair gets a `Path`.
-    """
-    # colors renumbered 0..k-1, so the stamp array is sized by the number of
-    # colors in use, not by their values
+def _dense_colors(colors) -> tuple[list[int], int]:
+    """Colors renumbered 0..k-1 in order of first use, and k, so arrays
+    indexed by color are sized by the number of colors in use, not by their
+    values."""
     ids: dict[int, int] = {}
     dense = [ids.setdefault(c, len(ids)) for c in colors]
-    stamp = [0] * len(ids)
-    tick = 0
-    for u, targets in jobs:
-        par_v, par_e = _bfs_parents(g, u)
-        du = None
-        for v in targets:
-            tick += 1
-            x = v
-            while x != u:
-                c = dense[par_e[x]]
-                if stamp[c] == tick:
-                    if du is None:
-                        du = _bfs_dist(g, u)
-                    if _has_rainbow_geodesic(g.adjacency, du, colors, u, v):
-                        break
-                    path = next(_geodesics(g, du, u, v))
-                    rep = _repeated_color(path.edges, colors)
-                    return VerificationOutcome(False, RainbowWitness(u, v, path, rep))
-                stamp[c] = tick
-                x = par_v[x]
-    return VerificationOutcome(True, None)
+    return dense, len(ids)
+
+
+def _settle(g: Graph, du, colors, u: int, v: int) -> VerificationOutcome | None:
+    """None if some shortest u,v path is rainbow, else the failing outcome
+    with the lexicographically first shortest path as its witness. Exact on
+    any graph; `du` holds the BFS distances from u."""
+    if _has_rainbow_geodesic(g.adjacency, du, colors, u, v):
+        return None
+    path = next(_geodesics(g, du, u, v))
+    rep = _repeated_color(path.edges, colors)
+    return VerificationOutcome(False, RainbowWitness(u, v, path, rep))
 
 
 def _has_rainbow_geodesic(adj, dist, colors, u: int, v: int) -> bool:
@@ -170,16 +153,69 @@ def verify_strong_rainbow(
     """Check that every vertex pair has a rainbow shortest path.
 
     Pairs are checked in (u, v) order and the first failing pair is the
-    witness. Each pair's BFS-tree path is walked first; only a pair whose
-    tree path repeats a color searches its other shortest paths, which is
-    exhaustive and exponential in the worst case, but follows the one path
-    on a geodetic graph such as an odd cactus. A failing pair's witness path
-    is the lexicographically first shortest path, as `all_shortest_paths`
-    orders them. `geodetic_hint` is accepted for the call shape and not read.
+    witness. Each source u costs one BFS and one depth-first pass over the
+    shortest-path DAG, the edges from depth d to depth d + 1, so O(n + m).
+    The pass pushes a vertex at most once, so the pushed vertices form a
+    shortest-path tree, entered in preorder; it stamps `seen[x] = u` on each
+    and files the color of its tree edge in `entry[x]`. `pathc[d]` is the
+    color entered at depth d on the current tree path and `pos[c]` the depth
+    at which color c was last entered. A step of color c to depth d repeats
+    a color of the tree path iff `pos[c] < d and pathc[pos[c]] == c`: a
+    vertex entered through c is never below an ancestor entered through c,
+    so `pos[c]` is that ancestor's depth while it is on the path, and a
+    stale entry fails the `pathc` test because every ancestor has written
+    its own depth. Such a step is not taken, though its head may still be
+    pushed through another predecessor. No array is reset between sources.
+
+    A vertex the pass reaches has a rainbow shortest path to u. Only the
+    other targets search their shortest paths, which is exhaustive and
+    exponential in the worst case; on a geodetic graph such as an odd
+    cactus it follows the one path. Any shortest-path tree gives the same
+    outcome, because the search does not depend on the tree. A failing
+    pair's witness path is the lexicographically first shortest path, as
+    `all_shortest_paths` orders them. `geodetic_hint` is accepted for the
+    call shape and not read.
     """
     colors = _total_colors(g, coloring)
     n = g.vertex_count
-    return _check_tree_paths(g, colors, ((u, range(u + 1, n)) for u in range(n - 1)))
+    adj = g.adjacency
+    dense, k = _dense_colors(colors)
+    seen = [-1] * n
+    entry = [0] * n
+    pos = [0] * k
+    pathc = [-1] * n  # pathc[0] is never a color, so pos[c] = 0 never matches
+    for u in range(n - 1):
+        dist = _bfs_dist(g, u)
+        seen[u] = u
+        stack = []
+        for w, eid in adj[u]:
+            seen[w] = u
+            entry[w] = dense[eid]
+            stack.append(w)
+        while stack:
+            x = stack.pop()
+            c = entry[x]
+            d = dist[x]
+            pos[c] = d
+            pathc[d] = c
+            d += 1
+            for w, eid in adj[x]:
+                if dist[w] == d and seen[w] != u:
+                    c = dense[eid]
+                    p = pos[c]
+                    if p < d and pathc[p] == c:
+                        continue
+                    seen[w] = u
+                    entry[w] = c
+                    stack.append(w)
+        if seen.count(u) == n:
+            continue
+        for v in range(u + 1, n):
+            if seen[v] != u:
+                failed = _settle(g, dist, colors, u, v)
+                if failed:
+                    return failed
+    return VerificationOutcome(True, None)
 
 
 def verify_pairs(g: Graph, coloring: EdgeColoring, pairs) -> VerificationOutcome:
@@ -187,8 +223,14 @@ def verify_pairs(g: Graph, coloring: EdgeColoring, pairs) -> VerificationOutcome
 
     Pairs are grouped by source so each source costs one BFS; useful at sizes
     where the full pair enumeration is out of reach. Sources are checked in
-    ascending order, each source's targets in the given order. Raises
-    ValueError for a vertex id outside 0..n-1.
+    ascending order, each source's targets in the given order. Each target
+    walks its parent chain in the BFS tree, a shortest path, back to the
+    source, which costs less than a pass over the graph when a source has
+    few targets. A walk marks the colors it meets in `stamp` with its own
+    tick, so nothing is cleared between walks, and a target listed twice
+    never sees its own earlier marks. Only a pair whose tree path repeats a
+    color goes to `_settle`. Raises ValueError for a vertex id outside
+    0..n-1.
     """
     colors = _total_colors(g, coloring)
     n = g.vertex_count
@@ -199,7 +241,27 @@ def verify_pairs(g: Graph, coloring: EdgeColoring, pairs) -> VerificationOutcome
                 raise ValueError(f"invalid vertex {x}")
         if u != v:
             by_source.setdefault(u, []).append(v)
-    return _check_tree_paths(g, colors, ((u, by_source[u]) for u in sorted(by_source)))
+    dense, k = _dense_colors(colors)
+    stamp = [0] * k
+    tick = 0
+    for u in sorted(by_source):
+        par_v, par_e = _bfs_parents(g, u)
+        du = None
+        for v in by_source[u]:
+            tick += 1
+            x = v
+            while x != u:
+                c = dense[par_e[x]]
+                if stamp[c] == tick:
+                    if du is None:
+                        du = _bfs_dist(g, u)
+                    failed = _settle(g, du, colors, u, v)
+                    if failed:
+                        return failed
+                    break
+                stamp[c] = tick
+                x = par_v[x]
+    return VerificationOutcome(True, None)
 
 
 def _bridges_by_deletion(g: Graph) -> list[int]:

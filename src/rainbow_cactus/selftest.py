@@ -4,7 +4,8 @@ Each check encodes a structural claim the rest of the package relies on:
 segment pairing, the partition identities, partition validity, the parity of
 the closed form, the counts the solver takes from cycle positions against the
 materialised segment and antipodal views, agreement between the formula, the
-coloring and the brute force, and independence from the traversal
+coloring and the brute force, agreement between the verifier's all-pairs
+pass and its per-pair walks, and independence from the traversal
 orientation. The CLI `selftest` command and the acceptance tests both drive
 this module.
 """
@@ -25,6 +26,7 @@ from .oracle import (
     brute_force_search,
     check_distinct_black_colors,
     separate,
+    verify_pairs,
     verify_strong_rainbow,
 )
 from .partition import (
@@ -46,6 +48,7 @@ from .segments import (
     enumerate_segments,
 )
 from .solver import (
+    EdgeColoring,
     SrcResult,
     _branch_min_black,
     src_formula,
@@ -427,6 +430,21 @@ def check_black_pairs_forced(g: Graph, p: BlackWhitePartition) -> None:
             )
 
 
+def check_verify_loops_agree(g: Graph, coloring: EdgeColoring) -> None:
+    """The all-pairs pass and the per-pair walks give the same outcome and
+    witness over every pair (u, v > u), on the coloring and on a copy with
+    one planted fault: the first edge colored unlike edge 0 takes its color."""
+    n = g.vertex_count
+    pairs = [(u, v) for u in range(n - 1) for v in range(u + 1, n)]
+    faulty = list(coloring.color)
+    other = next((e for e, c in enumerate(faulty) if c != faulty[0]), 0)
+    faulty[other] = faulty[0]
+    for c in (coloring, EdgeColoring(max(faulty), tuple(faulty))):
+        full = verify_strong_rainbow(g, c)
+        spot = verify_pairs(g, c, pairs)
+        _require(full == spot, "verify_loops_agree", f"{full} vs {spot}")
+
+
 def check_instance(g: Graph) -> SrcResult:
     """Run every applicable invariant check on one graph; returns the result."""
     check_graph_core(g)
@@ -468,6 +486,8 @@ def check_instance(g: Graph) -> SrcResult:
 
     outcome = verify_strong_rainbow(g, res.coloring)
     _require(outcome.ok, "coloring_verifies", repr(outcome.witness))
+    if g.vertex_count <= _FULL_CHECK_N:
+        check_verify_loops_agree(g, res.coloring)
 
     n = g.vertex_count
     if n <= _PATH_ENUM_N:

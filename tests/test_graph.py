@@ -206,6 +206,40 @@ class TestAllShortestPaths:
                 p.edges
             )
 
+    @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 3), (3, 4), (4, 4)])
+    def test_grid_matches_brute_force_enumeration(self, rows, cols):
+        # every simple path between each pair, by exhaustive search without
+        # distances; the shortest ones, sorted by vertex sequence
+        edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+        edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+        g = build_graph(edges)
+        n = g.vertex_count
+
+        def simple_paths(u, v):
+            stack = [(u,)]
+            while stack:
+                path = stack.pop()
+                for w, _ in g.adjacency[path[-1]]:
+                    if w == v:
+                        yield (*path, w)
+                    elif w not in path:
+                        stack.append((*path, w))
+
+        for u in range(n):
+            for v in range(n):
+                if u == v:
+                    continue
+                found = list(simple_paths(u, v))
+                shortest = min(map(len, found))
+                want = sorted(p for p in found if len(p) == shortest)
+                got = all_shortest_paths(g, u, v)
+                assert [p.vertices for p in got] == want
+                assert all(
+                    [g.edge_between(a, b) for a, b in zip(p.vertices, p.vertices[1:])]
+                    == list(p.edges)
+                    for p in got
+                )
+
 
 class TestEdgeListFormat:
     def test_parse_with_comments_and_blanks(self):

@@ -225,6 +225,51 @@ class TestNonGeodetic:
         assert verify_strong_rainbow(g, c).ok
 
 
+def cycle_with_pendant_path(k: int, tail: int) -> list[tuple[int, int]]:
+    """C_k (k even) with a path of `tail` edges hanging from k // 2, the far
+    vertex from 0: from 0 the tail is reached only through k // 2, which two
+    geodesics reach."""
+    far = k // 2
+    return cycle_edges(k) + [(far if i == 0 else k + i - 1, k + i) for i in range(tail)]
+
+
+class TestDepthFirstPass:
+    def test_several_geodesics_match_naive_reference(self):
+        # graphs where a pair has several shortest paths, so the pass's tree
+        # path can repeat a color while another geodesic does not; colorings
+        # with few colors, so that whole subtrees go unreached
+        rng = random.Random(20261019)
+        fixed = [build_graph(grid_edges(4)), build_graph(grid_edges(5))]
+        fixed += [build_graph(cycle_with_pendant_path(k, t)) for k in (4, 6) for t in (1, 3)]
+        outcomes = {True: 0, False: 0}
+        for trial in range(120):
+            if trial % 3 < 2:
+                g = fixed[trial % len(fixed)]
+            else:
+                g = random_non_geodetic_graph(rng)
+            m = g.edge_count
+            palette = rng.choice((m, m, 6, 4))
+            base = [rng.randint(1, palette) for _ in range(m)] if palette < m else range(1, m + 1)
+            coloring = plant_faults(rng, base, rng.randint(0, 2))
+            n = g.vertex_count
+            all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            want = reference_witness(g, coloring.color, all_pairs)
+            outcomes[want is None] += 1
+            got = verify_strong_rainbow(g, coloring)
+            assert witness_tuple(got) == want, (g.edges, coloring.color)
+            assert witness_tuple(verify_pairs(g, coloring, all_pairs)) == want
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_tail_past_a_repeated_far_vertex(self):
+        # C4 + tail 2-4-5: both geodesics 0-1-2 and 0-3-2 repeat color 1,
+        # so 2 and the tail are never entered from 0; the first failing pair
+        # is (0, 2) with the lexicographically first geodesic
+        g = build_graph(cycle_with_pendant_path(4, 2))
+        colors = (1, 1, 1, 1, 2, 3)
+        out = verify_strong_rainbow(g, EdgeColoring(3, colors))
+        assert witness_tuple(out) == (0, 2, all_shortest_paths(g, 0, 2)[0], 1)
+
+
 class TestVerifyPairs:
     def test_spot_check_matches_full_check(self, sample_cactus):
         g = sample_cactus
