@@ -8,6 +8,7 @@ raw vertex labels; edges are keyed "min,max".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -329,7 +330,10 @@ def cmd_selftest(args) -> int:
     return EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    `main` call in the process; `parse_args` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rainbow-cactus",
         description="Strong rainbow connection numbers and colorings of odd cacti.",

@@ -182,40 +182,26 @@ def bfs_distances(g: Graph, source: VertexId) -> tuple[int, ...]:
     return tuple(_bfs_dist(g, source))
 
 
-def unique_shortest_path(g: Graph, u: VertexId, v: VertexId, *, checked: bool = False) -> Path:
+def unique_shortest_path(g: Graph, u: VertexId, v: VertexId) -> Path:
     """The unique shortest u,v path of a geodetic graph.
 
-    Walks back from v picking the lowest-id predecessor at each step; with
-    `checked=True` a second equal-distance predecessor raises NotGeodeticError
-    (two distinct shortest paths always produce such a fork on the walk).
+    Raises NotGeodeticError if there is a second one. Its `fork` is the
+    first vertex after the two lexicographically first paths split that
+    both reach again, a vertex with two shortest-path predecessors.
     """
     for x in (u, v):
         if not 0 <= x < g.vertex_count:
             raise ValueError(f"invalid vertex {x}")
     if u == v:
         return Path((u,), ())
-    dist = _bfs_dist(g, u)
-    verts = [v]
-    eids: list[int] = []
-    cur = v
-    while cur != u:
-        want = dist[cur] - 1
-        best = -1
-        best_eid = -1
-        hits = 0
-        for w, eid in g.adjacency[cur]:
-            if dist[w] == want:
-                hits += 1
-                if best < 0 or w < best:
-                    best, best_eid = w, eid
-        if checked and hits > 1:
-            raise NotGeodeticError(u, v, cur)
-        verts.append(best)
-        eids.append(best_eid)
-        cur = best
-    verts.reverse()
-    eids.reverse()
-    return Path(tuple(verts), tuple(eids))
+    paths = _geodesics(g, _bfs_dist(g, u), u, v)
+    path = next(paths)
+    other = next(paths, None)
+    if other is not None:
+        pairs = list(zip(path.vertices, other.vertices))
+        split = next(i for i, (x, y) in enumerate(pairs) if x != y)
+        raise NotGeodeticError(u, v, next(x for x, y in pairs[split:] if x == y))
+    return path
 
 
 def all_shortest_paths(g: Graph, u: VertexId, v: VertexId) -> tuple[Path, ...]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .decomposition import Decomposition
 from .errors import InvariantError, NotAntipodalEdgeError, PartialColoringError, TooLargeError
-from .graph import EdgeId, Graph, Path, VertexId, _bfs_dist, _geodesics, all_shortest_paths
+from .graph import EdgeId, Graph, Path, VertexId, _bfs_dist, _geodesics
 from .partition import BlackWhitePartition
 from .segments import AntipodalIndex
 from .solver import EdgeColoring
@@ -85,15 +85,15 @@ def _bfs_parents(g: Graph, source: int) -> tuple[list[int], list[int]]:
     par_v = [-1] * n
     par_e = [-1] * n
     par_v[source] = source
-    queue = deque([source])
+    # the visit order is the queue, as in `_bfs_dist`
+    order = [source]
     adj = g.adjacency
-    while queue:
-        x = queue.popleft()
+    for x in order:
         for w, eid in adj[x]:
             if par_v[w] < 0:
                 par_v[w] = x
                 par_e[w] = eid
-                queue.append(w)
+                order.append(w)
     return par_v, par_e
 
 
@@ -324,10 +324,10 @@ def brute_force_search(g: Graph, max_edges: int = 9) -> BruteForceResult:
     n = g.vertex_count
     pair_paths: list[tuple[tuple[int, ...], ...]] = []
     for u in range(n - 1):
+        du = _bfs_dist(g, u)
         for v in range(u + 1, n):
-            paths = all_shortest_paths(g, u, v)
-            if len(paths[0].edges) >= 2:
-                pair_paths.append(tuple(p.edges for p in paths))
+            if du[v] >= 2:
+                pair_paths.append(tuple(p.edges for p in _geodesics(g, du, u, v)))
     # most constrained pairs first, so bad colorings fail fast
     pair_paths.sort(key=lambda ps: (-len(ps[0]), ps))
 

@@ -1,13 +1,13 @@
 """Cross-module invariant suite over generated instances.
 
-Each check encodes a structural claim the rest of the package relies on:
-segment pairing, the partition identities, partition validity, the parity of
-the closed form, the counts the solver takes from cycle positions against the
-materialised segment and antipodal views, agreement between the formula, the
-coloring and the brute force, agreement between the verifier's all-pairs
-pass and its per-pair walks, and independence from the traversal
-orientation. The CLI `selftest` command and the acceptance tests both drive
-this module.
+Each check encodes a structural claim the rest of the package relies on: one
+shortest path per pair, segment pairing, the partition identities, partition
+validity, the parity of the closed form, the counts the solver takes from
+cycle positions against the materialised segment and antipodal views,
+agreement between the formula, the coloring and the brute force, agreement
+between the verifier's all-pairs pass and its per-pair walks, and
+independence from the traversal orientation. The CLI `selftest` command and
+the acceptance tests both drive this module.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import compress
 from .decomposition import Decomposition, GraphClass, decompose, leaf_blocks
 from .errors import InvalidSpecError
 from .generator import GenSpec, generate
-from .graph import Graph, all_shortest_paths, bfs_distances, unique_shortest_path
+from .graph import Graph, _bfs_dist, _geodesics, bfs_distances
 from .oracle import (
     assert_line18_choice,
     brute_force_search,
@@ -121,23 +121,44 @@ def check_graph_core(g: Graph) -> None:
         for _, eid in vlist:
             counts[eid] += 1
     _require(all(c == 2 for c in counts), "edge_in_two_adjacency_lists")
-    if g.vertex_count <= _PATH_ENUM_N:
-        for u in range(g.vertex_count):
-            dist = bfs_distances(g, u)
-            for v in range(u + 1, g.vertex_count):
-                path = unique_shortest_path(g, u, v, checked=True)
+
+
+def check_shortest_paths(
+    g: Graph, a: AntipodalIndex | None = None, p: BlackWhitePartition | None = None
+) -> None:
+    """Each pair's shortest path, read once from one BFS per source: it is
+    the only one and as long as the BFS distance, and it never holds an edge
+    together with that edge's antipodal vertex. With `p` and n at most
+    _PAIRWISE_BLACK_N, every two black edges lie on one of them together."""
+    n = g.vertex_count
+    opp = a.opp_vertex if a is not None else {}
+    blacks = sorted(p.e_black) if p is not None and n <= _PAIRWISE_BLACK_N else []
+    path_sets = []
+    for u in range(n):
+        du = _bfs_dist(g, u)
+        for v in range(u + 1, n):
+            paths = _geodesics(g, du, u, v)
+            path = next(paths)
+            _require(
+                next(paths, None) is None, "geodetic_unique_path", f"pair ({u},{v}) has several"
+            )
+            _require(path.length == du[v], "unique_path_length_matches_bfs", f"pair ({u},{v})")
+            on_path = set(path.vertices)
+            for e in path.edges:
                 _require(
-                    path.length == dist[v],
-                    "unique_path_length_matches_bfs",
-                    f"pair ({u},{v})",
+                    opp.get(e) not in on_path,
+                    "no_path_contains_edge_and_antipode",
+                    f"pair ({u},{v}) edge {e}",
                 )
-
-
-def check_geodetic(g: Graph) -> None:
-    for u in range(g.vertex_count):
-        for v in range(u + 1, g.vertex_count):
-            paths = all_shortest_paths(g, u, v)
-            _require(len(paths) == 1, "geodetic_unique_path", f"pair ({u},{v}) has {len(paths)}")
+            if blacks:
+                path_sets.append(frozenset(path.edges))
+    for i, b1 in enumerate(blacks):
+        for b2 in blacks[i + 1 :]:
+            _require(
+                any(b1 in s and b2 in s for s in path_sets),
+                "black_pair_shares_shortest_path",
+                f"edges {b1},{b2}",
+            )
 
 
 def check_decomposition(g: Graph, d: Decomposition, cls_tag: GraphClass) -> None:
@@ -373,20 +394,6 @@ def check_leaf_blocks_black(d: Decomposition, p: BlackWhitePartition) -> None:
         _require(bool(b.edges & p.e_black), "leaf_block_has_black_edge", f"block {b.index}")
 
 
-def check_edge_antipode_exclusion(g: Graph, a: AntipodalIndex) -> None:
-    for u in range(g.vertex_count):
-        for v in range(u + 1, g.vertex_count):
-            path = unique_shortest_path(g, u, v)
-            on_path = set(path.vertices)
-            for e in path.edges:
-                w = a.opp_vertex.get(e)
-                _require(
-                    w is None or w not in on_path,
-                    "no_path_contains_edge_and_antipode",
-                    f"pair ({u},{v}) edge {e}",
-                )
-
-
 def check_line18_equivalence(
     g: Graph,
     d: Decomposition,
@@ -412,22 +419,6 @@ def check_line18_equivalence(
             "fast_choice_matches_separation",
             f"edge {e}",
         )
-
-
-def check_black_pairs_forced(g: Graph, p: BlackWhitePartition) -> None:
-    """Every pair of black edges lies on some unique shortest path together."""
-    path_sets = []
-    for u in range(g.vertex_count):
-        for v in range(u + 1, g.vertex_count):
-            path_sets.append(frozenset(unique_shortest_path(g, u, v).edges))
-    blacks = sorted(p.e_black)
-    for i, b1 in enumerate(blacks):
-        for b2 in blacks[i + 1 :]:
-            _require(
-                any(b1 in s and b2 in s for s in path_sets),
-                "black_pair_shares_shortest_path",
-                f"edges {b1},{b2}",
-            )
 
 
 def check_verify_loops_agree(g: Graph, coloring: EdgeColoring) -> None:
@@ -489,14 +480,10 @@ def check_instance(g: Graph) -> SrcResult:
     if g.vertex_count <= _FULL_CHECK_N:
         check_verify_loops_agree(g, res.coloring)
 
-    n = g.vertex_count
-    if n <= _PATH_ENUM_N:
-        check_geodetic(g)
-        check_edge_antipode_exclusion(g, a)
-    if part is not None and a.e_ant and n <= _PATH_ENUM_N:
-        check_line18_equivalence(g, d, a, cat, part)
-    if part is not None and n <= _PAIRWISE_BLACK_N:
-        check_black_pairs_forced(g, part)
+    if g.vertex_count <= _PATH_ENUM_N:
+        check_shortest_paths(g, a, part)
+        if part is not None and a.e_ant:
+            check_line18_equivalence(g, d, a, cat, part)
     if g.edge_count <= _BRUTE_FORCE_M:
         bf = brute_force_search(g)
         _require(bf.src == k, "brute_force_agrees", f"{bf.src} vs {k}")

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from conftest import SAMPLE_EDGES, cycle_edges, path_edges
 
+import rainbow_cactus
 from rainbow_cactus import analyze_graph, build_graph, generate, parse_edge_list
 from rainbow_cactus.cli import build_report, main
 from rainbow_cactus.errors import InvalidSpecError
@@ -350,3 +354,30 @@ class TestSelftest:
     def test_zero_seeds_warns(self, capsys):
         assert main(["selftest", "--seeds", "0"]) == 0
         assert "no instances tested" in capsys.readouterr().out
+
+    def test_checks_hold_under_optimize_flag(self):
+        # `python -O` strips asserts; the invariant suite must not rest on them
+        src_dir = os.path.dirname(os.path.dirname(rainbow_cactus.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "rainbow_cactus.cli", "selftest", "--seeds", "40",
+             "--max-n", "30"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src_dir),
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "selftest passed: 40 instances" in proc.stdout
+
+
+class TestParserReuse:
+    """`main` shares one parser across calls; no option may leak into the next."""
+
+    def test_plain_color_after_dot_prints_json(self, sample_path, capsys):
+        assert main(["color", sample_path, "--dot"]) == 0
+        assert capsys.readouterr().out.startswith("graph")
+        assert main(["color", sample_path]) == 0
+        assert json.loads(capsys.readouterr().out)["src"] == 7
+
+    def test_plain_analyze_after_full_has_no_segments(self, sample_path, capsys):
+        assert main(["analyze", sample_path, "--full"]) == 0
+        assert json.loads(capsys.readouterr().out)["segments"]
+        assert main(["analyze", sample_path]) == 0
+        assert json.loads(capsys.readouterr().out)["segments"] is None

@@ -164,7 +164,18 @@ class TestUniqueShortestPath:
     def test_checked_mode_flags_even_cycle(self):
         c4 = build_graph(cycle_edges(4))
         with pytest.raises(NotGeodeticError):
-            unique_shortest_path(c4, 0, 2, checked=True)
+            unique_shortest_path(c4, 0, 2)
+
+    def test_fork_is_where_the_paths_meet_again(self):
+        # C4 0-1-2-3 with a tail 2-4: the paths to 4 split at 0 and meet at 2
+        g = build_graph(cycle_edges(4) + [(2, 4)])
+        with pytest.raises(NotGeodeticError) as info:
+            unique_shortest_path(g, 0, 4)
+        assert (info.value.u, info.value.v, info.value.fork) == (0, 4, 2)
+        with pytest.raises(NotGeodeticError) as info:
+            unique_shortest_path(g, 4, 0)
+        assert info.value.fork == 0
+        assert unique_shortest_path(g, 1, 4).vertices == (1, 2, 4)
 
 
 class TestAllShortestPaths:
