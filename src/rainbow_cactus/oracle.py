@@ -10,7 +10,8 @@ coloring's choice of a color to reuse.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .decomposition import Decomposition
@@ -153,7 +154,13 @@ def verify_strong_rainbow(
     """Check that every vertex pair has a rainbow shortest path.
 
     Pairs are checked in (u, v) order and the first failing pair is the
-    witness. Each source u costs one BFS and one depth-first pass over the
+    witness. Source 0 is scanned first. If it passes and the graph is an
+    odd cactus, `_cactus_rainbow` decides the rest in O(n + m log m) from
+    the block structure, with no further BFS; if that finds a failure, or
+    the graph is no odd cactus, the scan resumes at source 1, so the witness
+    is the same either way.
+
+    Each source u costs one BFS and one depth-first pass over the
     shortest-path DAG, the edges from depth d to depth d + 1, so O(n + m).
     The pass pushes a vertex at most once, so the pushed vertices form a
     shortest-path tree, entered in preorder; it stamps `seen[x] = u` on each
@@ -208,14 +215,212 @@ def verify_strong_rainbow(
                     seen[w] = u
                     entry[w] = c
                     stack.append(w)
-        if seen.count(u) == n:
-            continue
-        for v in range(u + 1, n):
-            if seen[v] != u:
-                failed = _settle(g, dist, colors, u, v)
-                if failed:
-                    return failed
+        if seen.count(u) < n:
+            for v in range(u + 1, n):
+                if seen[v] != u:
+                    failed = _settle(g, dist, colors, u, v)
+                    if failed:
+                        return failed
+        if u == 0:
+            layout = _odd_cactus(g, dist)
+            if layout is not None and _cactus_rainbow(layout, dense, k):
+                break
     return VerificationOutcome(True, None)
+
+
+@dataclass(frozen=True)
+class _CactusLayout:
+    """An odd cactus's blocks in preorder from vertex 0, as per-edge arrays.
+
+    Each block's edges hold a run of slots 0..m-1, a cycle's in cycle order
+    from its top (its vertex nearest vertex 0), and a block's run comes
+    after its parent's and before its own subtree's. So a block's subtree
+    is a slot range, and so are the blocks below any vertex: those hanging
+    there and their subtrees. Edge e "sees" the blocks that are reached
+    from its block through its pivot, the vertex of its cycle opposite e:
+    no geodesic holds e and an edge of such a block. For an "up" edge,
+    `up[e]`, the pivot is its block's top, [seen_lo[e], seen_hi[e]) is the
+    block's subtree and e sees every block outside it. For any other edge
+    the range holds the blocks below its pivot, which e sees; it is empty
+    for a bridge and for a pivot where nothing hangs.
+    """
+
+    slot: list[int]
+    block: list[int]
+    block_len: list[int]
+    seen_lo: list[int]
+    seen_hi: list[int]
+    up: bytearray
+
+
+def _odd_cactus(g: Graph, dist: list[int]) -> _CactusLayout | None:
+    """The layout of g's blocks if g is an odd cactus, else None; `dist`
+    holds the BFS distances from vertex 0.
+
+    Each non-tree edge (a, b) of a BFS tree closes one fundamental cycle,
+    the tree paths from a and b up to where they meet. g is a cactus iff
+    these cycles share no tree edge, and an odd cactus iff in addition a and
+    b are always equally deep. The walk stops at the first tree edge it
+    meets twice, so it costs O(n + m). Shares no code with `decompose`.
+    """
+    n, edges, adj = g.vertex_count, g.edges, g.adjacency
+    m = len(edges)
+    par_v = [0] * n
+    par_e = [-1] * n
+    for w in range(1, n):
+        want = dist[w] - 1
+        for x, eid in adj[w]:
+            if dist[x] == want:
+                par_v[w] = x
+                par_e[w] = eid
+                break
+    in_tree = bytearray(m)
+    for e in par_e[1:]:
+        in_tree[e] = 1
+    # each block's vertices from its top and its edges in the same order;
+    # on_cycle[x] says that a cycle holds the tree edge up from x
+    verts: list[list[int]] = []
+    block_edges: list[list[int]] = []
+    on_cycle = bytearray(n)
+    for e, (a, b) in enumerate(edges):
+        if in_tree[e]:
+            continue
+        if dist[a] != dist[b]:
+            return None  # an even cycle
+        down, rise = [], []
+        while a != b:
+            if on_cycle[a] or on_cycle[b]:
+                return None  # a tree edge on two cycles
+            on_cycle[a] = on_cycle[b] = 1
+            down.append(a)
+            rise.append(b)
+            a, b = par_v[a], par_v[b]
+        down.reverse()
+        verts.append([a, *down, *rise])
+        block_edges.append([par_e[x] for x in down] + [e] + [par_e[x] for x in rise])
+    for w in range(1, n):
+        if not on_cycle[w]:
+            verts.append([par_v[w], w])
+            block_edges.append([par_e[w]])
+    hanging: list[list[int]] = [[] for _ in range(n)]
+    for b, vs in enumerate(verts):
+        hanging[vs[0]].append(b)
+
+    # preorder by an explicit stack of blocks: a block takes the next slots,
+    # then come the blocks hanging at its lower vertices, one vertex's
+    # together; ~b closes block b once all below it have their slots
+    nb = len(verts)
+    first, stop = [0] * nb, [0] * nb
+    t = 0
+    stack = list(hanging[0])
+    while stack:
+        b = stack.pop()
+        if b < 0:
+            stop[~b] = t
+            continue
+        first[b] = t
+        t += len(block_edges[b])
+        stack.append(~b)
+        for w in verts[b][1:]:
+            stack += hanging[w]
+
+    slot, block = [0] * m, [0] * m
+    seen_lo, seen_hi, up = [0] * m, [0] * m, bytearray(m)
+    for b, es in enumerate(block_edges):
+        length = len(es)
+        vs = verts[b]
+        for i, e in enumerate(es):
+            slot[e] = first[b] + i
+            block[e] = b
+            if length > 1:
+                # the edge at position i joins positions i and i + 1; the
+                # vertex (length - 1) / 2 positions behind it is opposite
+                j = (i - length // 2) % length
+                if j == 0:
+                    up[e] = 1
+                    seen_lo[e], seen_hi[e] = first[b], stop[b]
+                elif hanging[vs[j]]:
+                    # popped last to first, so the first block ends the range
+                    below = hanging[vs[j]]
+                    seen_lo[e], seen_hi[e] = first[below[-1]], stop[below[0]]
+    return _CactusLayout(slot, block, [len(es) for es in block_edges], seen_lo, seen_hi, up)
+
+
+def _cactus_rainbow(layout: _CactusLayout, dense: list[int], k: int) -> bool:
+    """Whether a coloring of an odd cactus is strong rainbow.
+
+    An odd cactus is geodetic, so a coloring is strong rainbow iff no two
+    edges of one color lie on a common geodesic. Two edges e, f of one odd
+    cycle of length L do so iff one way round the cycle they are fewer than
+    (L - 1) / 2 positions apart. Two edges in different blocks do unless e
+    sees f's block or f sees e's (`_CactusLayout`). Per color class, the
+    "good" cross-block pairs are the pairs (e, f) where e sees f, less those
+    where each sees the other: an up edge below the pivot of an edge that is
+    not up, or two up edges in blocks neither of which holds the other. The
+    classes pass iff, summed over them, the good pairs are all cross-block
+    pairs, as no class has more good pairs than cross-block ones. Counted
+    by bisection in sorted (color, slot) keys, so O(m log m).
+    """
+    slot, block, length = layout.slot, layout.block, layout.block_len
+    m = len(slot)
+    size = [0] * k
+    for c in dense:
+        size[c] += 1
+    # a color on one edge is never repeated on a path
+    shared = [e for e in range(m) if size[dense[e]] > 1]
+    key = [0] * m
+    for e in shared:
+        key[e] = dense[e] * m + slot[e]
+    shared.sort(key=key.__getitem__)
+
+    # runs of one color in one block; in a cycle, each step along the run
+    # and the way round from its last edge to its first span (L - 1) / 2
+    # positions or more
+    nb = len(length)
+    run = [dense[e] * nb + block[e] for e in shared]
+    start = 0
+    for i in range(1, len(shared)):
+        if run[i] != run[i - 1]:
+            start = i
+            continue
+        half = length[block[shared[i]]] // 2
+        at = slot[shared[i]]
+        if at - slot[shared[i - 1]] < half or at - slot[shared[start]] > half + 1:
+            return False
+
+    up = layout.up
+    keys = [key[e] for e in shared]
+    up_keys = [key[e] for e in shared if up[e]]
+    seen_lo, seen_hi = layout.seen_lo, layout.seen_hi
+    sees = 0  # pairs (e, f) where e sees f
+    mutual = 0  # pairs of an edge that is not up and an up edge it sees
+    nested = 0  # pairs of up edges (e, f), f in e's block or below it
+    for e in shared:
+        lo, hi = seen_lo[e], seen_hi[e]
+        if lo == hi:
+            continue
+        base = key[e] - slot[e]
+        lo += base
+        hi += base
+        inside = bisect_left(keys, hi) - bisect_left(keys, lo)
+        inside_up = bisect_left(up_keys, hi) - bisect_left(up_keys, lo)
+        if up[e]:
+            sees += size[dense[e]] - inside
+            nested += inside_up
+        else:
+            sees += inside
+            mutual += inside_up
+
+    # in ordered pairs with e != f: sum(class^2) - sum(run^2) cross blocks,
+    # and sum(up class^2) - sum(up run^2) up edges in different blocks, of
+    # which 2 * (nested - sum(up run^2)) nest
+    def squares(values) -> int:
+        return sum(x * x for x in Counter(values).values())
+
+    cross = sum(x * x for x in size if x > 1) - squares(run)
+    up_runs = [r for e, r in zip(shared, run) if up[e]]
+    up_apart = squares(dense[e] for e in shared if up[e]) + squares(up_runs) - 2 * nested
+    return 2 * (sees - mutual) - up_apart == cross
 
 
 def verify_pairs(g: Graph, coloring: EdgeColoring, pairs) -> VerificationOutcome:
@@ -290,25 +495,40 @@ def _partition_colorings(m: int, k: int):
 
     Enumerated as restricted growth strings (edge 0 gets color 1; edge i may
     use at most one more than the running maximum) so each partition appears
-    once, with color permutations quotiented out.
+    once, with color permutations quotiented out. The strings come in
+    lexicographic order, from one loop: the last position runs through its
+    values, then the rightmost earlier position that can still rise does,
+    and the positions after it take the least tail that reaches k colors,
+    1s and then the missing colors in order.
     """
-    a = [0] * m
-
-    def rec(i: int, mx: int):
-        if k - 1 - mx > m - i:
-            return  # not enough positions left to reach k classes
-        if i == m:
-            if mx == k - 1:
-                yield tuple(c + 1 for c in a)
-            return
-        hi = min(mx + 1, k - 1)
-        for c in range(hi + 1):
-            a[i] = c
-            yield from rec(i + 1, mx if c <= mx else c)
-
-    if m == 0:
+    if not 1 <= k <= m:
         return
-    yield from rec(1, 0)
+    last = m - 1
+    a = [1] * (m - k + 1) + list(range(2, k + 1))
+    top = [1] * (m - k + 1) + a[m - k + 1 :]  # top[i] = max(a[: i + 1])
+    while True:
+        if last and top[last - 1] == k:
+            for c in range(1, k + 1):
+                a[last] = c
+                yield tuple(a)
+        else:  # the last position must bring in color k
+            yield tuple(a)
+        i = last - 1
+        while i > 0:
+            c = a[i] + 1
+            mx = top[i - 1]
+            # at most one above the running maximum, and the positions
+            # after i must still bring in every color above it
+            if c <= mx + 1 and c <= k and k - max(mx, c) <= last - i:
+                break
+            i -= 1
+        else:
+            return
+        a[i] = c
+        mx = top[i] = max(mx, c)
+        ones = last - i - (k - mx)
+        a[i + 1 :] = [1] * ones + list(range(mx + 1, k + 1))
+        top[i + 1 :] = [mx] * ones + a[m - (k - mx) :]
 
 
 def brute_force_search(g: Graph, max_edges: int = 9) -> BruteForceResult:

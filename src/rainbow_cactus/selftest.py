@@ -5,9 +5,10 @@ shortest path per pair, segment pairing, the partition identities, partition
 validity, the parity of the closed form, the counts the solver takes from
 cycle positions against the materialised segment and antipodal views,
 agreement between the formula, the coloring and the brute force, agreement
-between the verifier's all-pairs pass and its per-pair walks, and
-independence from the traversal orientation. The CLI `selftest` command and
-the acceptance tests both drive this module.
+between the verifier's all-pairs check and its per-pair walks and between
+its odd-cactus recogniser and `decompose`, and independence from the
+traversal orientation. The CLI `selftest` command and the acceptance tests
+both drive this module.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from itertools import compress
 from .decomposition import Decomposition, GraphClass, decompose, leaf_blocks
 from .errors import InvalidSpecError
 from .generator import GenSpec, generate
-from .graph import Graph, _bfs_dist, _geodesics, bfs_distances
+from .graph import Graph, _bfs_dist, _geodesics, bfs_distances, build_graph
 from .oracle import (
+    _odd_cactus,
     assert_line18_choice,
     brute_force_search,
     check_distinct_black_colors,
@@ -421,16 +423,54 @@ def check_line18_equivalence(
         )
 
 
+def check_recogniser(g: Graph, accepted: bool) -> None:
+    """The verifier's odd-cactus recogniser accepts g iff `decompose` does,
+    and so it does for g with a chord from vertex 0 to vertex n - 1."""
+    graphs = [(g, accepted)]
+    n = g.vertex_count
+    if n > 2 and all(w != n - 1 for w, _ in g.adjacency[0]):
+        lab = g.labels
+        chorded = build_graph([*map(g.edge_label_pair, range(g.edge_count)), (lab[0], lab[-1])])
+        graphs.append((chorded, decompose(chorded).classification.accepted))
+    for h, want in graphs:
+        _require(
+            (_odd_cactus(h, _bfs_dist(h, 0)) is not None) == want,
+            "recogniser_matches_classification",
+            f"n={h.vertex_count} m={h.edge_count} accepted={want}",
+        )
+
+
+def _fault_at_last_vertex(g: Graph, colors: list[int]) -> list[int] | None:
+    """Copy of colors with one fault far from vertex 0: on the first
+    two-edge geodesic ending at vertex n - 1, the edge away from n - 1 takes
+    the color of the edge at n - 1. None if no vertex is that far from it."""
+    last = g.vertex_count - 1
+    dist = _bfs_dist(g, last)
+    adj = g.adjacency
+    for y, near in adj[last]:
+        for z, away in adj[y]:
+            if dist[z] == 2:
+                out = list(colors)
+                out[away] = out[near]
+                return out
+    return None
+
+
 def check_verify_loops_agree(g: Graph, coloring: EdgeColoring) -> None:
     """The all-pairs pass and the per-pair walks give the same outcome and
-    witness over every pair (u, v > u), on the coloring and on a copy with
-    one planted fault: the first edge colored unlike edge 0 takes its color."""
+    witness over every pair (u, v > u), on the coloring and on copies with
+    one planted fault: the first edge colored unlike edge 0 takes its color,
+    or a fault at vertex n - 1 (`_fault_at_last_vertex`), which the scan
+    from vertex 0 need not meet, so the structural check on an odd cactus
+    fails and the scan resumes at vertex 1."""
     n = g.vertex_count
     pairs = [(u, v) for u in range(n - 1) for v in range(u + 1, n)]
     faulty = list(coloring.color)
     other = next((e for e, c in enumerate(faulty) if c != faulty[0]), 0)
     faulty[other] = faulty[0]
-    for c in (coloring, EdgeColoring(max(faulty), tuple(faulty))):
+    far = _fault_at_last_vertex(g, coloring.color)
+    for colors in filter(None, (coloring.color, faulty, far)):
+        c = EdgeColoring(max(colors), tuple(colors))
         full = verify_strong_rainbow(g, c)
         spot = verify_pairs(g, c, pairs)
         _require(full == spot, "verify_loops_agree", f"{full} vs {spot}")
@@ -442,6 +482,7 @@ def check_instance(g: Graph) -> SrcResult:
     d = decompose(g)
     cls = d.classification
     _require(cls.accepted, "generated_graph_accepted", str(cls.reason))
+    check_recogniser(g, cls.accepted)
     check_decomposition(g, d, cls.tag)
     a = build_antipodal_index(d)
     check_antipodal(g, d, a)
@@ -506,9 +547,9 @@ def run_selftest(seeds: int = 200, max_n: int = 30) -> SelftestReport:
     MIN_MAX_N, which some specs would exceed.
     """
     if seeds < 0:
-        raise InvalidSpecError(f"seeds must be at least 0, got {seeds}")
+        raise InvalidSpecError(f"seeds (--seeds) must be at least 0, got {seeds}")
     if max_n < MIN_MAX_N:
-        raise InvalidSpecError(f"max_n must be at least {MIN_MAX_N}, got {max_n}")
+        raise InvalidSpecError(f"max_n (--max-n) must be at least {MIN_MAX_N}, got {max_n}")
     failures: list[SelftestFailure] = []
     for seed in range(seeds):
         spec = spec_for_seed(seed, max_n)

@@ -9,10 +9,17 @@ import pytest
 from conftest import SAMPLE_EDGES, cycle_edges, path_edges
 
 import rainbow_cactus
-from rainbow_cactus import analyze_graph, build_graph, generate, parse_edge_list
+from rainbow_cactus import (
+    GenSpec,
+    analyze_graph,
+    build_graph,
+    format_edge_list,
+    generate,
+    parse_edge_list,
+)
 from rainbow_cactus.cli import build_report, main
 from rainbow_cactus.errors import InvalidSpecError
-from rainbow_cactus.selftest import MIN_MAX_N, run_selftest, spec_for_seed
+from rainbow_cactus.selftest import MIN_MAX_N, _fault_at_last_vertex, run_selftest, spec_for_seed
 
 # a label past CPython's default limit of 4300 digits for int(str)
 TOO_LONG = "7" * 5000
@@ -257,6 +264,33 @@ class TestVerify:
         assert captured.out == ""
         assert repr(key) in captured.err and "color" in captured.err
 
+    def test_same_output_under_optimize_flag(self, tmp_path):
+        # `python -O` strips asserts; the structural check must not rest on
+        # them. The fault at the last vertex is first seen from vertex 198,
+        # so that run takes the structural check, which fails, and then
+        # resumes the scan
+        spec = GenSpec(seed=3, target_vertices=200, cycle_lengths=(3, 5, 7), pendant_probability=0.3)
+        g = generate(spec)
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text(format_edge_list(g))
+        optimal = analyze_graph(g).result.coloring.color
+        src_dir = os.path.dirname(os.path.dirname(rainbow_cactus.__file__))
+        runs = []
+        for name, colors in (("ok", optimal), ("far", _fault_at_last_vertex(g, optimal))):
+            keys = (",".join(map(str, g.edge_label_pair(e))) for e in range(g.edge_count))
+            coloring_file = tmp_path / f"{name}.json"
+            coloring_file.write_text(json.dumps({"coloring": dict(zip(keys, colors))}))
+            for flags in ([], ["-O"]):
+                proc = subprocess.run(
+                    [sys.executable, *flags, "-m", "rainbow_cactus.cli", "verify", str(graph_file),
+                     str(coloring_file)],
+                    capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src_dir),
+                )
+                runs.append((proc.returncode, proc.stdout))
+        assert runs[0] == runs[1] and runs[2] == runs[3]
+        assert runs[0] == (0, f"OK k={max(optimal)}\n")
+        assert runs[2][0] == 3 and runs[2][1].startswith("FAIL: pair (198,200) ")
+
 
 class TestOracle:
     def test_bowtie_agreement(self, tmp_path, capsys):
@@ -354,6 +388,17 @@ class TestSelftest:
     def test_zero_seeds_warns(self, capsys):
         assert main(["selftest", "--seeds", "0"]) == 0
         assert "no instances tested" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seeds, max_n", [(-1, 30), (0, MIN_MAX_N - 1)], ids=["seeds", "max_n"])
+    def test_bad_bound_prints_the_library_error(self, capsys, seeds, max_n):
+        # one check of each bound, in `run_selftest`; the CLI prints its
+        # message, before the warning that no instances ran
+        with pytest.raises(InvalidSpecError) as exc:
+            run_selftest(seeds=seeds, max_n=max_n)
+        assert main(["selftest", "--seeds", str(seeds), "--max-n", str(max_n)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {exc.value}\n"
 
     def test_checks_hold_under_optimize_flag(self):
         # `python -O` strips asserts; the invariant suite must not rest on them

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
-from conftest import c5_plus_pendant_edges, cycle_edges, path_edges
+from conftest import c5_plus_pendant_edges, cycle_edges, k4_edges, path_edges
 
 from rainbow_cactus import (
     EdgeColoring,
@@ -22,8 +23,10 @@ from rainbow_cactus import (
     verify_pairs,
     verify_strong_rainbow,
 )
+from rainbow_cactus import oracle
 from rainbow_cactus.errors import PartialColoringError, TooLargeError
-from rainbow_cactus.oracle import _partition_colorings
+from rainbow_cactus.graph import _bfs_dist
+from rainbow_cactus.oracle import _cactus_rainbow, _dense_colors, _odd_cactus, _partition_colorings
 
 
 def algorithm_coloring(g):
@@ -270,6 +273,194 @@ class TestDepthFirstPass:
         assert witness_tuple(out) == (0, 2, all_shortest_paths(g, 0, 2)[0], 1)
 
 
+def with_vertex_zero(g, x):
+    """g with the dense ids of vertices 0 and x swapped, edge order kept, so
+    that x becomes vertex 0 and a coloring keeps its edge ids."""
+    ids = list(range(g.vertex_count))
+    ids[0], ids[x] = x, 0
+    return build_graph([(ids[a], ids[b]) for a, b in g.edges])
+
+
+def all_pairs(g):
+    n = g.vertex_count
+    return [(u, v) for u in range(n - 1) for v in range(u + 1, n)]
+
+
+def structural(g, colors):
+    """The structural decision alone; None when g is not an odd cactus."""
+    layout = _odd_cactus(g, _bfs_dist(g, 0))
+    return None if layout is None else _cactus_rainbow(layout, *_dense_colors(colors))
+
+
+def assert_routes_agree(g, colors, cactus=True):
+    """The structural decision (on an odd cactus) matches the per-pair walks
+    over all pairs, and `verify_strong_rainbow` matches them in outcome and
+    witness; returns whether the coloring passes."""
+    coloring = EdgeColoring(max(colors), tuple(colors))
+    walks = verify_pairs(g, coloring, all_pairs(g))
+    full = verify_strong_rainbow(g, coloring)
+    assert witness_tuple(full) == witness_tuple(walks), (g.edges, colors)
+    assert structural(g, colors) == (walks.ok if cactus else None), (g.edges, colors)
+    return walks.ok
+
+
+def theta_edges():
+    # three paths of lengths 2, 2 and 3 between 0 and 1
+    return [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1)]
+
+
+NON_CACTI = {
+    "C4": cycle_edges(4),
+    "C4 with a tail": cycle_with_pendant_path(4, 2),
+    "theta": theta_edges(),
+    "K4": k4_edges(),
+    "two triangles sharing an edge": [(0, 1), (1, 2), (2, 0), (1, 3), (3, 2)],
+    # a triangle, a bridge to a 5-cycle, and a 4-cycle on that
+    "cactus with one even cycle": cycle_edges(3) + [(2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 3)]
+    + [(5, 8), (8, 9), (9, 10), (10, 5)],
+}
+
+
+class TestStructuralVerifier:
+    """On an odd cactus `verify_strong_rainbow` scans source 0 and then
+    decides the rest from the block structure, resuming the scan at source
+    1 only on a failure; every other graph is scanned in full."""
+
+    def test_property_against_walks(self):
+        rng = random.Random(20261020)
+        outcomes = {True: 0, False: 0}
+        for trial in range(300):
+            g = generate(
+                GenSpec(
+                    seed=rng.randrange(1 << 30),
+                    target_vertices=rng.randint(2, 36),
+                    cycle_lengths=rng.choice(((3,), (3, 5), (5, 7), (3, 5, 7, 9))),
+                    pendant_probability=rng.choice((0.0, 0.3, 0.7)),
+                )
+            )
+            d = decompose(g)
+            degree = [len(a) for a in g.adjacency]
+            on_cycle = {v for b in d.blocks if b.is_cycle for v in b.vertices}
+            places = {
+                "cut": sorted(d.cut_vertices),
+                "leaf": [v for v in range(g.vertex_count) if degree[v] == 1],
+                "cycle": sorted(on_cycle - d.cut_vertices),
+            }
+            kind = ("cut", "leaf", "cycle")[trial % 3]
+            if places[kind]:
+                g = with_vertex_zero(g, rng.choice(places[kind]))
+            base = algorithm_coloring(g).color
+            m = g.edge_count
+            merged = list(base)
+            if max(base) > 1:
+                a, b = rng.sample(range(1, max(base) + 1), 2)
+                merged = [a if c == b else c for c in base]
+            palette = rng.randint(1, 4)
+            colorings = [plant_faults(rng, base, faults).color for faults in (0, 1, 2)]
+            colorings += [merged, [rng.randint(1, palette) for _ in range(m)]]
+            for colors in colorings:
+                outcomes[assert_routes_agree(g, colors)] += 1
+        assert min(outcomes.values()) >= 200, outcomes
+
+    def test_k2_and_trees(self):
+        rng = random.Random(7)
+        trees = [path_edges(2), path_edges(6), [(0, i) for i in range(1, 6)]]
+        trees += [[(rng.randrange(i), i) for i in range(1, n)] for n in range(3, 15)]
+        for edges in trees:
+            g = build_graph(edges)
+            m = g.edge_count
+            distinct = list(range(1, m + 1))
+            assert assert_routes_agree(g, distinct)
+            for _ in range(4):
+                assert_routes_agree(g, [rng.randint(1, m) for _ in range(m)])
+
+    @pytest.mark.parametrize("length", range(3, 42, 2))
+    def test_bare_odd_cycles(self, length):
+        g = build_graph(cycle_edges(length))
+        assert assert_routes_agree(g, algorithm_coloring(g).color)
+        half = (length - 1) // 2
+        # two edges share a color exactly when they are (L - 1) / 2 or more
+        # positions apart both ways round
+        for gap in range(1, length):
+            colors = list(range(1, length + 1))
+            colors[gap] = colors[0]
+            assert assert_routes_agree(g, colors) == (half <= gap <= length - half)
+        rng = random.Random(length)
+        for _ in range(4):
+            assert_routes_agree(g, [rng.randint(1, 3) for _ in range(length)])
+
+    def test_monochrome_triangle(self, triangle):
+        assert assert_routes_agree(triangle, [1, 1, 1])
+
+    @pytest.mark.parametrize("zero", range(4))
+    def test_bridge_and_the_edge_facing_it(self, zero):
+        # triangle 0-1-2 with the pendant bridge 2-3: edge 0-1 faces 2, so
+        # no geodesic holds both 0-1 and 2-3. Whichever vertex is 0, only one
+        # of the two sees the other: the bridge sees nothing
+        g = with_vertex_zero(build_graph([(0, 1), (1, 2), (2, 0), (2, 3)]), zero)
+        assert assert_routes_agree(g, [1, 2, 3, 1])
+        # edge 1-2 and the bridge lie on the geodesic 1-2-3
+        assert not assert_routes_agree(g, [1, 2, 3, 2])
+
+    @pytest.mark.parametrize("zero", [0, 2, 4, 5, 7])
+    def test_edges_facing_a_shared_cut_vertex(self, zero):
+        # C5 0..4 (edges 0-4) and triangle 2-5-6 (edges 5-7) share the cut
+        # vertex 2, with the bridge 6-7 (edge 8). C5 edge 4 (0-4) and
+        # triangle edge 6 (5-6) face 2; C5 edge 0 (0-1) and triangle edge 5
+        # (2-5) do not. Two edges of the two cycles lie on a common geodesic
+        # iff neither faces 2
+        g = with_vertex_zero(build_graph(cycle_edges(5) + [(2, 5), (5, 6), (6, 2), (6, 7)]), zero)
+        for e, f in ((4, 6), (0, 6), (4, 5), (0, 5)):
+            colors = list(range(1, 10))
+            colors[e] = colors[f]
+            assert assert_routes_agree(g, colors) == ((e, f) != (0, 5))
+
+
+    @pytest.mark.parametrize("name", sorted(NON_CACTI))
+    def test_non_cacti_keep_the_scan(self, name):
+        g = build_graph(NON_CACTI[name])
+        assert _odd_cactus(g, _bfs_dist(g, 0)) is None
+        rng = random.Random(name)
+        m = g.edge_count
+        pairs = all_pairs(g)
+        for palette in (m, m, 4, 3, 2):
+            colors = [rng.randint(1, palette) for _ in range(m)] if palette < m else range(1, m + 1)
+            coloring = plant_faults(rng, colors, rng.randint(0, 1))
+            want = reference_witness(g, coloring.color, pairs)
+            assert witness_tuple(verify_strong_rainbow(g, coloring)) == want
+            assert_routes_agree(g, coloring.color, cactus=False)
+
+    def test_recogniser_matches_classification(self):
+        rng = random.Random(20261021)
+        accepted = 0
+        for _ in range(600):
+            n = rng.randint(2, 10)
+            edges = {(rng.randrange(i), i) for i in range(1, n)}
+            for _ in range(rng.randint(0, 4)):
+                a, b = sorted(rng.sample(range(n), 2))
+                edges.add((a, b))
+            g = with_vertex_zero(build_graph(sorted(edges)), rng.randrange(n))
+            want = decompose(g).classification.accepted
+            accepted += want
+            assert (_odd_cactus(g, _bfs_dist(g, 0)) is not None) == want, g.edges
+        assert 100 <= accepted <= 500, accepted
+
+    def test_optimal_coloring_costs_one_bfs(self, monkeypatch):
+        spec = GenSpec(seed=11, target_vertices=520, cycle_lengths=(3, 5, 7), pendant_probability=0.3)
+        g = generate(spec)
+        assert g.vertex_count >= 500
+        coloring = algorithm_coloring(g)
+        calls = []
+
+        def counted(graph, source):
+            calls.append(source)
+            return _bfs_dist(graph, source)
+
+        monkeypatch.setattr(oracle, "_bfs_dist", counted)
+        assert verify_strong_rainbow(g, coloring).ok
+        assert calls == [0]
+
+
 class TestVerifyPairs:
     def test_spot_check_matches_full_check(self, sample_cactus):
         g = sample_cactus
@@ -332,6 +523,18 @@ class TestPartitionColorings:
         assert sum(1 for _ in _partition_colorings(4, 2)) == 7
         assert sum(1 for _ in _partition_colorings(4, 3)) == 6
         assert sum(1 for _ in _partition_colorings(4, 4)) == 1
+
+    def test_lexicographic_order(self):
+        # every restricted growth string with exactly k classes, in order
+        assert list(_partition_colorings(0, 0)) == []
+        for m in range(1, 7):
+            strings = [
+                s for s in itertools.product(range(m), repeat=m)
+                if all(s[i] <= max(s[:i], default=-1) + 1 for i in range(m))
+            ]
+            for k in range(-1, m + 2):
+                want = [tuple(c + 1 for c in s) for s in strings if max(s) == k - 1]
+                assert list(_partition_colorings(m, k)) == want, (m, k)
 
     def test_canonical_form(self):
         for colors in _partition_colorings(5, 3):
