@@ -21,6 +21,7 @@ from .graph import Graph, build_graph, format_edge_list, load_edge_list
 from .oracle import brute_force_search, verify_strong_rainbow
 from .partition import build_canonical_partition
 from .pipeline import GraphAnalysis, analyze_graph
+from .segments import trails
 from .selftest import run_selftest
 from .solver import EdgeColoring, SrcResult, src_formula
 
@@ -106,16 +107,17 @@ def build_report(an: GraphAnalysis, full: bool = False) -> AnalysisReport:
     if full:
         segments = tuple(
             {
-                "cycle": s.cycle,
-                "class": s.klass.value,
+                "cycle": w[0],
+                "class": klass.value,
                 "elements": [
                     {"kind": "vertex", "id": g.labels[x]}
                     if kind == "v"
                     else {"kind": "edge", "id": _edge_key(g, x)}
-                    for kind, x in s.elements
+                    for kind, x in trail
                 ],
             }
-            for s in cat.segments
+            for w in cat.walks
+            for klass, trail in trails(w)
         )
         if cls.tag is not GraphClass.ODD_CYCLE:
             # a bare cycle has no canonical partition: no cut vertex to start from

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .decomposition import Decomposition
 from .errors import InvariantError, NotAntipodalEdgeError, PartialColoringError, TooLargeError
 from .graph import EdgeId, Graph, Path, VertexId, _bfs_dist, _geodesics
-from .partition import BlackWhitePartition
+from .partition import BlackWhitePartition, _components_without
 from .segments import AntipodalIndex
 from .solver import EdgeColoring
 
@@ -581,25 +581,16 @@ def check_distinct_black_colors(
 def separate(g: Graph, d: Decomposition, a: AntipodalIndex, e: EdgeId) -> Separation:
     """Separation of the graph with respect to (e, opp(e)); e must be in E_ant.
 
-    Built explicitly by BFS, as the reference the coloring's subtree-minima
-    lookup (`solver._branch_min_black`) is checked against.
+    Built explicitly from the components of G - opp(e), as the reference the
+    coloring's subtree-minima lookup (`solver._branch_min_black`) is checked
+    against: g1 holds the edges that touch e's component.
     """
     if e not in a.e_ant:
         raise NotAntipodalEdgeError(e)
-    w = a.opp_vertex[e]
-    seen = bytearray(g.vertex_count)
-    seen[w] = 1  # never cross the pivot
-    src = g.edges[e][0]
-    seen[src] = 1
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        for y, _ in g.adjacency[x]:
-            if not seen[y]:
-                seen[y] = 1
-                queue.append(y)
-    seen[w] = 0
-    g1 = frozenset(eid for eid, (x, y) in enumerate(g.edges) if seen[x] or seen[y])
+    w = a.pivot[e]
+    comp = _components_without(g, w)
+    side = comp[g.edges[e][0]]  # the pivot itself is in no component
+    g1 = frozenset(eid for eid, (x, y) in enumerate(g.edges) if side in (comp[x], comp[y]))
     g2 = frozenset(range(g.edge_count)) - g1
     return Separation(e, w, g1, g2)
 

@@ -3,16 +3,19 @@
 In an odd cycle every edge has a unique antipodal vertex (equidistant from
 both endpoints) and vice versa. Walking a cycle from a cut vertex and
 splitting at cut vertices and antipodal-to-cut edges yields its segments,
-classified S1..S4 by the kinds of the two boundary elements.
+classified S1..S4 by the kinds of the two boundary elements. The catalog
+keeps each cycle's walk with its boundary positions; `trails` decodes a
+walk's segments for the readers that need them element by element.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import chain, compress
+from itertools import compress
 
 from .decomposition import Decomposition, require_odd_cactus
 from .graph import EdgeId, VertexId, gc_paused
@@ -34,36 +37,6 @@ _CLASS_BY_PARITY = (SegmentClass.S1, SegmentClass.S2, SegmentClass.S3, SegmentCl
 Element = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class CycleSegment:
-    """Maximal run of non-boundary elements along a cycle's closed trail.
-
-    `vertices` and `edges` keep trail order; the segment starts with an edge
-    for S1/S2 (its left boundary is a cut vertex) and with a vertex for
-    S3/S4, which fixes the alternating sequence exposed by `elements`.
-    """
-
-    cycle: int
-    vertices: tuple[VertexId, ...]
-    edges: tuple[EdgeId, ...]
-    klass: SegmentClass
-
-    @property
-    def elements(self) -> tuple[Element, ...]:
-        ev = [("e", x) for x in self.edges]
-        vv = [("v", x) for x in self.vertices]
-        if self.klass in (SegmentClass.S1, SegmentClass.S2):
-            first, second = ev, vv
-        else:
-            first, second = vv, ev
-        out: list[Element] = []
-        for i, el in enumerate(first):
-            out.append(el)
-            if i < len(second):
-                out.append(second[i])
-        return tuple(out)
-
-
 # one cycle's walk: its block index, its vertices and edges read from a cut
 # vertex (against the canonical direction if reversed), and the sorted trail
 # positions of its boundaries followed by 2 * length
@@ -74,9 +47,10 @@ Walk = tuple[int, tuple[VertexId, ...], tuple[EdgeId, ...], tuple[int, ...]]
 class SegmentCatalog:
     """The S1..S4 counts of the cycle segments, E_ant as the antipodal index
     derived it (the cycle edges that no segment holds), and, built on first
-    read, each cycle's walk and the `CycleSegment` records.
+    read, each cycle's walk.
 
-    The segment after boundary `bpos[k]` of a walk runs to `bpos[k + 1]`.
+    The segment after boundary `bpos[k]` of a walk runs to `bpos[k + 1]`;
+    `trails` decodes them.
     """
 
     decomposition: Decomposition
@@ -99,10 +73,6 @@ class SegmentCatalog:
             s = verts.index(min(compress(verts, pattern)))
             out.append(_walk(b, verts, ce[lo:hi], pattern, s, reverse))
         return tuple(out)
-
-    @cached_property
-    def segments(self) -> tuple[CycleSegment, ...]:
-        return tuple(chain.from_iterable(_segments_of(*w) for w in self.walks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,21 +161,18 @@ def _boundaries(pattern: bytes, s: int, reverse: bool) -> tuple[int, ...]:
     return tuple(bpos)
 
 
-def _segments_of(index: int, rv, re_, bpos: tuple[int, ...]) -> list[CycleSegment]:
-    """The segments of one walk; the one after boundary b holds trail
-    positions b+1 .. end-1, where end is the next boundary. Its class is
-    fixed by the parity of b and of end: the last end, 2 * length, is the
-    starting cut vertex again."""
-    return [
-        CycleSegment(
-            index,
-            rv[(b + 2) >> 1 : (end + 1) >> 1],
-            re_[(b + 1) >> 1 : end >> 1],
-            _CLASS_BY_PARITY[(b & 1) << 1 | (end & 1)],
-        )
-        for b, end in zip(bpos, bpos[1:])
-        if end - b > 1
-    ]
+def trails(walk: Walk) -> Iterator[tuple[SegmentClass, tuple[Element, ...]]]:
+    """Each segment of one walk in trail order, with its class. The one after
+    boundary b holds trail positions b+1 .. end-1, where end is the next
+    boundary: walk vertex p >> 1 at an even position p, the walk edge after
+    it at an odd one. Its class is fixed by the parity of b and of end: the
+    last end, 2 * length, is the starting cut vertex again."""
+    _, rv, re_, bpos = walk
+    for b, end in zip(bpos, bpos[1:]):
+        if end - b > 1:
+            yield _CLASS_BY_PARITY[(b & 1) << 1 | (end & 1)], tuple(
+                ("e", re_[p >> 1]) if p & 1 else ("v", rv[p >> 1]) for p in range(b + 1, end)
+            )
 
 
 def enumerate_segments(d: Decomposition, a: AntipodalIndex, *, reverse: bool = False) -> SegmentCatalog:

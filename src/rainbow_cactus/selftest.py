@@ -1,14 +1,14 @@
 """Cross-module invariant suite over generated instances.
 
 Each check encodes a structural claim the rest of the package relies on: one
-shortest path per pair, segment pairing, the partition identities, partition
-validity, the parity of the closed form, the counts the solver takes from
-cycle positions against the materialised segment and antipodal views,
-agreement between the formula, the coloring and the brute force, agreement
-between the verifier's all-pairs check and its per-pair walks and between
-its odd-cactus recogniser and `decompose`, and independence from the
-traversal orientation. The CLI `selftest` command and the acceptance tests
-both drive this module.
+shortest path per pair; the cycle segments, decoded once per orientation
+(their counts against the solver's, the partition identities, their pairing
+under opp, independence from the traversal orientation and start);
+partition validity, the parity of the closed form, agreement between the
+formula, the coloring and the brute force, agreement between the verifier's
+all-pairs check and its per-pair walks and between its odd-cactus
+recogniser and `decompose`. The CLI `selftest` command and the acceptance
+tests both drive this module.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, groupby
+from operator import itemgetter
 
 from .decomposition import Decomposition, GraphClass, decompose, leaf_blocks
 from .errors import InvalidSpecError
 from .generator import GenSpec, generate
-from .graph import Graph, _bfs_dist, _geodesics, bfs_distances, build_graph
+from .graph import Graph, _bfs_dist, _geodesics, bfs_distances, build_graph, gc_paused
 from .oracle import (
     _odd_cactus,
     assert_line18_choice,
@@ -41,13 +42,12 @@ from .partition import (
 )
 from .segments import (
     AntipodalIndex,
-    CycleSegment,
     SegmentCatalog,
     SegmentClass,
-    _segments_of,
     _walk,
     build_antipodal_index,
     enumerate_segments,
+    trails,
 )
 from .solver import (
     EdgeColoring,
@@ -220,56 +220,100 @@ def check_antipodal(g: Graph, d: Decomposition, a: AntipodalIndex) -> None:
     _require(a.e_ant == expected, "e_ant_definition")
 
 
-def check_counts_match_views(d: Decomposition, a: AntipodalIndex) -> None:
-    """The counts and E_ant that the solver takes from cycle positions
-    alone, against the materialised segment and antipodal views, in both
-    orientations. Bare cycles hold no segment and no E_ant edge."""
+_PAIRED = {
+    SegmentClass.S1: SegmentClass.S4,
+    SegmentClass.S2: SegmentClass.S3,
+    SegmentClass.S3: SegmentClass.S2,
+    SegmentClass.S4: SegmentClass.S1,
+}
+_REVERSED = {
+    SegmentClass.S1: SegmentClass.S1,
+    SegmentClass.S2: SegmentClass.S3,
+    SegmentClass.S3: SegmentClass.S2,
+    SegmentClass.S4: SegmentClass.S4,
+}
+
+
+def _ids(elements, kind: str) -> list[int]:
+    """The vertex ("v") or edge ("e") ids among trail elements, in order."""
+    return [x for k, x in elements if k == kind]
+
+
+@gc_paused
+def check_segments(g: Graph, d: Decomposition, a: AntipodalIndex, cat: SegmentCatalog, src: int) -> None:
+    """The segments of `cat` and of the reverse catalog, each decoded once:
+    their counts and E_ant against the solver's, for every class; on a
+    general odd cactus also the partition identities, the pairing under opp,
+    and independence from the orientation and the starting cut vertex."""
     cuts = d.cut_vertices
-    by_opp = {e: w for e, w in a.opp_vertex.items() if w in cuts}
+    opp = a.opp_vertex
+    by_opp = {e: w for e, w in opp.items() if w in cuts}
     _require(a.pivot == by_opp, "counts_match_views", "E_ant pivots")
-    walked = {e for b in d.blocks if b.is_cycle and not cuts.isdisjoint(b.vertices) for e in b.edges}
-    for reverse in (False, True):
-        cat = enumerate_segments(d, a, reverse=reverse)
-        by_class = Counter(s.klass for s in cat.segments)
-        held = {e for s in cat.segments for e in s.edges}
+    walked = {e for _, verts, edges in d.cycles() if not cuts.isdisjoint(verts) for e in edges}
+    rev = enumerate_segments(d, a, reverse=True)
+    # each segment as (cycle, class, trail elements), cycles in block order
+    fwd, bwd = ([(w[0], *seg) for w in c.walks for seg in trails(w)] for c in (cat, rev))
+    for c, segs in ((cat, fwd), (rev, bwd)):
+        klasses = [klass for _, klass, _ in segs]
+        held = set(_ids(chain.from_iterable(trail for *_, trail in segs), "e"))
         _require(
-            cat.counts == tuple(by_class[k] for k in SegmentClass)
-            and cat.e_ant == walked - held == by_opp.keys(),
+            c.counts == tuple(map(klasses.count, SegmentClass))
+            and c.e_ant == walked - held == by_opp.keys(),
             "counts_match_views",
-            f"reverse={reverse}: counts {cat.counts}, |E_ant| {len(cat.e_ant)}",
+            f"reverse={c.reverse}: counts {c.counts}, |E_ant| {len(c.e_ant)}",
         )
+    if d.classification.tag is not GraphClass.GENERAL_ODD_CACTUS:
+        return
 
-
-def check_partition_identities(
-    g: Graph, d: Decomposition, a: AntipodalIndex, cat: SegmentCatalog
-) -> None:
-    seg_edges: set[int] = set()
-    seg_vertices: set[int] = set()
-    for b in d.blocks:
-        if not b.is_cycle:
-            continue
-        segs = [s for s in cat.segments if s.cycle == b.index]
-        vruns = [s.vertices for s in segs]
-        eruns = [s.edges for s in segs]
-        vtotal = sum(len(s) for s in vruns)
-        etotal = sum(len(s) for s in eruns)
-        vunion: set[int] = set().union(*vruns)
-        eunion: set[int] = set().union(*eruns)
-        _require(len(vunion) == vtotal and len(eunion) == etotal, "segments_disjoint")
-        cuts_in = set(b.vertices) & d.cut_vertices
+    by_cycle = {b: list(group) for b, group in groupby(fwd, itemgetter(0))}
+    for b, verts, edges in d.cycles():
+        segs = by_cycle.get(b, [])
+        elements = [el for *_, trail in segs for el in trail]
+        vs, es = _ids(elements, "v"), _ids(elements, "e")
+        vunion, eunion = set(vs), set(es)
+        _require(len(vunion) == len(vs) and len(eunion) == len(es), "segments_disjoint")
+        cuts_in = cuts.intersection(verts)
         _require(
-            vunion | cuts_in == set(b.vertices) and not vunion & cuts_in,
+            vunion | cuts_in == set(verts) and not vunion & cuts_in,
             "cycle_vertices_partitioned",
-            f"block {b.index}",
+            f"block {b}",
         )
-        ant_in = a.e_ant & b.edges
+        ant_in = a.e_ant.intersection(edges)
         _require(
-            eunion | ant_in == set(b.edges) and not eunion & ant_in,
+            eunion | ant_in == set(edges) and not eunion & ant_in,
             "cycle_edges_partitioned",
-            f"block {b.index}",
+            f"block {b}",
         )
-        seg_edges |= eunion
-        seg_vertices |= vunion
+
+        klasses = [klass for _, klass, _ in segs]
+        n1, n2, n3, n4 = map(klasses.count, SegmentClass)
+        _require(n1 == n4, "s1_s4_counts_match", f"block {b}")
+        _require(n2 == n3, "s2_s3_counts_match", f"block {b}")
+        # opp of a vertex within this cycle: the inverse of opp on its edges
+        opp_edge = {opp[e]: e for e in edges}
+        by_trail = {trail: klass for _, klass, trail in segs}
+        for _, klass, trail in segs:
+            image = tuple([("e", opp_edge[x]) if kind == "v" else ("v", opp[x]) for kind, x in trail])
+            partner = image if image in by_trail else image[::-1]
+            _require(partner in by_trail, "antipodal_image_is_segment", f"block {b}")
+            _require(
+                by_trail[partner] is _PAIRED[klass],
+                "antipodal_image_class",
+                f"block {b}: {klass.value} -> {by_trail[partner].value}",
+            )
+            n_edges, partner_n_edges = len(_ids(trail, "e")), len(_ids(partner, "e"))
+            if klass is SegmentClass.S1:
+                _require(n_edges == partner_n_edges + 1, "s1_one_more_edge_than_s4")
+            if klass is SegmentClass.S2:
+                _require(n_edges == partner_n_edges, "s2_s3_equal_edges")
+        # a different starting cut vertex must give the same segments outright
+        pattern = bytes(v in cuts for v in verts)
+        if pattern.count(1) > 1:
+            start = verts.index(max(compress(verts, pattern)))
+            alt = trails(_walk(b, verts, edges, pattern, start, cat.reverse))
+            _require({trail for _, trail in alt} == by_trail.keys(), "start_vertex_invariant", f"block {b}")
+    fwd_elements = [el for *_, trail in fwd for el in trail]
+    seg_vertices, seg_edges = set(_ids(fwd_elements, "v")), set(_ids(fwd_elements, "e"))
     all_edges = set(range(g.edge_count))
     _require(
         seg_edges | a.e_ant | d.cut_edges == all_edges
@@ -281,88 +325,18 @@ def check_partition_identities(
     leaves = graph_leaves(d)
     all_vertices = set(range(g.vertex_count))
     _require(
-        seg_vertices | d.cut_vertices | leaves == all_vertices
-        and not seg_vertices & d.cut_vertices
+        seg_vertices | cuts | leaves == all_vertices
+        and not seg_vertices & cuts
         and not seg_vertices & leaves
-        and not d.cut_vertices & leaves,
+        and not cuts & leaves,
         "global_vertex_partition",
     )
 
-
-def _antipodal_image(seg: CycleSegment, opp_vertex: dict[int, int], opp_edge: dict[int, int]):
-    """The segment's elements mapped by opp, each to its antipodal element."""
-    return tuple(
-        ("e", opp_edge[x]) if kind == "v" else ("v", opp_vertex[x]) for kind, x in seg.elements
+    _require(
+        Counter((b, tuple(sorted(trail)), klass) for b, klass, trail in fwd)
+        == Counter((b, tuple(sorted(trail)), _REVERSED[klass]) for b, klass, trail in bwd),
+        "reversal_swaps_s2_s3_only",
     )
-
-
-_PAIRED = {
-    SegmentClass.S1: SegmentClass.S4,
-    SegmentClass.S2: SegmentClass.S3,
-    SegmentClass.S3: SegmentClass.S2,
-    SegmentClass.S4: SegmentClass.S1,
-}
-
-
-def check_segment_pairing(d: Decomposition, a: AntipodalIndex, cat: SegmentCatalog) -> None:
-    for b in d.blocks:
-        if not b.is_cycle:
-            continue
-        segs = [s for s in cat.segments if s.cycle == b.index]
-        # opp of a vertex within this cycle: the inverse of opp_vertex on its edges
-        opp_edge = {a.opp_vertex[e]: e for e in b.ordered_edges}
-        by_class = {k: [s for s in segs if s.klass is k] for k in SegmentClass}
-        _require(
-            len(by_class[SegmentClass.S1]) == len(by_class[SegmentClass.S4]),
-            "s1_s4_counts_match",
-            f"block {b.index}",
-        )
-        _require(
-            len(by_class[SegmentClass.S2]) == len(by_class[SegmentClass.S3]),
-            "s2_s3_counts_match",
-            f"block {b.index}",
-        )
-        by_elements = {s.elements: s for s in segs}
-        for s in segs:
-            image_elems = _antipodal_image(s, a.opp_vertex, opp_edge)
-            partner = by_elements.get(image_elems) or by_elements.get(image_elems[::-1])
-            _require(partner is not None, "antipodal_image_is_segment", f"block {b.index}")
-            _require(
-                partner.klass is _PAIRED[s.klass],
-                "antipodal_image_class",
-                f"block {b.index}: {s.klass.value} -> {partner.klass.value}",
-            )
-            if s.klass is SegmentClass.S1:
-                _require(
-                    len(s.edges) == len(partner.edges) + 1,
-                    "s1_one_more_edge_than_s4",
-                )
-            if s.klass is SegmentClass.S2:
-                _require(
-                    len(s.edges) == len(partner.edges),
-                    "s2_s3_equal_edges",
-                )
-
-
-def check_orientation_invariance(
-    d: Decomposition, a: AntipodalIndex, cat: SegmentCatalog, src: int
-) -> None:
-    rev = enumerate_segments(d, a, reverse=True)
-    swap = {
-        SegmentClass.S1: SegmentClass.S1,
-        SegmentClass.S2: SegmentClass.S3,
-        SegmentClass.S3: SegmentClass.S2,
-        SegmentClass.S4: SegmentClass.S4,
-    }
-    fwd_multi = sorted(
-        (s.cycle, sorted(s.vertices), sorted(s.edges), s.klass.value)
-        for s in cat.segments
-    )
-    rev_multi = sorted(
-        (s.cycle, sorted(s.vertices), sorted(s.edges), swap[s.klass].value)
-        for s in rev.segments
-    )
-    _require(fwd_multi == rev_multi, "reversal_swaps_s2_s3_only")
     _require(
         cat.counts[0] + cat.counts[3] == rev.counts[0] + rev.counts[3],
         "s1_plus_s4_invariant",
@@ -376,19 +350,6 @@ def check_orientation_invariance(
         "black_count_orientation_invariant",
     )
     _require(src_formula(d, rev) == src, "src_orientation_invariant")
-    # a different starting cut vertex must give the same segments outright
-    starts = d.cycle_start
-    for (b, verts, edges), lo, hi in zip(d.cycles(), starts, starts[1:]):
-        pattern = d.cycle_cut[lo:hi]
-        if pattern.count(1) < 2:
-            continue
-        s = verts.index(max(compress(verts, pattern)))
-        alt = _segments_of(*_walk(b, verts, edges, pattern, s, cat.reverse))
-        _require(
-            {x.elements for x in alt} == {x.elements for x in cat.segments if x.cycle == b},
-            "start_vertex_invariant",
-            f"block {b}",
-        )
 
 
 def check_leaf_blocks_black(d: Decomposition, p: BlackWhitePartition) -> None:
@@ -487,12 +448,9 @@ def check_instance(g: Graph) -> SrcResult:
     a = build_antipodal_index(d)
     check_antipodal(g, d, a)
     cat = enumerate_segments(d, a)
-    check_counts_match_views(d, a)
-    if cls.tag is GraphClass.GENERAL_ODD_CACTUS:
-        check_partition_identities(g, d, a, cat)
-        check_segment_pairing(d, a, cat)
-
     k = src_formula(d, cat)
+    check_segments(g, d, a, cat, k)
+
     res = strong_rainbow_coloring(g, d, a, cat)
     _require(res.src == k, "formula_matches_algorithm", f"{k} vs {res.src}")
     _require(
@@ -513,8 +471,6 @@ def check_instance(g: Graph) -> SrcResult:
         )
         _require(lower_bound(part, report) == k, "black_count_equals_src")
         check_leaf_blocks_black(d, part)
-        if cls.tag is GraphClass.GENERAL_ODD_CACTUS:
-            check_orientation_invariance(d, a, cat, k)
 
     outcome = verify_strong_rainbow(g, res.coloring)
     _require(outcome.ok, "coloring_verifies", repr(outcome.witness))

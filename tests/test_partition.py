@@ -27,6 +27,7 @@ from rainbow_cactus import (
     validate_partition,
 )
 from rainbow_cactus.errors import InvalidPartitionError
+from rainbow_cactus.segments import trails
 
 
 def pipeline(g):
@@ -83,8 +84,8 @@ class TestCanonicalPartition:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_walks_match_segment_records(self, reverse):
-        # the partition reads the catalog's walks; the CycleSegment records
-        # are the reference: S1/S2 runs black, S3/S4 runs and E_ant white
+        # the partition decodes the catalog's walks inline; `trails` is the
+        # reference: S1/S2 runs black, S3/S4 runs and E_ant white
         general = 0
         for seed in range(20):
             g = generate(GenSpec(seed=seed, target_vertices=10 + 3 * seed,
@@ -95,13 +96,14 @@ class TestCanonicalPartition:
             general += d.classification.tag is GraphClass.GENERAL_ODD_CACTUS
             a = build_antipodal_index(d)
             cat = enumerate_segments(d, a, reverse=reverse)
-            black = [s for s in cat.segments if s.klass in (SegmentClass.S1, SegmentClass.S2)]
-            white = [s for s in cat.segments if s.klass in (SegmentClass.S3, SegmentClass.S4)]
+            segs = [(klass, trail) for w in cat.walks for klass, trail in trails(w)]
+            black = [t for k, t in segs if k in (SegmentClass.S1, SegmentClass.S2)]
+            white = [t for k, t in segs if k in (SegmentClass.S3, SegmentClass.S4)]
             p = build_canonical_partition(d, cat)
-            assert p.v_black == d.cut_vertices | graph_leaves(d) | {v for s in black for v in s.vertices}
-            assert p.v_white == {v for s in white for v in s.vertices}
-            assert p.e_black == d.cut_edges | {e for s in black for e in s.edges}
-            assert p.e_white == a.e_ant | {e for s in white for e in s.edges}
+            assert p.v_black == d.cut_vertices | graph_leaves(d) | {x for t in black for k, x in t if k == "v"}
+            assert p.v_white == {x for t in white for k, x in t if k == "v"}
+            assert p.e_black == d.cut_edges | {x for t in black for k, x in t if k == "e"}
+            assert p.e_white == a.e_ant | {x for t in white for k, x in t if k == "e"}
         assert general >= 15
 
     def test_leaves_helper(self, sample_cactus):
@@ -225,7 +227,7 @@ class TestOneHome:
             d, a, cat = pipeline(g)
             assert cat.e_ant == a.e_ant
             cycle_edges = {e for b in d.blocks if b.is_cycle for e in b.ordered_edges}
-            seg_edges = {e for s in cat.segments for e in s.edges}
+            seg_edges = {x for w in cat.walks for _, t in trails(w) for k, x in t if k == "e"}
             res = strong_rainbow_coloring(g, d, a, cat)
             if classify(g, d).tag is GraphClass.ODD_CYCLE:
                 bare_cycles += 1

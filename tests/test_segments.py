@@ -17,7 +17,18 @@ from rainbow_cactus import (
     generate,
     src_formula,
 )
-from rainbow_cactus.segments import _segments_of, _walk
+from rainbow_cactus.segments import _walk, trails
+
+
+def segments(cat):
+    """(cycle, class, trail elements) per segment of the catalog, cycles in
+    block order, trail order within a cycle."""
+    return [(w[0], klass, trail) for w in cat.walks for klass, trail in trails(w)]
+
+
+def ids(trail, kind):
+    """The vertex ("v") or edge ("e") ids of a trail, in trail order."""
+    return tuple(x for k, x in trail if k == kind)
 
 
 def nine_cycle_with_pendants():
@@ -103,7 +114,7 @@ class TestEnumerateSegments:
         cat = enumerate_segments(d, a)
         assert cat.counts == (1, 2, 2, 1)
         by_class = {
-            k: [s.elements for s in cat.segments if s.klass is k] for k in SegmentClass
+            k: [trail for _, klass, trail in segments(cat) if klass is k] for k in SegmentClass
         }
         assert by_class[SegmentClass.S1] == [
             (("e", eid["e4"]), ("v", vid["v5"]), ("e", eid["e5"])),
@@ -126,7 +137,7 @@ class TestEnumerateSegments:
         a = build_antipodal_index(d)
         cat = enumerate_segments(d, a)
         # 7-cycle first (block 0), then the triangle; trail order within each
-        assert [(s.cycle, s.klass.value) for s in cat.segments] == [
+        assert [(cycle, klass.value) for cycle, klass, _ in segments(cat)] == [
             (0, "S1"), (0, "S2"), (0, "S4"), (0, "S3"),
             (4, "S2"), (4, "S3"),
         ]
@@ -136,11 +147,12 @@ class TestEnumerateSegments:
         d = decompose(g)
         a = build_antipodal_index(d)
         cat = enumerate_segments(d, a)
-        nine = [s for s in cat.segments if len(d.blocks[s.cycle].edges) == 9]
-        assert [s.klass.value for s in nine] == ["S1", "S2", "S4", "S3"]
-        s1 = nine[0]
-        assert s1.vertices == (1,)  # dense id of label 2
-        assert len(s1.edges) == 2
+        nine = [(klass, trail) for cycle, klass, trail in segments(cat)
+                if len(d.blocks[cycle].edges) == 9]
+        assert [klass.value for klass, _ in nine] == ["S1", "S2", "S4", "S3"]
+        s1 = nine[0][1]
+        assert ids(s1, "v") == (1,)  # dense id of label 2
+        assert len(ids(s1, "e")) == 2
 
     def test_bowtie_each_triangle_s2_s3(self, bowtie):
         d = decompose(bowtie)
@@ -148,14 +160,14 @@ class TestEnumerateSegments:
         cat = enumerate_segments(d, a)
         assert cat.counts == (0, 2, 2, 0)
         for b in d.blocks:
-            klasses = [s.klass.value for s in cat.segments if s.cycle == b.index]
+            klasses = [klass.value for cycle, klass, _ in segments(cat) if cycle == b.index]
             assert klasses == ["S2", "S3"]
 
     def test_bare_cycle_has_no_segments(self):
         g = build_graph(cycle_edges(9))
         d = decompose(g)
         a = build_antipodal_index(d)
-        assert enumerate_segments(d, a).segments == ()
+        assert segments(enumerate_segments(d, a)) == []
 
 
 class TestSegmentInvariants:
@@ -166,8 +178,8 @@ class TestSegmentInvariants:
         for b in d.blocks:
             if not b.is_cycle:
                 continue
-            segs = [s for s in cat.segments if s.cycle == b.index]
-            counts = {k: sum(1 for s in segs if s.klass is k) for k in SegmentClass}
+            segs = [klass for cycle, klass, _ in segments(cat) if cycle == b.index]
+            counts = {k: segs.count(k) for k in SegmentClass}
             assert counts[SegmentClass.S1] == counts[SegmentClass.S4]
             assert counts[SegmentClass.S2] == counts[SegmentClass.S3]
 
@@ -179,9 +191,9 @@ class TestSegmentInvariants:
         for b in d.blocks:
             if not b.is_cycle:
                 continue
-            segs = [s for s in cat.segments if s.cycle == b.index]
-            seg_vertices = set().union(*(s.vertices for s in segs))
-            seg_edges = set().union(*(s.edges for s in segs))
+            segs = [trail for cycle, _, trail in segments(cat) if cycle == b.index]
+            seg_vertices = set().union(*(ids(t, "v") for t in segs))
+            seg_edges = set().union(*(ids(t, "e") for t in segs))
             cuts_in = set(b.vertices) & d.cut_vertices
             ant_in = set(b.edges) & a.e_ant
             assert seg_vertices | cuts_in == set(b.vertices)
@@ -199,12 +211,12 @@ class TestSegmentInvariants:
         assert fwd.counts[1] == rev.counts[2]
         assert fwd.counts[2] == rev.counts[1]
         fwd_sets = sorted(
-            (s.cycle, tuple(sorted(s.vertices)), tuple(sorted(s.edges)))
-            for s in fwd.segments
+            (cycle, tuple(sorted(ids(t, "v"))), tuple(sorted(ids(t, "e"))))
+            for cycle, _, t in segments(fwd)
         )
         rev_sets = sorted(
-            (s.cycle, tuple(sorted(s.vertices)), tuple(sorted(s.edges)))
-            for s in rev.segments
+            (cycle, tuple(sorted(ids(t, "v"))), tuple(sorted(ids(t, "e"))))
+            for cycle, _, t in segments(rev)
         )
         assert fwd_sets == rev_sets
 
@@ -216,18 +228,17 @@ class TestSegmentInvariants:
 
         def from_vertex(v):
             walk = _walk(seven.index, verts, seven.ordered_edges, pattern, verts.index(v), False)
-            return {s.elements for s in _segments_of(*walk)}
+            return {trail for _, trail in trails(walk)}
 
         assert from_vertex(vid["v4"]) == from_vertex(vid["v6"])
 
 
 class TestRecordsStayUnbuilt:
     """src, `analyze_graph` and the canonical partition read the flat cycle
-    arrays only: the Block, CycleSegment and antipodal-map views are built
-    on first read, and a cached view sits in the instance's __dict__ once
-    built."""
+    arrays only: the Block and antipodal-map views are built on first read,
+    and a cached view sits in the instance's __dict__ once built."""
 
-    VIEWS = {"blocks", "segments", "opp_vertex"}
+    VIEWS = {"blocks", "opp_vertex"}
 
     @pytest.fixture
     def cactus(self):
@@ -246,11 +257,11 @@ class TestRecordsStayUnbuilt:
         assert src_formula(d, cat) > 0
         assert self.built(d, a, cat) == set()
         # the probe sees a view once it is read
-        d.blocks, cat.segments, a.opp_vertex
+        d.blocks, a.opp_vertex
         assert self.built(d, a, cat) == self.VIEWS
 
     def test_canonical_partition_builds_no_view(self, cactus):
-        # the partition reads the catalog's walks, not its segment records
+        # the partition reads the catalog's walks, not the Block or antipodal-map views
         d = decompose(cactus)
         a = build_antipodal_index(d)
         cat = enumerate_segments(d, a)

@@ -2,18 +2,32 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
-from conftest import cycle_edges
+from conftest import cycle_edges, eid
 
-from rainbow_cactus import Graph, Path, build_graph
+from rainbow_cactus import (
+    GenSpec,
+    Graph,
+    GraphClass,
+    Path,
+    build_antipodal_index,
+    build_graph,
+    decompose,
+    enumerate_segments,
+    generate,
+    src_formula,
+)
 from rainbow_cactus import selftest as st
 from rainbow_cactus.partition import BlackWhitePartition
+from rainbow_cactus.segments import SegmentClass, trails
 from rainbow_cactus.selftest import (
     InvariantViolation,
     check_graph_core,
     check_instance,
+    check_segments,
     check_shortest_paths,
 )
 
@@ -60,3 +74,76 @@ def test_black_pair_off_every_shortest_path(triangle):
 def test_edge_missing_from_an_adjacency_list():
     g = Graph(3, ((0, 1), (1, 2)), (((1, 0),), ((0, 0), (2, 1)), ()), (0, 1, 2))
     assert violated(check_graph_core, g) == "edge_in_two_adjacency_lists"
+
+
+def segment_args(g):
+    """check_segments' arguments for g: the graph, its decomposition,
+    antipodal index, forward catalog and src."""
+    d = decompose(g)
+    a = build_antipodal_index(d)
+    cat = enumerate_segments(d, a)
+    return g, d, a, cat, src_formula(d, cat)
+
+
+def relabelled_trails(klass_map=None, edge_map=None):
+    """A segment decoder that renames classes and edge ids after `trails`."""
+    klass_map, edge_map = klass_map or {}, edge_map or {}
+
+    def decode(walk):
+        for klass, trail in trails(walk):
+            yield klass_map.get(klass, klass), tuple(
+                (kind, edge_map.get(x, x) if kind == "e" else x) for kind, x in trail
+            )
+
+    return decode
+
+
+def test_segment_check_passes_at_size():
+    g = generate(GenSpec(seed=20260810, target_vertices=10_000, cycle_lengths=(3, 5, 7, 9),
+                         pendant_probability=0.35))
+    args = segment_args(g)
+    assert args[1].classification.tag is GraphClass.GENERAL_ODD_CACTUS
+    check_segments(*args)
+
+
+def test_catalog_counts_off_the_segments(sample_cactus):
+    g, d, a, cat, k = segment_args(sample_cactus)
+    assert cat.counts == (1, 2, 2, 1)
+    doctored = replace(cat, counts=(2, 1, 2, 1))
+    assert violated(check_segments, g, d, a, doctored, k) == "counts_match_views"
+
+
+def test_pivot_off_the_antipodal_view(sample_cactus):
+    g, d, a, cat, k = segment_args(sample_cactus)
+    e7, e2 = eid["e7"], eid["e2"]
+    doctored = replace(a, pivot={**a.pivot, e7: a.pivot[e2]})
+    assert violated(check_segments, g, d, doctored, cat, k) == "counts_match_views"
+
+
+def test_segment_edge_from_another_cycle(sample_cactus, monkeypatch):
+    # e4 (7-cycle) and e11 (triangle) trade places: the held edges and the
+    # class counts stay the same, but each cycle now holds the other's edge
+    monkeypatch.setattr(st, "trails", relabelled_trails(edge_map={eid["e4"]: eid["e11"],
+                                                                   eid["e11"]: eid["e4"]}))
+    assert violated(check_segments, *segment_args(sample_cactus)) == "cycle_edges_partitioned"
+
+
+def test_antipodal_image_of_another_class(monkeypatch):
+    # a 9-cycle with cut vertices 1 and 3 has one segment of each class; with
+    # S1 and S2 renamed the counts still hold, but S4 is no image of an S2
+    g = build_graph([(i, i + 1) for i in range(1, 9)] + [(9, 1), (1, 10), (3, 11)])
+    swap = {SegmentClass.S1: SegmentClass.S2, SegmentClass.S2: SegmentClass.S1}
+    monkeypatch.setattr(st, "trails", relabelled_trails(klass_map=swap))
+    assert violated(check_segments, *segment_args(g)) == "antipodal_image_class"
+
+
+def test_reversal_that_keeps_s2(sample_cactus, monkeypatch):
+    monkeypatch.setattr(st, "_REVERSED", {k: k for k in SegmentClass})
+    assert violated(check_segments, *segment_args(sample_cactus)) == "reversal_swaps_s2_s3_only"
+
+
+def test_start_vertex_that_changes_the_segments(sample_cactus, monkeypatch):
+    # the walk from the second cut vertex runs the other way round
+    walk = st._walk
+    monkeypatch.setattr(st, "_walk", lambda b, vs, es, pattern, s, rev: walk(b, vs, es, pattern, s, not rev))
+    assert violated(check_segments, *segment_args(sample_cactus)) == "start_vertex_invariant"
