@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import combinations, compress
 
 from .decomposition import Decomposition
 from .errors import InvariantError, NotAntipodalEdgeError, PartialColoringError, TooLargeError
@@ -76,8 +77,9 @@ def _repeated_color(edge_ids, colors) -> int | None:
     return None
 
 
-def _bfs_parents(g: Graph, source: int) -> tuple[list[int], list[int]]:
-    """Parent vertex and parent edge per vertex of the BFS tree from source.
+def _bfs_tree(g: Graph, source: int = 0) -> tuple[list[int], list[int], list[int]]:
+    """Parent vertex and parent edge per vertex of the BFS tree from source,
+    and the visit order; the source is its own parent, through edge -1.
 
     Each parent chain is a shortest path to the source; in a geodetic graph
     it is the only one.
@@ -95,7 +97,17 @@ def _bfs_parents(g: Graph, source: int) -> tuple[list[int], list[int]]:
                 par_v[w] = x
                 par_e[w] = eid
                 order.append(w)
-    return par_v, par_e
+    return par_v, par_e, order
+
+
+def _depths(par_v: list[int], order: list[int]) -> list[int]:
+    """The BFS distances of a `_bfs_tree`, each vertex one below its parent.
+    A pass of its own: holding them in the BFS loop slows the per-source
+    BFS of `_bfs_walks`, which needs no distances."""
+    dist = [0] * len(par_v)
+    for x in order[1:]:
+        dist[x] = dist[par_v[x]] + 1
+    return dist
 
 
 def _dense_colors(colors) -> tuple[list[int], int]:
@@ -191,8 +203,10 @@ def verify_strong_rainbow(
     entry = [0] * n
     pos = [0] * k
     pathc = [-1] * n  # pathc[0] is never a color, so pos[c] = 0 never matches
+    par_v, par_e, order = _bfs_tree(g)
+    dist0 = _depths(par_v, order)
     for u in range(n - 1):
-        dist = _bfs_dist(g, u)
+        dist = _bfs_dist(g, u) if u else dist0
         seen[u] = u
         stack = []
         for w, eid in adj[u]:
@@ -222,40 +236,98 @@ def verify_strong_rainbow(
                     if failed:
                         return failed
         if u == 0:
-            layout = _odd_cactus(g, dist)
-            if layout is not None and _cactus_rainbow(layout, dense, k):
+            cactus = _odd_cactus(g, dist0, par_v, par_e)
+            if cactus is not None and _cactus_rainbow(cactus, dense, k):
                 break
     return VerificationOutcome(True, None)
 
 
 @dataclass(frozen=True)
-class _CactusLayout:
-    """An odd cactus's blocks in preorder from vertex 0, as per-edge arrays.
+class _OddCactus:
+    """An odd cactus's blocks, read off the BFS tree from vertex 0.
 
-    Each block's edges hold a run of slots 0..m-1, a cycle's in cycle order
-    from its top (its vertex nearest vertex 0), and a block's run comes
-    after its parent's and before its own subtree's. So a block's subtree
-    is a slot range, and so are the blocks below any vertex: those hanging
-    there and their subtrees. Edge e "sees" the blocks that are reached
-    from its block through its pivot, the vertex of its cycle opposite e:
-    no geodesic holds e and an edge of such a block. For an "up" edge,
-    `up[e]`, the pivot is its block's top, [seen_lo[e], seen_hi[e]) is the
-    block's subtree and e sees every block outside it. For any other edge
-    the range holds the blocks below its pivot, which e sees; it is empty
-    for a bridge and for a pivot where nothing hangs.
+    `verts[b]` holds block b's vertices from its top, the one nearest vertex
+    0, and `edges[b]` its edges in that order, edge i joining vertices i and
+    i + 1 (mod the length). Vertex x > 0 has its tree edge in block
+    `block[x]`, whose top is `top[x]` at depth `top_depth[x]`; on a cycle,
+    x is vertex `pos[x]`. Vertex 0 has block -1 and top depth -1.
     """
 
-    slot: list[int]
+    par_v: list[int]
+    par_e: list[int]
+    verts: list[list[int]]
+    edges: list[list[int]]
     block: list[int]
-    block_len: list[int]
-    seen_lo: list[int]
-    seen_hi: list[int]
-    up: bytearray
+    pos: list[int]
+    top: list[int]
+    top_depth: list[int]
+
+    def layout(self):
+        """The blocks in preorder from vertex 0, as per-edge arrays: slot,
+        block, block length, seen_lo, seen_hi and up.
+
+        Each block's edges hold a run of slots 0..m-1, a cycle's in cycle
+        order from its top, and a block's run comes after its parent's and
+        before its own subtree's. So a block's subtree is a slot range, and
+        so are the blocks below any vertex: those hanging there and their
+        subtrees. Edge e "sees" the blocks that are reached from its block
+        through its pivot, the vertex of its cycle opposite e: no geodesic
+        holds e and an edge of such a block. For an "up" edge, `up[e]`, the
+        pivot is its block's top, [seen_lo[e], seen_hi[e]) is the block's
+        subtree and e sees every block outside it. For any other edge the
+        range holds the blocks below its pivot, which e sees; it is empty
+        for a bridge and for a pivot where nothing hangs.
+        """
+        verts, block_edges = self.verts, self.edges
+        hanging: list[list[int]] = [[] for _ in self.block]
+        for b, vs in enumerate(verts):
+            hanging[vs[0]].append(b)
+
+        # preorder by an explicit stack of blocks: a block takes the next
+        # slots, then come the blocks hanging at its lower vertices, one
+        # vertex's together; ~b closes block b once all below it have slots
+        nb = len(verts)
+        first, stop = [0] * nb, [0] * nb
+        t = 0
+        stack = list(hanging[0])
+        while stack:
+            b = stack.pop()
+            if b < 0:
+                stop[~b] = t
+                continue
+            first[b] = t
+            t += len(block_edges[b])
+            stack.append(~b)
+            for w in verts[b][1:]:
+                stack += hanging[w]
+
+        m = t  # each edge is in one block
+        slot, block = [0] * m, [0] * m
+        seen_lo, seen_hi, up = [0] * m, [0] * m, bytearray(m)
+        for b, es in enumerate(block_edges):
+            length = len(es)
+            vs = verts[b]
+            for i, e in enumerate(es):
+                slot[e] = first[b] + i
+                block[e] = b
+                if length > 1:
+                    # the edge at position i joins positions i and i + 1;
+                    # the vertex (length - 1) / 2 positions behind it is
+                    # opposite
+                    j = (i - length // 2) % length
+                    if j == 0:
+                        up[e] = 1
+                        seen_lo[e], seen_hi[e] = first[b], stop[b]
+                    elif hanging[vs[j]]:
+                        # popped last to first, so the first block ends the range
+                        below = hanging[vs[j]]
+                        seen_lo[e], seen_hi[e] = first[below[-1]], stop[below[0]]
+        return slot, block, [len(es) for es in block_edges], seen_lo, seen_hi, up
 
 
-def _odd_cactus(g: Graph, dist: list[int]) -> _CactusLayout | None:
-    """The layout of g's blocks if g is an odd cactus, else None; `dist`
-    holds the BFS distances from vertex 0.
+def _odd_cactus(g: Graph, dist: list[int], par_v: list[int], par_e: list[int]) -> _OddCactus | None:
+    """g's blocks if g is an odd cactus, else None, from the BFS tree from
+    vertex 0 (`_bfs_tree`) and its depths.
 
     Each non-tree edge (a, b) of a BFS tree closes one fundamental cycle,
     the tree paths from a and b up to where they meet. g is a cactus iff
@@ -263,97 +335,59 @@ def _odd_cactus(g: Graph, dist: list[int]) -> _CactusLayout | None:
     b are always equally deep. The walk stops at the first tree edge it
     meets twice, so it costs O(n + m). Shares no code with `decompose`.
     """
-    n, edges, adj = g.vertex_count, g.edges, g.adjacency
-    m = len(edges)
-    par_v = [0] * n
-    par_e = [-1] * n
-    for w in range(1, n):
-        want = dist[w] - 1
-        for x, eid in adj[w]:
-            if dist[x] == want:
-                par_v[w] = x
-                par_e[w] = eid
-                break
-    in_tree = bytearray(m)
+    n, edges = g.vertex_count, g.edges
+    closing = bytearray(b"\x01") * len(edges)
     for e in par_e[1:]:
-        in_tree[e] = 1
-    # each block's vertices from its top and its edges in the same order;
-    # on_cycle[x] says that a cycle holds the tree edge up from x
+        closing[e] = 0
     verts: list[list[int]] = []
     block_edges: list[list[int]] = []
-    on_cycle = bytearray(n)
-    for e, (a, b) in enumerate(edges):
-        if in_tree[e]:
-            continue
+    # block[x] >= 0 says that a block already holds the tree edge up from x
+    block = [-1] * n
+    pos = [0] * n
+    top = [0] * n
+    top_depth = [-1] * n
+    for e in compress(range(len(edges)), closing):
+        a, b = edges[e]
         if dist[a] != dist[b]:
             return None  # an even cycle
+        c = len(verts)
         down, rise = [], []
         while a != b:
-            if on_cycle[a] or on_cycle[b]:
+            if block[a] >= 0 or block[b] >= 0:
                 return None  # a tree edge on two cycles
-            on_cycle[a] = on_cycle[b] = 1
+            block[a] = block[b] = c
             down.append(a)
             rise.append(b)
             a, b = par_v[a], par_v[b]
         down.reverse()
-        verts.append([a, *down, *rise])
+        vs = [a, *down, *rise]
+        verts.append(vs)
         block_edges.append([par_e[x] for x in down] + [e] + [par_e[x] for x in rise])
+        depth = dist[a]
+        for i in range(1, len(vs)):
+            x = vs[i]
+            pos[x] = i
+            top[x] = a
+            top_depth[x] = depth
     for w in range(1, n):
-        if not on_cycle[w]:
-            verts.append([par_v[w], w])
+        if block[w] < 0:
+            x = par_v[w]
+            block[w] = len(verts)
+            top[w] = x
+            top_depth[w] = dist[x]
+            verts.append([x, w])
             block_edges.append([par_e[w]])
-    hanging: list[list[int]] = [[] for _ in range(n)]
-    for b, vs in enumerate(verts):
-        hanging[vs[0]].append(b)
-
-    # preorder by an explicit stack of blocks: a block takes the next slots,
-    # then come the blocks hanging at its lower vertices, one vertex's
-    # together; ~b closes block b once all below it have their slots
-    nb = len(verts)
-    first, stop = [0] * nb, [0] * nb
-    t = 0
-    stack = list(hanging[0])
-    while stack:
-        b = stack.pop()
-        if b < 0:
-            stop[~b] = t
-            continue
-        first[b] = t
-        t += len(block_edges[b])
-        stack.append(~b)
-        for w in verts[b][1:]:
-            stack += hanging[w]
-
-    slot, block = [0] * m, [0] * m
-    seen_lo, seen_hi, up = [0] * m, [0] * m, bytearray(m)
-    for b, es in enumerate(block_edges):
-        length = len(es)
-        vs = verts[b]
-        for i, e in enumerate(es):
-            slot[e] = first[b] + i
-            block[e] = b
-            if length > 1:
-                # the edge at position i joins positions i and i + 1; the
-                # vertex (length - 1) / 2 positions behind it is opposite
-                j = (i - length // 2) % length
-                if j == 0:
-                    up[e] = 1
-                    seen_lo[e], seen_hi[e] = first[b], stop[b]
-                elif hanging[vs[j]]:
-                    # popped last to first, so the first block ends the range
-                    below = hanging[vs[j]]
-                    seen_lo[e], seen_hi[e] = first[below[-1]], stop[below[0]]
-    return _CactusLayout(slot, block, [len(es) for es in block_edges], seen_lo, seen_hi, up)
+    return _OddCactus(par_v, par_e, verts, block_edges, block, pos, top, top_depth)
 
 
-def _cactus_rainbow(layout: _CactusLayout, dense: list[int], k: int) -> bool:
+def _cactus_rainbow(cactus: _OddCactus, dense: list[int], k: int) -> bool:
     """Whether a coloring of an odd cactus is strong rainbow.
 
     An odd cactus is geodetic, so a coloring is strong rainbow iff no two
     edges of one color lie on a common geodesic. Two edges e, f of one odd
     cycle of length L do so iff one way round the cycle they are fewer than
     (L - 1) / 2 positions apart. Two edges in different blocks do unless e
-    sees f's block or f sees e's (`_CactusLayout`). Per color class, the
+    sees f's block or f sees e's (`_OddCactus.layout`). Per color class, the
     "good" cross-block pairs are the pairs (e, f) where e sees f, less those
     where each sees the other: an up edge below the pivot of an edge that is
     not up, or two up edges in blocks neither of which holds the other. The
@@ -361,7 +395,7 @@ def _cactus_rainbow(layout: _CactusLayout, dense: list[int], k: int) -> bool:
     pairs, as no class has more good pairs than cross-block ones. Counted
     by bisection in sorted (color, slot) keys, so O(m log m).
     """
-    slot, block, length = layout.slot, layout.block, layout.block_len
+    slot, block, length, seen_lo, seen_hi, up = cactus.layout()
     m = len(slot)
     size = [0] * k
     for c in dense:
@@ -388,10 +422,8 @@ def _cactus_rainbow(layout: _CactusLayout, dense: list[int], k: int) -> bool:
         if at - slot[shared[i - 1]] < half or at - slot[shared[start]] > half + 1:
             return False
 
-    up = layout.up
     keys = [key[e] for e in shared]
     up_keys = [key[e] for e in shared if up[e]]
-    seen_lo, seen_hi = layout.seen_lo, layout.seen_hi
     sees = 0  # pairs (e, f) where e sees f
     mutual = 0  # pairs of an edge that is not up and an up edge it sees
     nested = 0  # pairs of up edges (e, f), f in e's block or below it
@@ -423,21 +455,43 @@ def _cactus_rainbow(layout: _CactusLayout, dense: list[int], k: int) -> bool:
     return 2 * (sees - mutual) - up_apart == cross
 
 
+# The route rule of `verify_pairs`, from timings of both routes on generated
+# odd cacti of 300 to 100,000 vertices: the tree pass and the recogniser
+# cost about _TREE_PASS BFS runs, and a structural pair walk costs more than
+# a BFS-tree walk by what a BFS spends on 9 to 21 vertices and edges.
+_TREE_PASS = 4
+_PAIR_COST = 16
+
+
 def verify_pairs(g: Graph, coloring: EdgeColoring, pairs) -> VerificationOutcome:
     """Spot-check specific vertex pairs, as exactly as `verify_strong_rainbow`.
 
-    Pairs are grouped by source so each source costs one BFS; useful at sizes
-    where the full pair enumeration is out of reach. Sources are checked in
-    ascending order, each source's targets in the given order. Each target
-    walks its parent chain in the BFS tree, a shortest path, back to the
-    source, which costs less than a pass over the graph when a source has
-    few targets. A walk marks the colors it meets in `stamp` with its own
-    tick, so nothing is cleared between walks, and a target listed twice
-    never sees its own earlier marks. Only a pair whose tree path repeats a
-    color goes to `_settle`. Raises ValueError for a vertex id outside
-    0..n-1.
+    Sources are checked in ascending order, each source's targets in the
+    given order; the first failing pair is the witness. On an odd cactus,
+    once (sources - _TREE_PASS) * (n + m) > _PAIR_COST * pairs (distinct
+    sources, pairs with u != v), the structural walks run: one BFS tree
+    from vertex 0 and the recogniser, O(n + m), then O(d(u, v)) per pair
+    (`_cactus_walks`). Otherwise the BFS walks run: one BFS per source,
+    O(n + m) each, then O(d(u, v)) per pair (`_bfs_walks`), exact on any
+    graph. A pair whose walked path repeats a color goes to `_settle`, so
+    both routes give the same witness. Raises ValueError for a vertex id
+    outside 0..n-1, before any BFS.
     """
     colors = _total_colors(g, coloring)
+    by_source = _by_source(g, pairs)
+    count = sum(map(len, by_source.values()))
+    cactus = None
+    if (len(by_source) - _TREE_PASS) * (g.vertex_count + g.edge_count) > _PAIR_COST * count:
+        par_v, par_e, order = _bfs_tree(g)
+        cactus = _odd_cactus(g, _depths(par_v, order), par_v, par_e)
+    if cactus is None:
+        return _bfs_walks(g, colors, by_source)
+    return _cactus_walks(g, cactus, colors, by_source)
+
+
+def _by_source(g: Graph, pairs) -> dict[int, list[int]]:
+    """The targets of each source, in the given order, without u == v pairs;
+    raises ValueError for a vertex id outside 0..n-1."""
     n = g.vertex_count
     by_source: dict[int, list[int]] = {}
     for u, v in pairs:
@@ -446,11 +500,19 @@ def verify_pairs(g: Graph, coloring: EdgeColoring, pairs) -> VerificationOutcome
                 raise ValueError(f"invalid vertex {x}")
         if u != v:
             by_source.setdefault(u, []).append(v)
+    return by_source
+
+
+def _bfs_walks(g: Graph, colors, by_source: dict[int, list[int]]) -> VerificationOutcome:
+    """The pairs checked on one BFS tree per source: each target walks its
+    parent chain, a shortest path, back to the source. A walk marks the
+    colors it meets in `stamp` with its own tick, so nothing is cleared
+    between walks and a target listed twice never sees its earlier marks."""
     dense, k = _dense_colors(colors)
     stamp = [0] * k
     tick = 0
     for u in sorted(by_source):
-        par_v, par_e = _bfs_parents(g, u)
+        par_v, par_e, order = _bfs_tree(g, u)
         du = None
         for v in by_source[u]:
             tick += 1
@@ -458,14 +520,68 @@ def verify_pairs(g: Graph, coloring: EdgeColoring, pairs) -> VerificationOutcome
             while x != u:
                 c = dense[par_e[x]]
                 if stamp[c] == tick:
-                    if du is None:
-                        du = _bfs_dist(g, u)
+                    du = du or _depths(par_v, order)
                     failed = _settle(g, du, colors, u, v)
                     if failed:
                         return failed
                     break
                 stamp[c] = tick
                 x = par_v[x]
+    return VerificationOutcome(True, None)
+
+
+def _cactus_walks(
+    g: Graph, cactus: _OddCactus, colors, by_source: dict[int, list[int]]
+) -> VerificationOutcome:
+    """The pairs of an odd cactus checked along their unique geodesics.
+
+    The geodesic from x to y is walked from both ends at once. If x and y
+    lie below the top of one cycle and the shorter arc between their
+    positions, unique as the cycle is odd, keeps off the top, that arc is
+    the rest of it. Otherwise it leaves the block of the end whose block
+    top is deeper (either end on a tie) through that top, by the tree path,
+    the shorter way round. A walk marks colors as `_bfs_walks` does and
+    costs O(d(u, v)).
+    """
+    dense, k = _dense_colors(colors)
+    par_v, par_e, block_edges = cactus.par_v, cactus.par_e, cactus.edges
+    block, pos, top, top_depth = cactus.block, cactus.pos, cactus.top, cactus.top_depth
+    stamp = [0] * k
+    tick = 0
+    for u in sorted(by_source):
+        for v in by_source[u]:
+            tick += 1
+            x, y = u, v
+            repeat = False
+            while x != y and not repeat:
+                b = block[x]
+                if b == block[y]:
+                    i, j = pos[x], pos[y]
+                    if i > j:
+                        i, j = j, i
+                    arc = block_edges[b]
+                    if 2 * (j - i) < len(arc):
+                        for e in arc[i:j]:
+                            c = dense[e]
+                            if stamp[c] == tick:
+                                repeat = True
+                                break
+                            stamp[c] = tick
+                        break
+                if top_depth[x] < top_depth[y]:
+                    x, y = y, x
+                t = top[x]
+                while x != t:
+                    c = dense[par_e[x]]
+                    if stamp[c] == tick:
+                        repeat = True
+                        break
+                    stamp[c] = tick
+                    x = par_v[x]
+            if repeat:
+                failed = _settle(g, _bfs_dist(g, u), colors, u, v)
+                if failed:
+                    return failed
     return VerificationOutcome(True, None)
 
 
@@ -550,19 +666,30 @@ def brute_force_search(g: Graph, max_edges: int = 9) -> BruteForceResult:
                 pair_paths.append(tuple(p.edges for p in _geodesics(g, du, u, v)))
     # most constrained pairs first, so bad colorings fail fast
     pair_paths.sort(key=lambda ps: (-len(ps[0]), ps))
+    # a pair with one geodesic only needs its edges apart in color, so those
+    # pairs become one list of edge pairs, the longest geodesics' first
+    conflicts: dict[tuple[int, int], None] = {}
+    several = []
+    for paths in pair_paths:
+        if len(paths) > 1:
+            several.append(paths)
+        else:
+            conflicts.update(dict.fromkeys(combinations(sorted(paths[0]), 2)))
 
     checked = 0
     lo = max(1, len(_bridges_by_deletion(g)))
     for k in range(lo, m + 1):
         for colors in _partition_colorings(m, k):
             checked += 1
-            ok = True
-            for paths in pair_paths:
-                if not any(len({colors[e] for e in pe}) == len(pe) for pe in paths):
-                    ok = False
+            for e, f in conflicts:
+                if colors[e] == colors[f]:
                     break
-            if ok:
-                return BruteForceResult(k, checked, EdgeColoring(k, colors))
+            else:
+                for paths in several:
+                    if not any(len({colors[e] for e in pe}) == len(pe) for pe in paths):
+                        break
+                else:
+                    return BruteForceResult(k, checked, EdgeColoring(k, colors))
     raise AssertionError("unreachable: m distinct colors always verify")
 
 

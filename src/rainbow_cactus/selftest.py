@@ -24,6 +24,10 @@ from .errors import InvalidSpecError
 from .generator import GenSpec, generate
 from .graph import Graph, _bfs_dist, _geodesics, bfs_distances, build_graph, gc_paused
 from .oracle import (
+    _bfs_tree,
+    _by_source,
+    _cactus_walks,
+    _depths,
     _odd_cactus,
     assert_line18_choice,
     brute_force_search,
@@ -394,8 +398,9 @@ def check_recogniser(g: Graph, accepted: bool) -> None:
         chorded = build_graph([*map(g.edge_label_pair, range(g.edge_count)), (lab[0], lab[-1])])
         graphs.append((chorded, decompose(chorded).classification.accepted))
     for h, want in graphs:
+        par_v, par_e, order = _bfs_tree(h)
         _require(
-            (_odd_cactus(h, _bfs_dist(h, 0)) is not None) == want,
+            (_odd_cactus(h, _depths(par_v, order), par_v, par_e) is not None) == want,
             "recogniser_matches_classification",
             f"n={h.vertex_count} m={h.edge_count} accepted={want}",
         )
@@ -423,9 +428,14 @@ def check_verify_loops_agree(g: Graph, coloring: EdgeColoring) -> None:
     one planted fault: the first edge colored unlike edge 0 takes its color,
     or a fault at vertex n - 1 (`_fault_at_last_vertex`), which the scan
     from vertex 0 need not meet, so the structural check on an odd cactus
-    fails and the scan resumes at vertex 1."""
+    fails and the scan resumes at vertex 1. On these pairs `verify_pairs`
+    takes its BFS walks; its structural walks must agree with them
+    (pair_routes_agree)."""
     n = g.vertex_count
     pairs = [(u, v) for u in range(n - 1) for v in range(u + 1, n)]
+    by_source = _by_source(g, pairs)
+    par_v, par_e, order = _bfs_tree(g)
+    cactus = _odd_cactus(g, _depths(par_v, order), par_v, par_e)
     faulty = list(coloring.color)
     other = next((e for e, c in enumerate(faulty) if c != faulty[0]), 0)
     faulty[other] = faulty[0]
@@ -435,6 +445,8 @@ def check_verify_loops_agree(g: Graph, coloring: EdgeColoring) -> None:
         full = verify_strong_rainbow(g, c)
         spot = verify_pairs(g, c, pairs)
         _require(full == spot, "verify_loops_agree", f"{full} vs {spot}")
+        walked = None if cactus is None else _cactus_walks(g, cactus, c.color, by_source)
+        _require(walked == spot, "pair_routes_agree", f"{walked} vs {spot}")
 
 
 def check_instance(g: Graph) -> SrcResult:

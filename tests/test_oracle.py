@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from conftest import c5_plus_pendant_edges, cycle_edges, k4_edges, path_edges
 
+import rainbow_cactus
 from rainbow_cactus import (
     EdgeColoring,
     GenSpec,
@@ -20,13 +25,24 @@ from rainbow_cactus import (
     enumerate_segments,
     generate,
     strong_rainbow_coloring,
+    unique_shortest_path,
     verify_pairs,
     verify_strong_rainbow,
 )
 from rainbow_cactus import oracle
 from rainbow_cactus.errors import PartialColoringError, TooLargeError
 from rainbow_cactus.graph import _bfs_dist
-from rainbow_cactus.oracle import _cactus_rainbow, _dense_colors, _odd_cactus, _partition_colorings
+from rainbow_cactus.oracle import (
+    _bfs_tree,
+    _bfs_walks,
+    _by_source,
+    _cactus_rainbow,
+    _cactus_walks,
+    _dense_colors,
+    _depths,
+    _odd_cactus,
+    _partition_colorings,
+)
 
 
 def algorithm_coloring(g):
@@ -286,22 +302,54 @@ def all_pairs(g):
     return [(u, v) for u in range(n - 1) for v in range(u + 1, n)]
 
 
+def recognise(g):
+    par_v, par_e, order = _bfs_tree(g)
+    return _odd_cactus(g, _depths(par_v, order), par_v, par_e)
+
+
 def structural(g, colors):
     """The structural decision alone; None when g is not an odd cactus."""
-    layout = _odd_cactus(g, _bfs_dist(g, 0))
-    return None if layout is None else _cactus_rainbow(layout, *_dense_colors(colors))
+    cactus = recognise(g)
+    return None if cactus is None else _cactus_rainbow(cactus, *_dense_colors(colors))
+
+
+def bfs_walks(g, coloring, pairs):
+    """`verify_pairs` on its BFS-walk route, whatever the route rule picks."""
+    return _bfs_walks(g, coloring.color, _by_source(g, pairs))
+
+
+def cactus_walks(g, coloring, pairs):
+    """`verify_pairs` on its structural route; g must be an odd cactus."""
+    return _cactus_walks(g, recognise(g), coloring.color, _by_source(g, pairs))
 
 
 def assert_routes_agree(g, colors, cactus=True):
-    """The structural decision (on an odd cactus) matches the per-pair walks
-    over all pairs, and `verify_strong_rainbow` matches them in outcome and
+    """The structural decision (on an odd cactus) matches the BFS walks over
+    all pairs, and `verify_strong_rainbow` matches them in outcome and
     witness; returns whether the coloring passes."""
     coloring = EdgeColoring(max(colors), tuple(colors))
-    walks = verify_pairs(g, coloring, all_pairs(g))
+    walks = bfs_walks(g, coloring, all_pairs(g))
     full = verify_strong_rainbow(g, coloring)
     assert witness_tuple(full) == witness_tuple(walks), (g.edges, colors)
     assert structural(g, colors) == (walks.ok if cactus else None), (g.edges, colors)
     return walks.ok
+
+
+def count_bfs(monkeypatch):
+    """The sources of the BFS runs in the oracle from here on, distances
+    alone (`_bfs_dist`) or with the tree (`_bfs_tree`)."""
+    calls = []
+
+    def counted(run):
+        def wrapped(graph, source=0):
+            calls.append(source)
+            return run(graph, source)
+
+        return wrapped
+
+    monkeypatch.setattr(oracle, "_bfs_dist", counted(_bfs_dist))
+    monkeypatch.setattr(oracle, "_bfs_tree", counted(_bfs_tree))
+    return calls
 
 
 def theta_edges():
@@ -419,7 +467,7 @@ class TestStructuralVerifier:
     @pytest.mark.parametrize("name", sorted(NON_CACTI))
     def test_non_cacti_keep_the_scan(self, name):
         g = build_graph(NON_CACTI[name])
-        assert _odd_cactus(g, _bfs_dist(g, 0)) is None
+        assert recognise(g) is None
         rng = random.Random(name)
         m = g.edge_count
         pairs = all_pairs(g)
@@ -442,7 +490,7 @@ class TestStructuralVerifier:
             g = with_vertex_zero(build_graph(sorted(edges)), rng.randrange(n))
             want = decompose(g).classification.accepted
             accepted += want
-            assert (_odd_cactus(g, _bfs_dist(g, 0)) is not None) == want, g.edges
+            assert (recognise(g) is not None) == want, g.edges
         assert 100 <= accepted <= 500, accepted
 
     def test_optimal_coloring_costs_one_bfs(self, monkeypatch):
@@ -450,13 +498,7 @@ class TestStructuralVerifier:
         g = generate(spec)
         assert g.vertex_count >= 500
         coloring = algorithm_coloring(g)
-        calls = []
-
-        def counted(graph, source):
-            calls.append(source)
-            return _bfs_dist(graph, source)
-
-        monkeypatch.setattr(oracle, "_bfs_dist", counted)
+        calls = count_bfs(monkeypatch)
         assert verify_strong_rainbow(g, coloring).ok
         assert calls == [0]
 
@@ -480,6 +522,151 @@ class TestVerifyPairs:
         g = build_graph([(0, 1), (1, 2), (2, 0), (2, 3)])
         with pytest.raises(ValueError, match="invalid vertex"):
             verify_pairs(g, EdgeColoring(2, (1, 1, 1, 2)), [(0, 1), pair])
+
+
+def relabelled(g, rng):
+    """g with its vertex ids shuffled, edge order kept, so that a coloring
+    keeps its edge ids."""
+    ids = list(range(g.vertex_count))
+    rng.shuffle(ids)
+    return build_graph([(ids[a], ids[b]) for a, b in g.edges])
+
+
+def fault_on_geodesic(rng, g, colors, u, v):
+    """Give a second edge of the u,v geodesic the color of a first; False
+    if the geodesic has fewer than two edges."""
+    edges = unique_shortest_path(g, u, v).edges
+    if len(edges) < 2:
+        return False
+    e, f = rng.sample(edges, 2)
+    colors[f] = colors[e]
+    return True
+
+
+def spot_cactus():
+    """The 521-vertex cactus of `test_optimal_coloring_costs_one_bfs` with
+    40 sources of 5 targets each, a call on the structural route."""
+    g = generate(GenSpec(seed=11, target_vertices=520, cycle_lengths=(3, 5, 7), pendant_probability=0.3))
+    rng = random.Random(5)
+    n = g.vertex_count
+    return g, [(u, rng.randrange(n)) for u in rng.sample(range(n), 40) for _ in range(5)]
+
+
+class TestStructuralWalks:
+    """On an odd cactus with enough sources `verify_pairs` recognises the
+    cactus from one BFS tree and walks each pair's geodesic block by block;
+    outcome and witness are those of the BFS walks."""
+
+    def test_routes_agree_on_relabelled_cacti(self):
+        rng = random.Random(20261022)
+        outcomes = {True: 0, False: 0}
+        for _ in range(36):
+            spec = GenSpec(
+                seed=rng.randrange(1 << 30),
+                target_vertices=int(10 ** rng.uniform(0.5, 3.5)),
+                cycle_lengths=rng.choice(((3,), (3, 5), (5, 7, 9), (3, 5, 7, 9))),
+                pendant_probability=rng.choice((0.0, 0.35, 0.7)),
+            )
+            g = relabelled(generate(spec), rng)
+            n = g.vertex_count
+            dist = _bfs_dist(g, 0)
+            deepest = sorted(range(n), key=dist.__getitem__)[-max(2, n // 20) :]
+            base = algorithm_coloring(g).color
+            for faults in range(4):
+                colors = list(base)
+                pairs = []
+                for i in range(faults):
+                    # odd-numbered faults lie between vertices far from vertex 0
+                    ends = rng.sample(deepest if i % 2 else range(n), 2) if n > 2 else [0, 1]
+                    if fault_on_geodesic(rng, g, colors, *ends):
+                        pairs += [tuple(ends), tuple(reversed(ends))]
+                sources = [rng.randrange(n) for _ in range(rng.randint(1, 12))]
+                pairs += [(u, rng.randrange(n)) for u in sources for _ in range(rng.randint(1, 6))]
+                pairs += [(x, x) for x in sources[:2]] + pairs[:3]
+                rng.shuffle(pairs)
+                coloring = EdgeColoring(max(colors), tuple(colors))
+                want = witness_tuple(bfs_walks(g, coloring, pairs))
+                outcomes[want is None] += 1
+                assert witness_tuple(cactus_walks(g, coloring, pairs)) == want, (spec, colors)
+                assert witness_tuple(verify_pairs(g, coloring, pairs)) == want, (spec, colors)
+        assert min(outcomes.values()) >= 30, outcomes
+
+    def test_invalid_vertex_raises_before_any_bfs(self, monkeypatch):
+        g, pairs = spot_cactus()
+        coloring = algorithm_coloring(g)
+        calls = count_bfs(monkeypatch)
+        for bad in ((0, g.vertex_count), (-1, 0)):
+            with pytest.raises(ValueError, match="invalid vertex"):
+                verify_pairs(g, coloring, pairs + [bad])
+        assert calls == []
+
+    def test_spot_check_costs_one_bfs_and_one_per_failure(self, monkeypatch):
+        g, pairs = spot_cactus()
+        coloring = algorithm_coloring(g)
+        calls = count_bfs(monkeypatch)
+        assert verify_pairs(g, coloring, pairs).ok
+        assert calls == [0]
+
+        colors = list(coloring.color)
+        u, v = max(pairs, key=lambda p: unique_shortest_path(g, *p).length)
+        assert fault_on_geodesic(random.Random(1), g, colors, u, v)
+        broken = EdgeColoring(max(colors), tuple(colors))
+        want = witness_tuple(bfs_walks(g, broken, pairs))
+        calls.clear()
+        got = verify_pairs(g, broken, pairs)
+        assert witness_tuple(got) == want
+        assert calls == [0, got.witness.u]
+
+    @pytest.mark.parametrize("sources, targets", [(4, None), (16, 250)])
+    def test_small_calls_take_the_bfs_walks(self, monkeypatch, sources, targets):
+        # the benchmark's small-batch shape (4 sources, n targets each) and
+        # its verify shape (16 sources, 250 targets each, ~1,000 vertices)
+        spec = GenSpec(seed=3, target_vertices=40 if targets is None else 1000,
+                       cycle_lengths=(3, 5, 7, 9), pendant_probability=0.35)
+        g = generate(spec)
+        n = g.vertex_count
+        rng = random.Random(sources)
+        chosen = rng.sample(range(1, n), sources)
+        pairs = [(u, rng.randrange(n)) for u in chosen for _ in range(targets or n)]
+        calls = count_bfs(monkeypatch)
+        assert verify_pairs(g, algorithm_coloring(g), pairs).ok
+        assert calls == sorted(chosen)
+
+    def test_same_outcome_under_python_O(self):
+        # the structural walk holds no assert: under -O it gives the same
+        # outcome and witness, on the optimal coloring and with a far fault
+        code = textwrap.dedent(
+            """
+            import random
+            from rainbow_cactus import EdgeColoring, GenSpec, analyze_graph, generate, verify_pairs
+            from rainbow_cactus import unique_shortest_path
+
+            g = generate(GenSpec(seed=11, target_vertices=520, cycle_lengths=(3, 5, 7), pendant_probability=0.3))
+            rng = random.Random(5)
+            n = g.vertex_count
+            pairs = [(u, rng.randrange(n)) for u in rng.sample(range(n), 40) for _ in range(5)]
+            colors = list(analyze_graph(g).result.coloring.color)
+            u, v = max(pairs, key=lambda p: unique_shortest_path(g, *p).length)
+            far = list(colors)
+            edges = unique_shortest_path(g, u, v).edges
+            far[edges[-1]] = far[edges[-2]]
+            for c in (colors, far):
+                out = verify_pairs(g, EdgeColoring(max(c), tuple(c)), pairs)
+                w = out.witness
+                print(out.ok, None if w is None else (w.u, w.v, w.path.vertices, w.repeated_color))
+            """
+        )
+        src_dir = os.path.dirname(os.path.dirname(rainbow_cactus.__file__))
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        runs = [
+            subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env)
+            for flags in ([], ["-O"])
+        ]
+        for proc in runs:
+            assert proc.returncode == 0, proc.stderr
+        assert runs[0].stdout == runs[1].stdout
+        ok, failed = runs[0].stdout.splitlines()
+        assert ok == "True None" and failed.startswith("False (")
 
 
 class TestBruteForce:

@@ -13,6 +13,8 @@ from rainbow_cactus import (
     Graph,
     GraphClass,
     Path,
+    VerificationOutcome,
+    analyze_graph,
     build_antipodal_index,
     build_graph,
     decompose,
@@ -29,6 +31,7 @@ from rainbow_cactus.selftest import (
     check_instance,
     check_segments,
     check_shortest_paths,
+    check_verify_loops_agree,
 )
 
 
@@ -147,3 +150,11 @@ def test_start_vertex_that_changes_the_segments(sample_cactus, monkeypatch):
     walk = st._walk
     monkeypatch.setattr(st, "_walk", lambda b, vs, es, pattern, s, rev: walk(b, vs, es, pattern, s, not rev))
     assert violated(check_segments, *segment_args(sample_cactus)) == "start_vertex_invariant"
+
+
+def test_structural_walk_that_misses_a_fault(sample_cactus, monkeypatch):
+    # the optimal coloring passes both routes; the BFS walks catch the
+    # planted fault that this structural walk lets through
+    monkeypatch.setattr(st, "_cactus_walks", lambda g, cactus, colors, by_source: VerificationOutcome(True))
+    coloring = analyze_graph(sample_cactus).result.coloring
+    assert violated(check_verify_loops_agree, sample_cactus, coloring) == "pair_routes_agree"
