@@ -10,8 +10,7 @@ coloring's choice of a color to reuse.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, compress
 
@@ -387,13 +386,26 @@ def _cactus_rainbow(cactus: _OddCactus, dense: list[int], k: int) -> bool:
     edges of one color lie on a common geodesic. Two edges e, f of one odd
     cycle of length L do so iff one way round the cycle they are fewer than
     (L - 1) / 2 positions apart. Two edges in different blocks do unless e
-    sees f's block or f sees e's (`_OddCactus.layout`). Per color class, the
-    "good" cross-block pairs are the pairs (e, f) where e sees f, less those
-    where each sees the other: an up edge below the pivot of an edge that is
-    not up, or two up edges in blocks neither of which holds the other. The
-    classes pass iff, summed over them, the good pairs are all cross-block
-    pairs, as no class has more good pairs than cross-block ones. Counted
-    by bisection in sorted (color, slot) keys, so O(m log m).
+    sees f's block or f sees e's (`_OddCactus.layout`). Per color class:
+
+    - An edge that is not up sees only blocks below its pivot, in its own
+      subtree, so the class's edges that are not up lie in blocks down one
+      chain of the block tree, each block below the pivot of the single
+      class edge in the block above it; two such edges of one block have
+      pivots with disjoint subtrees below them, so that block ends the
+      chain. Let D be the block of the deepest of them, the last in slot
+      order. A seen range is a union of whole subtrees, so they form such
+      a chain iff each of them outside D sees D.
+    - Up edges e, f of two blocks never meet on a geodesic: e sees f's
+      block unless that lies in e's subtree, and then f sees e's block,
+      which is above it. An up edge meets exactly the edges that are not
+      up strictly below its block, and on the chain one of them is there
+      iff D is, that is, iff the up edge does not see D.
+
+    So a class passes iff each of its edges outside D sees D, and each
+    pair in one block passes the cycle test.
+
+    O(m log m), for the sort into (color, slot) order.
     """
     slot, block, length, seen_lo, seen_hi, up = cactus.layout()
     m = len(slot)
@@ -422,37 +434,19 @@ def _cactus_rainbow(cactus: _OddCactus, dense: list[int], k: int) -> bool:
         if at - slot[shared[i - 1]] < half or at - slot[shared[start]] > half + 1:
             return False
 
-    keys = [key[e] for e in shared]
-    up_keys = [key[e] for e in shared if up[e]]
-    sees = 0  # pairs (e, f) where e sees f
-    mutual = 0  # pairs of an edge that is not up and an up edge it sees
-    nested = 0  # pairs of up edges (e, f), f in e's block or below it
-    for e in shared:
-        lo, hi = seen_lo[e], seen_hi[e]
-        if lo == hi:
-            continue
-        base = key[e] - slot[e]
-        lo += base
-        hi += base
-        inside = bisect_left(keys, hi) - bisect_left(keys, lo)
-        inside_up = bisect_left(up_keys, hi) - bisect_left(up_keys, lo)
-        if up[e]:
-            sees += size[dense[e]] - inside
-            nested += inside_up
-        else:
-            sees += inside
-            mutual += inside_up
-
-    # in ordered pairs with e != f: sum(class^2) - sum(run^2) cross blocks,
-    # and sum(up class^2) - sum(up run^2) up edges in different blocks, of
-    # which 2 * (nested - sum(up run^2)) nest
-    def squares(values) -> int:
-        return sum(x * x for x in Counter(values).values())
-
-    cross = sum(x * x for x in size if x > 1) - squares(run)
-    up_runs = [r for e, r in zip(shared, run) if up[e]]
-    up_apart = squares(dense[e] for e in shared if up[e]) + squares(up_runs) - 2 * nested
-    return 2 * (sees - mutual) - up_apart == cross
+    # each color from its last edge back, so that its deepest edge that is
+    # not up comes first; an up edge sees the blocks outside its seen
+    # range, any other edge those in it
+    deepest = [-1] * k
+    for e in reversed(shared):
+        c = dense[e]
+        d = deepest[c]
+        if d < 0:
+            if not up[e]:
+                deepest[c] = e
+        elif block[e] != block[d] and (seen_lo[e] <= slot[d] < seen_hi[e]) == up[e]:
+            return False
+    return True
 
 
 # The route rule of `verify_pairs`, from timings of both routes on generated
@@ -475,7 +469,7 @@ def verify_pairs(g: Graph, coloring: EdgeColoring, pairs) -> VerificationOutcome
     O(n + m) each, then O(d(u, v)) per pair (`_bfs_walks`), exact on any
     graph. A pair whose walked path repeats a color goes to `_settle`, so
     both routes give the same witness. Raises ValueError for a vertex id
-    outside 0..n-1, before any BFS.
+    that is not an int in 0..n-1, before any BFS.
     """
     colors = _total_colors(g, coloring)
     by_source = _by_source(g, pairs)
@@ -491,13 +485,14 @@ def verify_pairs(g: Graph, coloring: EdgeColoring, pairs) -> VerificationOutcome
 
 def _by_source(g: Graph, pairs) -> dict[int, list[int]]:
     """The targets of each source, in the given order, without u == v pairs;
-    raises ValueError for a vertex id outside 0..n-1."""
+    raises ValueError for a vertex id not of type int (True is a bool) or
+    outside 0..n-1."""
     n = g.vertex_count
     by_source: dict[int, list[int]] = {}
     for u, v in pairs:
-        for x in (u, v):
-            if not 0 <= x < n:
-                raise ValueError(f"invalid vertex {x}")
+        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+            bad = v if type(u) is int and 0 <= u < n else u
+            raise ValueError(f"invalid vertex {bad!r}")
         if u != v:
             by_source.setdefault(u, []).append(v)
     return by_source

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -410,6 +412,18 @@ class TestSelftest:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "selftest passed: 40 instances" in proc.stdout
+
+    def test_no_assert_statements_in_the_package(self):
+        # the `python -O` runs cover only the paths they happen to take; a
+        # check anywhere in the package must not be an assert
+        package = pathlib.Path(rainbow_cactus.__file__).parent
+        found = [
+            f"{path.relative_to(package)}:{node.lineno}"
+            for path in sorted(package.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
 
 
 class TestParserReuse:

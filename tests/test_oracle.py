@@ -377,6 +377,9 @@ class TestStructuralVerifier:
     def test_property_against_walks(self):
         rng = random.Random(20261020)
         outcomes = {True: 0, False: 0}
+        # greedy merges that pass, and those with a class whose edges that
+        # are not up lie in three or more blocks
+        kept = spread = 0
         for trial in range(300):
             g = generate(
                 GenSpec(
@@ -408,7 +411,29 @@ class TestStructuralVerifier:
             colorings += [merged, [rng.randint(1, palette) for _ in range(m)]]
             for colors in colorings:
                 outcomes[assert_routes_agree(g, colors)] += 1
+            # greedy merges: split each class of the optimum in two at
+            # random, which still passes, then merge the classes of two
+            # random edges, keeping each merge that still passes. (A merge
+            # of two classes of the optimum itself never passes.) This
+            # reaches passing colorings far from the optimum, some with a
+            # class on a chain of three or more blocks
+            k = max(base)
+            merged = [c + k * rng.randrange(2) for c in base]
+            _, block, _, _, _, up = recognise(g).layout()
+            for _ in range(12 if m > 1 else 0):
+                a, b = (merged[e] for e in rng.sample(range(m), 2))
+                colors = [a if c == b else c for c in merged]
+                if a == b or not assert_routes_agree(g, colors):
+                    continue
+                merged = colors
+                kept += 1
+                chains = {}
+                for e, c in enumerate(colors):
+                    if not up[e]:
+                        chains.setdefault(c, set()).add(block[e])
+                spread += max(map(len, chains.values()), default=0) >= 3
         assert min(outcomes.values()) >= 200, outcomes
+        assert kept >= 240 and spread >= 40, (kept, spread)
 
     def test_k2_and_trees(self):
         rng = random.Random(7)
@@ -463,6 +488,38 @@ class TestStructuralVerifier:
             colors[e] = colors[f]
             assert assert_routes_agree(g, colors) == ((e, f) != (0, 5))
 
+    @pytest.mark.parametrize(
+        "edges, passes",
+        [
+            ((0, 3, 6, 9), True),  # not up, A to B to C to D, each below the last pivot
+            ((0, 3, 13), False),  # F hangs at 3, not at 4, the pivot of edge 3
+            ((3, 5, 6), False),  # two edges of B, then C below B
+            ((0, 3, 5), True),  # two edges of B, with A above
+            ((1, 3), False),  # up edge of A over an edge of B
+            ((1, 4, 7, 11, 14), True),  # up edges only
+            ((3, 10), False),  # not up, in the sibling blocks B and E
+            ((4, 11), True),  # up, in the sibling blocks B and E
+        ],
+        ids=["chain", "off-pivot", "pair-above", "pair-below", "up-over", "up-up", "siblings", "up-siblings"],
+    )
+    def test_chain_rule_cases(self, edges, passes):
+        # from vertex 0, triangle A 0-1-2 (edges 0-2), triangle B 2-3-4
+        # hanging at 2 (edges 3-5), triangle C 4-5-6 at 4 (edges 6-8), the
+        # bridge D 6-7 (edge 9), triangle E 1-8-9 at 1 (edges 10-12) and
+        # triangle F 3-10-11 at 3 (edges 13-15). Each triangle's up edge is
+        # its middle one; edges 0, 3 and 6 face 2, 4 and 6. Whichever vertex
+        # is 0, a class passes or fails alike
+        cactus = build_graph(
+            [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (4, 5), (5, 6), (6, 4), (6, 7)]
+            + [(1, 8), (8, 9), (9, 1), (3, 10), (10, 11), (11, 3)]
+        )
+        assert list(recognise(cactus).layout()[5]) == [e in (1, 4, 7, 11, 14) for e in range(16)]
+        for zero in (0, 2, 4, 7, 9, 11):
+            g = with_vertex_zero(cactus, zero)
+            colors = list(range(2, 18))
+            for e in edges:
+                colors[e] = 1
+            assert assert_routes_agree(g, colors) == passes
 
     @pytest.mark.parametrize("name", sorted(NON_CACTI))
     def test_non_cacti_keep_the_scan(self, name):
@@ -515,10 +572,13 @@ class TestVerifyPairs:
         assert not out.ok
         assert out.witness.u == 0 and out.witness.v == 2
 
-    @pytest.mark.parametrize("pair", [(0, -1), (-1, 0), (0, 4), (4, 0), (7, 7)])
+    @pytest.mark.parametrize(
+        "pair", [(0, -1), (-1, 0), (0, 4), (4, 0), (7, 7), (0, True), (0, 1.0), (0.5, 1), ("0", 1)]
+    )
     def test_invalid_vertex_ids_rejected(self, pair):
         # triangle 0-1-2 with pendant 2-3; as a list index, -1 would alias
-        # vertex 3 and send the parent walk round forever
+        # vertex 3 and send the parent walk round forever, and True would
+        # pass as vertex 1
         g = build_graph([(0, 1), (1, 2), (2, 0), (2, 3)])
         with pytest.raises(ValueError, match="invalid vertex"):
             verify_pairs(g, EdgeColoring(2, (1, 1, 1, 2)), [(0, 1), pair])
