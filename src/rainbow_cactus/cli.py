@@ -21,7 +21,7 @@ from .graph import Graph, build_graph, format_edge_list, load_edge_list
 from .oracle import brute_force_search, verify_strong_rainbow
 from .partition import build_canonical_partition
 from .pipeline import GraphAnalysis, analyze_graph
-from .segments import trails
+from .segments import SegmentClass, trails
 from .selftest import run_selftest
 from .solver import EdgeColoring, SrcResult, src_formula
 
@@ -98,9 +98,7 @@ def build_report(an: GraphAnalysis, full: bool = False) -> AnalysisReport:
         )
     cat = an.catalog
     res = an.result
-    segment_counts = {
-        "S1": cat.counts[0], "S2": cat.counts[1], "S3": cat.counts[2], "S4": cat.counts[3]
-    }
+    segment_counts = {klass.value: n for klass, n in zip(SegmentClass, cat.counts)}
     segments = None
     partition = None
     coloring = None

@@ -175,10 +175,17 @@ def _bfs_dist(g: Graph, source: VertexId) -> list[int]:
     return dist
 
 
+def _check_vertices(g: Graph, xs) -> None:
+    """Raise ValueError for the first x that is not an int in 0..n-1."""
+    n = g.vertex_count
+    for x in xs:
+        if type(x) is not int or not 0 <= x < n:
+            raise ValueError(f"invalid vertex {x!r}")
+
+
 def bfs_distances(g: Graph, source: VertexId) -> tuple[int, ...]:
     """Exact hop distances from `source` to every vertex, indexed by vertex."""
-    if not 0 <= source < g.vertex_count:
-        raise ValueError(f"invalid source vertex {source}")
+    _check_vertices(g, (source,))
     return tuple(_bfs_dist(g, source))
 
 
@@ -189,9 +196,7 @@ def unique_shortest_path(g: Graph, u: VertexId, v: VertexId) -> Path:
     first vertex after the two lexicographically first paths split that
     both reach again, a vertex with two shortest-path predecessors.
     """
-    for x in (u, v):
-        if not 0 <= x < g.vertex_count:
-            raise ValueError(f"invalid vertex {x}")
+    _check_vertices(g, (u, v))
     if u == v:
         return Path((u,), ())
     paths = _geodesics(g, _bfs_dist(g, u), u, v)
@@ -209,9 +214,7 @@ def all_shortest_paths(g: Graph, u: VertexId, v: VertexId) -> tuple[Path, ...]:
 
     Exhaustive; intended for small graphs (oracle and property tests).
     """
-    for x in (u, v):
-        if not 0 <= x < g.vertex_count:
-            raise ValueError(f"invalid vertex {x}")
+    _check_vertices(g, (u, v))
     if u == v:
         return (Path((u,), ()),)
     return tuple(_geodesics(g, _bfs_dist(g, u), u, v))

@@ -10,13 +10,13 @@ coloring's choice of a color to reuse.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 
 from .decomposition import Decomposition
 from .errors import InvariantError, NotAntipodalEdgeError, PartialColoringError, TooLargeError
-from .graph import EdgeId, Graph, Path, VertexId, _bfs_dist, _geodesics
+from .graph import EdgeId, Graph, Path, VertexId, _bfs_dist, _check_vertices, _geodesics
 from .partition import BlackWhitePartition, _components_without
 from .segments import AntipodalIndex
 from .solver import EdgeColoring
@@ -248,8 +248,7 @@ class _OddCactus:
     `verts[b]` holds block b's vertices from its top, the one nearest vertex
     0, and `edges[b]` its edges in that order, edge i joining vertices i and
     i + 1 (mod the length). Vertex x > 0 has its tree edge in block
-    `block[x]`, whose top is `top[x]` at depth `top_depth[x]`; on a cycle,
-    x is vertex `pos[x]`. Vertex 0 has block -1 and top depth -1.
+    `block[x]`; vertex 0 has block -1. `dist` holds the tree's depths.
     """
 
     par_v: list[int]
@@ -257,9 +256,7 @@ class _OddCactus:
     verts: list[list[int]]
     edges: list[list[int]]
     block: list[int]
-    pos: list[int]
-    top: list[int]
-    top_depth: list[int]
+    dist: list[int]
 
     def layout(self):
         """The blocks in preorder from vertex 0, as per-edge arrays: slot,
@@ -342,9 +339,6 @@ def _odd_cactus(g: Graph, dist: list[int], par_v: list[int], par_e: list[int]) -
     block_edges: list[list[int]] = []
     # block[x] >= 0 says that a block already holds the tree edge up from x
     block = [-1] * n
-    pos = [0] * n
-    top = [0] * n
-    top_depth = [-1] * n
     for e in compress(range(len(edges)), closing):
         a, b = edges[e]
         if dist[a] != dist[b]:
@@ -359,24 +353,15 @@ def _odd_cactus(g: Graph, dist: list[int], par_v: list[int], par_e: list[int]) -
             rise.append(b)
             a, b = par_v[a], par_v[b]
         down.reverse()
-        vs = [a, *down, *rise]
-        verts.append(vs)
+        verts.append([a, *down, *rise])
         block_edges.append([par_e[x] for x in down] + [e] + [par_e[x] for x in rise])
-        depth = dist[a]
-        for i in range(1, len(vs)):
-            x = vs[i]
-            pos[x] = i
-            top[x] = a
-            top_depth[x] = depth
     for w in range(1, n):
         if block[w] < 0:
             x = par_v[w]
             block[w] = len(verts)
-            top[w] = x
-            top_depth[w] = dist[x]
             verts.append([x, w])
             block_edges.append([par_e[w]])
-    return _OddCactus(par_v, par_e, verts, block_edges, block, pos, top, top_depth)
+    return _OddCactus(par_v, par_e, verts, block_edges, block, dist)
 
 
 def _cactus_rainbow(cactus: _OddCactus, dense: list[int], k: int) -> bool:
@@ -485,16 +470,13 @@ def verify_pairs(g: Graph, coloring: EdgeColoring, pairs) -> VerificationOutcome
 
 def _by_source(g: Graph, pairs) -> dict[int, list[int]]:
     """The targets of each source, in the given order, without u == v pairs;
-    raises ValueError for a vertex id not of type int (True is a bool) or
-    outside 0..n-1."""
-    n = g.vertex_count
-    by_source: dict[int, list[int]] = {}
+    raises ValueError for a vertex id that is not an int in 0..n-1."""
+    pairs = list(pairs)
+    _check_vertices(g, chain.from_iterable(pairs))
+    by_source: dict[int, list[int]] = defaultdict(list)
     for u, v in pairs:
-        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
-            bad = v if type(u) is int and 0 <= u < n else u
-            raise ValueError(f"invalid vertex {bad!r}")
         if u != v:
-            by_source.setdefault(u, []).append(v)
+            by_source[u].append(v)
     return by_source
 
 
@@ -539,8 +521,15 @@ def _cactus_walks(
     costs O(d(u, v)).
     """
     dense, k = _dense_colors(colors)
-    par_v, par_e, block_edges = cactus.par_v, cactus.par_e, cactus.edges
-    block, pos, top, top_depth = cactus.block, cactus.pos, cactus.top, cactus.top_depth
+    par_v, par_e, block_edges, block = cactus.par_v, cactus.par_e, cactus.edges, cactus.block
+    # per block its top and the top's depth, and -1 for vertex 0's block -1,
+    # so vertex 0 never climbs; per vertex x > 0 its position in block[x]
+    top = [vs[0] for vs in cactus.verts]
+    top_depth = [*map(cactus.dist.__getitem__, top), -1]
+    pos = [0] * len(block)
+    for vs in cactus.verts:
+        for i in range(1, len(vs)):
+            pos[vs[i]] = i
     stamp = [0] * k
     tick = 0
     for u in sorted(by_source):
@@ -549,8 +538,8 @@ def _cactus_walks(
             x, y = u, v
             repeat = False
             while x != y and not repeat:
-                b = block[x]
-                if b == block[y]:
+                b, by = block[x], block[y]
+                if b == by:
                     i, j = pos[x], pos[y]
                     if i > j:
                         i, j = j, i
@@ -563,9 +552,9 @@ def _cactus_walks(
                                 break
                             stamp[c] = tick
                         break
-                if top_depth[x] < top_depth[y]:
-                    x, y = y, x
-                t = top[x]
+                if top_depth[b] < top_depth[by]:
+                    x, y, b = y, x, by
+                t = top[b]
                 while x != t:
                     c = dense[par_e[x]]
                     if stamp[c] == tick:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .decomposition import Decomposition
 from .errors import InvalidPartitionError
 from .graph import EdgeId, Graph
-from .segments import AntipodalIndex, SegmentCatalog
+from .segments import AntipodalIndex, SegmentCatalog, SegmentClass
 
 PROPERTY_NAMES = (
     "antipodal_parity",
@@ -66,33 +66,37 @@ def black_edges(d: Decomposition, cat: SegmentCatalog) -> list[EdgeId]:
     set is built: the colouring gives the i-th edge colour i + 1, and the
     canonical partition takes its black edges from here.
     """
+    s1, s2 = SegmentClass.S1, SegmentClass.S2
     out = sorted(d.cut_edges)
-    s2: list[EdgeId] = []
-    for _, _, re_, bpos in cat.walks:
-        for x, y in zip(bpos, bpos[1:]):
-            if not x & 1:  # a cut vertex on the left: S2 if an edge on the right
-                (s2 if y & 1 else out).extend(re_[x >> 1 : y >> 1])
-    out += s2
+    s2_edges: list[EdgeId] = []
+    for _, _, re_, spans in cat.walks:
+        for klass, _, _, e0, e1 in spans:
+            if klass is s1:
+                out += re_[e0:e1]
+            elif klass is s2:
+                s2_edges += re_[e0:e1]
+    out += s2_edges
     return out
 
 
 def build_canonical_partition(d: Decomposition, cat: SegmentCatalog) -> BlackWhitePartition:
-    """The canonical black-white partition from the catalog's walks: the run
-    after a cut vertex (S1/S2) is black, after an antipodal edge (S3/S4) white.
+    """The canonical black-white partition from the catalog's walks: S1/S2
+    segments are black, S3/S4 segments white.
 
     Valid for trees and for odd cacti in which every cycle carries a cut
     vertex (i.e. anything but a bare cycle).
     """
+    s1, s2 = SegmentClass.S1, SegmentClass.S2
     v_black: set[int] = set(d.cut_vertices)
     v_white: set[int] = set()
     e_white: set[int] = set(cat.e_ant)  # the antipodal-to-cut edges
-    for _, rv, re_, bpos in cat.walks:
-        for x, y in zip(bpos, bpos[1:]):
-            if x & 1:
-                v_white.update(rv[(x + 2) >> 1 : (y + 1) >> 1])
-                e_white.update(re_[(x + 1) >> 1 : y >> 1])
+    for _, rv, re_, spans in cat.walks:
+        for klass, v0, v1, e0, e1 in spans:
+            if klass is s1 or klass is s2:
+                v_black.update(rv[v0:v1])
             else:
-                v_black.update(rv[(x + 2) >> 1 : (y + 1) >> 1])
+                v_white.update(rv[v0:v1])
+                e_white.update(re_[e0:e1])
     v_black |= graph_leaves(d)
     return BlackWhitePartition(
         frozenset(v_black), frozenset(v_white), frozenset(black_edges(d, cat)), frozenset(e_white)

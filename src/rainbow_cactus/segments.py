@@ -4,8 +4,8 @@ In an odd cycle every edge has a unique antipodal vertex (equidistant from
 both endpoints) and vice versa. Walking a cycle from a cut vertex and
 splitting at cut vertices and antipodal-to-cut edges yields its segments,
 classified S1..S4 by the kinds of the two boundary elements. The catalog
-keeps each cycle's walk with its boundary positions; `trails` decodes a
-walk's segments for the readers that need them element by element.
+keeps each cycle's walk with its segments as index ranges, which `_spans`
+alone derives from trail positions; `trails` lists them element by element.
 """
 
 from __future__ import annotations
@@ -28,29 +28,33 @@ class SegmentClass(Enum):
     S4 = "S4"  # bounded by (antipodal edge, antipodal edge)
 
 
-# a boundary at an even trail position is a cut vertex, at an odd one an
-# antipodal edge; index (left parity << 1) | right parity
-_CLASS_BY_PARITY = (SegmentClass.S1, SegmentClass.S2, SegmentClass.S3, SegmentClass.S4)
+# S1..S4, indexed (left parity << 1) | right parity: a boundary at an even
+# trail position is a cut vertex, at an odd one an antipodal edge
+_CLASSES = tuple(SegmentClass)
 
 
 # trail elements are ("v", vertex id) or ("e", edge id)
 Element = tuple[str, int]
 
 
+# one segment of a walk (rv, re_): (class, v0, v1, e0, e1) for its vertices
+# rv[v0:v1] and edges re_[e0:e1]. After a cut vertex (S1, S2) it starts with
+# an edge and e0 = v0 - 1, after an antipodal edge (S3, S4) with a vertex
+# and e0 = v0
+Span = tuple[SegmentClass, int, int, int, int]
+
+
 # one cycle's walk: its block index, its vertices and edges read from a cut
-# vertex (against the canonical direction if reversed), and the sorted trail
-# positions of its boundaries followed by 2 * length
-Walk = tuple[int, tuple[VertexId, ...], tuple[EdgeId, ...], tuple[int, ...]]
+# vertex (against the canonical direction if reversed), and its segments in
+# trail order
+Walk = tuple[int, tuple[VertexId, ...], tuple[EdgeId, ...], tuple[Span, ...]]
 
 
 @dataclass(frozen=True, eq=False)
 class SegmentCatalog:
     """The S1..S4 counts of the cycle segments, E_ant as the antipodal index
     derived it (the cycle edges that no segment holds), and, built on first
-    read, each cycle's walk.
-
-    The segment after boundary `bpos[k]` of a walk runs to `bpos[k + 1]`;
-    `trails` decodes them.
+    read, each cycle's walk with its segments' index ranges.
     """
 
     decomposition: Decomposition
@@ -130,17 +134,17 @@ def _turn(seq: tuple[int, ...], s: int, reverse: bool) -> tuple[int, ...]:
 def _walk(b: int, verts, edges, pattern: bytes, s: int, reverse: bool) -> Walk:
     """Cycle block b's walk from the cut vertex at canonical position s."""
     rv, re_ = _turn(verts, s, reverse), _turn(edges, s - 1 if reverse else s, reverse)
-    return b, rv, re_, _boundaries(pattern, s, reverse)
+    return b, rv, re_, _spans(pattern, s, reverse)
 
 
-# cycles of equal cut pattern and start share their boundaries, within a
+# cycles of equal cut pattern and start share their segments, within a
 # graph and across the many small graphs of a batch; bounded, as each entry
 # holds its cycle's pattern
 @lru_cache(maxsize=1 << 12)
-def _boundaries(pattern: bytes, s: int, reverse: bool) -> tuple[int, ...]:
-    """The boundary positions of a cycle whose position i holds a cut vertex
-    iff `pattern[i]`, on its closed trail from the cut vertex at position s;
-    sorted and followed by 2 * length.
+def _spans(pattern: bytes, s: int, reverse: bool) -> tuple[Span, ...]:
+    """The segments of a cycle whose position i holds a cut vertex iff
+    `pattern[i]`, on its closed trail from the cut vertex at position s, in
+    trail order. The one place that reads trail positions.
 
     Trail position 2q is the q-th vertex of the walk, position 2q+1 the edge
     after it; in either direction the antipodal edge of walk vertex q is walk
@@ -149,7 +153,10 @@ def _boundaries(pattern: bytes, s: int, reverse: bool) -> tuple[int, ...]:
     exactly the opp images of its cut vertices. They are placed here by
     position, apart from the antipodal index; the closed form's parity check
     compares the two. Position 0 is the starting cut vertex, so no segment
-    wraps.
+    wraps: the last boundary, 2 * length, is that cut vertex again.
+
+    The segment between boundaries x and y holds the trail positions
+    x+1 .. y-1, and its class is fixed by the parity of x and of y.
     """
     length = len(pattern)
     off_e = (length - 1) // 2
@@ -158,21 +165,24 @@ def _boundaries(pattern: bytes, s: int, reverse: bool) -> tuple[int, ...]:
     bpos = [2 * q for q in qs] + [2 * ((q + off_e) % length) + 1 for q in qs]
     bpos.sort()
     bpos.append(2 * length)
-    return tuple(bpos)
+    return tuple(
+        (_CLASSES[(x & 1) << 1 | (y & 1)], (x + 2) >> 1, (y + 1) >> 1, (x + 1) >> 1, y >> 1)
+        for x, y in zip(bpos, bpos[1:])
+        if y - x > 1
+    )
 
 
 def trails(walk: Walk) -> Iterator[tuple[SegmentClass, tuple[Element, ...]]]:
-    """Each segment of one walk in trail order, with its class. The one after
-    boundary b holds trail positions b+1 .. end-1, where end is the next
-    boundary: walk vertex p >> 1 at an even position p, the walk edge after
-    it at an odd one. Its class is fixed by the parity of b and of end: the
-    last end, 2 * length, is the starting cut vertex again."""
-    _, rv, re_, bpos = walk
-    for b, end in zip(bpos, bpos[1:]):
-        if end - b > 1:
-            yield _CLASS_BY_PARITY[(b & 1) << 1 | (end & 1)], tuple(
-                ("e", re_[p >> 1]) if p & 1 else ("v", rv[p >> 1]) for p in range(b + 1, end)
-            )
+    """Each segment of one walk in trail order, with its class, as the
+    alternating run of its vertices and edges."""
+    _, rv, re_, spans = walk
+    for klass, v0, v1, e0, e1 in spans:
+        verts: list[Element] = [("v", v) for v in rv[v0:v1]]
+        edges: list[Element] = [("e", e) for e in re_[e0:e1]]
+        first, second = (edges, verts) if e0 < v0 else (verts, edges)
+        run = first + second
+        run[::2], run[1::2] = first, second
+        yield klass, tuple(run)
 
 
 def enumerate_segments(d: Decomposition, a: AntipodalIndex, *, reverse: bool = False) -> SegmentCatalog:
@@ -182,7 +192,7 @@ def enumerate_segments(d: Decomposition, a: AntipodalIndex, *, reverse: bool = F
     walks the opposite orientation; downstream quantities are invariant to the
     choice (S2 and S3 labels swap). The catalog carries `a.e_ant`.
 
-    The counts are taken here from boundary positions alone. A cycle's
+    The counts are taken here from the cut patterns alone. A cycle's
     segment classes depend only on which of its positions hold a cut vertex,
     not on the walk's start, so each distinct pattern is placed once.
     """
@@ -192,8 +202,6 @@ def enumerate_segments(d: Decomposition, a: AntipodalIndex, *, reverse: bool = F
     for pattern, times in patterns.items():
         if 1 not in pattern:
             continue  # a bare cycle has no segments
-        bpos = _boundaries(pattern, pattern.index(1), reverse)
-        for x, y in zip(bpos, bpos[1:]):
-            if y - x > 1:
-                counts[(x & 1) << 1 | (y & 1)] += times
+        for span in _spans(pattern, pattern.index(1), reverse):
+            counts[_CLASSES.index(span[0])] += times
     return SegmentCatalog(d, tuple(counts), a.e_ant, reverse)

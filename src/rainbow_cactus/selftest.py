@@ -1,7 +1,7 @@
 """Cross-module invariant suite over generated instances.
 
 Each check encodes a structural claim the rest of the package relies on: one
-shortest path per pair; the cycle segments, decoded once per orientation
+shortest path per pair; the cycle segments, read once per orientation
 (their counts against the solver's, the partition identities, their pairing
 under opp, independence from the traversal orientation and start);
 partition validity, the parity of the closed form, agreement between the
@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, groupby
+from itertools import compress, groupby
 from operator import itemgetter
 
 from .decomposition import Decomposition, GraphClass, decompose, leaf_blocks
@@ -51,7 +51,6 @@ from .segments import (
     _walk,
     build_antipodal_index,
     enumerate_segments,
-    trails,
 )
 from .solver import (
     EdgeColoring,
@@ -238,14 +237,9 @@ _REVERSED = {
 }
 
 
-def _ids(elements, kind: str) -> list[int]:
-    """The vertex ("v") or edge ("e") ids among trail elements, in order."""
-    return [x for k, x in elements if k == kind]
-
-
 @gc_paused
 def check_segments(g: Graph, d: Decomposition, a: AntipodalIndex, cat: SegmentCatalog, src: int) -> None:
-    """The segments of `cat` and of the reverse catalog, each decoded once:
+    """The segments of `cat` and of the reverse catalog, each read once:
     their counts and E_ant against the solver's, for every class; on a
     general odd cactus also the partition identities, the pairing under opp,
     and independence from the orientation and the starting cut vertex."""
@@ -255,11 +249,14 @@ def check_segments(g: Graph, d: Decomposition, a: AntipodalIndex, cat: SegmentCa
     _require(a.pivot == by_opp, "counts_match_views", "E_ant pivots")
     walked = {e for _, verts, edges in d.cycles() if not cuts.isdisjoint(verts) for e in edges}
     rev = enumerate_segments(d, a, reverse=True)
-    # each segment as (cycle, class, trail elements), cycles in block order
-    fwd, bwd = ([(w[0], *seg) for w in c.walks for seg in trails(w)] for c in (cat, rev))
+    # each segment as (cycle, class, vertices, edges), cycles in block order
+    fwd, bwd = (
+        [(b, klass, rv[v0:v1], re_[e0:e1]) for b, rv, re_, spans in c.walks for klass, v0, v1, e0, e1 in spans]
+        for c in (cat, rev)
+    )
     for c, segs in ((cat, fwd), (rev, bwd)):
-        klasses = [klass for _, klass, _ in segs]
-        held = set(_ids(chain.from_iterable(trail for *_, trail in segs), "e"))
+        klasses = [klass for _, klass, _, _ in segs]
+        held = {e for *_, es in segs for e in es}
         _require(
             c.counts == tuple(map(klasses.count, SegmentClass))
             and c.e_ant == walked - held == by_opp.keys(),
@@ -272,8 +269,8 @@ def check_segments(g: Graph, d: Decomposition, a: AntipodalIndex, cat: SegmentCa
     by_cycle = {b: list(group) for b, group in groupby(fwd, itemgetter(0))}
     for b, verts, edges in d.cycles():
         segs = by_cycle.get(b, [])
-        elements = [el for *_, trail in segs for el in trail]
-        vs, es = _ids(elements, "v"), _ids(elements, "e")
+        vs = [v for _, _, seg_vs, _ in segs for v in seg_vs]
+        es = [e for *_, seg_es in segs for e in seg_es]
         vunion, eunion = set(vs), set(es)
         _require(len(vunion) == len(vs) and len(eunion) == len(es), "segments_disjoint")
         cuts_in = cuts.intersection(verts)
@@ -289,35 +286,35 @@ def check_segments(g: Graph, d: Decomposition, a: AntipodalIndex, cat: SegmentCa
             f"block {b}",
         )
 
-        klasses = [klass for _, klass, _ in segs]
+        klasses = [klass for _, klass, _, _ in segs]
         n1, n2, n3, n4 = map(klasses.count, SegmentClass)
         _require(n1 == n4, "s1_s4_counts_match", f"block {b}")
         _require(n2 == n3, "s2_s3_counts_match", f"block {b}")
         # opp of a vertex within this cycle: the inverse of opp on its edges
         opp_edge = {opp[e]: e for e in edges}
-        by_trail = {trail: klass for _, klass, trail in segs}
-        for _, klass, trail in segs:
-            image = tuple([("e", opp_edge[x]) if kind == "v" else ("v", opp[x]) for kind, x in trail])
-            partner = image if image in by_trail else image[::-1]
-            _require(partner in by_trail, "antipodal_image_is_segment", f"block {b}")
+        by_run = {(seg_vs, seg_es): klass for _, klass, seg_vs, seg_es in segs}
+        for _, klass, seg_vs, seg_es in segs:
+            image = (tuple([opp[e] for e in seg_es]), tuple([opp_edge[v] for v in seg_vs]))
+            partner = image if image in by_run else (image[0][::-1], image[1][::-1])
+            _require(partner in by_run, "antipodal_image_is_segment", f"block {b}")
             _require(
-                by_trail[partner] is _PAIRED[klass],
+                by_run[partner] is _PAIRED[klass],
                 "antipodal_image_class",
-                f"block {b}: {klass.value} -> {by_trail[partner].value}",
+                f"block {b}: {klass.value} -> {by_run[partner].value}",
             )
-            n_edges, partner_n_edges = len(_ids(trail, "e")), len(_ids(partner, "e"))
             if klass is SegmentClass.S1:
-                _require(n_edges == partner_n_edges + 1, "s1_one_more_edge_than_s4")
+                _require(len(seg_es) == len(partner[1]) + 1, "s1_one_more_edge_than_s4")
             if klass is SegmentClass.S2:
-                _require(n_edges == partner_n_edges, "s2_s3_equal_edges")
+                _require(len(seg_es) == len(partner[1]), "s2_s3_equal_edges")
         # a different starting cut vertex must give the same segments outright
         pattern = bytes(v in cuts for v in verts)
         if pattern.count(1) > 1:
             start = verts.index(max(compress(verts, pattern)))
-            alt = trails(_walk(b, verts, edges, pattern, start, cat.reverse))
-            _require({trail for _, trail in alt} == by_trail.keys(), "start_vertex_invariant", f"block {b}")
-    fwd_elements = [el for *_, trail in fwd for el in trail]
-    seg_vertices, seg_edges = set(_ids(fwd_elements, "v")), set(_ids(fwd_elements, "e"))
+            _, rv, re_, spans = _walk(b, verts, edges, pattern, start, cat.reverse)
+            alt = {(rv[v0:v1], re_[e0:e1]) for _, v0, v1, e0, e1 in spans}
+            _require(alt == by_run.keys(), "start_vertex_invariant", f"block {b}")
+    seg_vertices = {v for _, _, vs, _ in fwd for v in vs}
+    seg_edges = {e for *_, es in fwd for e in es}
     all_edges = set(range(g.edge_count))
     _require(
         seg_edges | a.e_ant | d.cut_edges == all_edges
@@ -337,8 +334,8 @@ def check_segments(g: Graph, d: Decomposition, a: AntipodalIndex, cat: SegmentCa
     )
 
     _require(
-        Counter((b, tuple(sorted(trail)), klass) for b, klass, trail in fwd)
-        == Counter((b, tuple(sorted(trail)), _REVERSED[klass]) for b, klass, trail in bwd),
+        Counter((b, tuple(sorted(vs)), tuple(sorted(es)), klass) for b, klass, vs, es in fwd)
+        == Counter((b, tuple(sorted(vs)), tuple(sorted(es)), _REVERSED[klass]) for b, klass, vs, es in bwd),
         "reversal_swaps_s2_s3_only",
     )
     _require(

@@ -18,7 +18,7 @@ from .decomposition import Decomposition, GraphClass, require_odd_cactus
 from .errors import InvariantError
 from .graph import EdgeId, Graph, VertexId
 from .partition import black_edges
-from .segments import AntipodalIndex, SegmentCatalog
+from .segments import AntipodalIndex, SegmentCatalog, SegmentClass
 
 _UNSET = 1 << 60
 
@@ -164,15 +164,15 @@ def strong_rainbow_coloring(
         colors_list[e] = c
     # an S1 segment has one edge more than vertices, an S2 segment as many;
     # each vertex's antipodal edge, in the paired S4 or S3 segment, mirrors
-    # the color of the edge before it. The walk edge q is followed by the
-    # vertex q + 1, whose antipodal edge is the walk edge q + (L + 1) / 2.
-    for _, _, re_, bpos in cat.walks:
+    # the color of the edge before it. The walk vertex q follows the walk
+    # edge q - 1 and is opposite the walk edge q - 1 + (L + 1) / 2.
+    s1, s2 = SegmentClass.S1, SegmentClass.S2
+    for _, _, re_, spans in cat.walks:
         shift = (len(re_) + 1) // 2
         re2 = re_ + re_
-        for x, y in zip(bpos, bpos[1:]):
-            if not x & 1:  # a cut vertex on the left: S1 or S2
-                q0, q1 = x >> 1, ((y + 1) >> 1) - 1
-                for e, t in zip(re_[q0:q1], re2[q0 + shift : q1 + shift]):
+        for klass, v0, v1, _, _ in spans:
+            if klass is s1 or klass is s2:
+                for e, t in zip(re_[v0 - 1 : v1 - 1], re2[v0 - 1 + shift : v1 - 1 + shift]):
                     colors_list[t] = colors_list[e]
 
     if a.e_ant:

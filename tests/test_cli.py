@@ -425,6 +425,20 @@ class TestSelftest:
         ]
         assert found == []
 
+    def test_trail_positions_are_read_in_segments_only(self):
+        # a walk's trail positions (vertex q at 2q, the edge after it at
+        # 2q + 1) are decoded by `segments._spans` alone; every other module
+        # reads the index ranges it hands out, so none shifts a position
+        package = pathlib.Path(rainbow_cactus.__file__).parent
+        found = [
+            f"{path.relative_to(package)}:{node.lineno}"
+            for path in sorted(package.rglob("*.py"))
+            if path.name != "segments.py"
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(getattr(node, "op", None), ast.RShift)
+        ]
+        assert found == []
+
 
 class TestParserReuse:
     """`main` shares one parser across calls; no option may leak into the next."""

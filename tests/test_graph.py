@@ -252,6 +252,20 @@ class TestAllShortestPaths:
                 )
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, "1", -1, 4])
+@pytest.mark.parametrize(
+    "fn, lead",
+    [(bfs_distances, ()), (unique_shortest_path, (0,)), (all_shortest_paths, (0,))],
+    ids=["bfs_distances", "unique_shortest_path", "all_shortest_paths"],
+)
+def test_invalid_vertex_rejected(fn, lead, bad):
+    # triangle 0-1-2 with pendant 2-3: as a list index True would pass as
+    # vertex 1 and -1 as vertex 3, while 1.0 and "1" raise a bare TypeError
+    g = build_graph([(0, 1), (1, 2), (2, 0), (2, 3)])
+    with pytest.raises(ValueError, match="invalid vertex"):
+        fn(g, *lead, bad)
+
+
 class TestEdgeListFormat:
     def test_parse_with_comments_and_blanks(self):
         text = "# header\n1 2\n\n  2 3\n# trailing\n3 1\n"

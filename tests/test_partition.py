@@ -84,7 +84,7 @@ class TestCanonicalPartition:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_walks_match_segment_records(self, reverse):
-        # the partition decodes the catalog's walks inline; `trails` is the
+        # the partition reads the walks' segment ranges; `trails` is the
         # reference: S1/S2 runs black, S3/S4 runs and E_ant white
         general = 0
         for seed in range(20):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from conftest import cycle_edges, eid, vid
 
@@ -18,6 +20,8 @@ from rainbow_cactus import (
     src_formula,
 )
 from rainbow_cactus.segments import _walk, trails
+
+S1, S2, S3, S4 = SegmentClass
 
 
 def segments(cat):
@@ -231,6 +235,48 @@ class TestSegmentInvariants:
             return {trail for _, trail in trails(walk)}
 
         assert from_vertex(vid["v4"]) == from_vertex(vid["v6"])
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_spans_match_a_naive_walk(reverse):
+    """Each walk's spans against a reference that reads the closed trail
+    element by element: a vertex is a boundary iff it is a cut vertex, an
+    edge iff it is opposite one (a key of `a.pivot`), and the run between
+    two boundaries takes its class from their kinds."""
+    by_kinds = {("v", "v"): S1, ("v", "e"): S2, ("e", "v"): S3, ("e", "e"): S4}
+    rng = random.Random(19)
+    general = 0
+    for seed in range(200):
+        spec = GenSpec(
+            seed=seed,
+            target_vertices=rng.randint(2, 60),
+            cycle_lengths=rng.choice(((3,), (3, 5, 7), (5, 9))),
+            pendant_probability=round(rng.random(), 2),
+        )
+        d = decompose(generate(spec))
+        a = build_antipodal_index(d)
+        general += d.classification.tag is GraphClass.GENERAL_ODD_CACTUS
+        for walk in enumerate_segments(d, a, reverse=reverse).walks:
+            _, rv, re_, spans = walk
+            # walk vertex q, then the edge after it; the trail starts and
+            # closes at a cut vertex, so every run has a boundary each side
+            assert rv[0] in d.cut_vertices
+            trail = [(kind, q) for q in range(len(rv)) for kind in "ve"] + [("v", 0)]
+            want, left, run = [], None, []
+            for kind, q in trail:
+                if (rv[q] in d.cut_vertices) if kind == "v" else (re_[q] in a.pivot):
+                    if run:
+                        want.append((by_kinds[left, kind], run))
+                    left, run = kind, []
+                else:
+                    run.append((kind, q))
+            assert [(klass, list(range(v0, v1)), list(range(e0, e1))) for klass, v0, v1, e0, e1 in spans] == [
+                (klass, [q for k, q in run if k == "v"], [q for k, q in run if k == "e"]) for klass, run in want
+            ]
+            assert list(trails(walk)) == [
+                (klass, tuple((k, rv[q] if k == "v" else re_[q]) for k, q in run)) for klass, run in want
+            ]
+    assert general >= 150
 
 
 class TestRecordsStayUnbuilt:

@@ -24,7 +24,7 @@ from rainbow_cactus import (
 )
 from rainbow_cactus import selftest as st
 from rainbow_cactus.partition import BlackWhitePartition
-from rainbow_cactus.segments import SegmentClass, trails
+from rainbow_cactus.segments import SegmentClass
 from rainbow_cactus.selftest import (
     InvariantViolation,
     check_graph_core,
@@ -88,17 +88,17 @@ def segment_args(g):
     return g, d, a, cat, src_formula(d, cat)
 
 
-def relabelled_trails(klass_map=None, edge_map=None):
-    """A segment decoder that renames classes and edge ids after `trails`."""
+def relabelled(cat, klass_map=None, edge_map=None):
+    """A copy of catalog `cat` whose walks carry renamed segment classes and
+    edge ids."""
     klass_map, edge_map = klass_map or {}, edge_map or {}
-
-    def decode(walk):
-        for klass, trail in trails(walk):
-            yield klass_map.get(klass, klass), tuple(
-                (kind, edge_map.get(x, x) if kind == "e" else x) for kind, x in trail
-            )
-
-    return decode
+    out = replace(cat)
+    # `walks` is a cached property: a value in the instance dict is read as built
+    out.__dict__["walks"] = tuple(
+        (b, rv, tuple(edge_map.get(e, e) for e in re_), tuple((klass_map.get(k, k), *r) for k, *r in spans))
+        for b, rv, re_, spans in cat.walks
+    )
+    return out
 
 
 def test_segment_check_passes_at_size():
@@ -123,21 +123,21 @@ def test_pivot_off_the_antipodal_view(sample_cactus):
     assert violated(check_segments, g, d, doctored, cat, k) == "counts_match_views"
 
 
-def test_segment_edge_from_another_cycle(sample_cactus, monkeypatch):
+def test_segment_edge_from_another_cycle(sample_cactus):
     # e4 (7-cycle) and e11 (triangle) trade places: the held edges and the
     # class counts stay the same, but each cycle now holds the other's edge
-    monkeypatch.setattr(st, "trails", relabelled_trails(edge_map={eid["e4"]: eid["e11"],
-                                                                   eid["e11"]: eid["e4"]}))
-    assert violated(check_segments, *segment_args(sample_cactus)) == "cycle_edges_partitioned"
+    g, d, a, cat, k = segment_args(sample_cactus)
+    doctored = relabelled(cat, edge_map={eid["e4"]: eid["e11"], eid["e11"]: eid["e4"]})
+    assert violated(check_segments, g, d, a, doctored, k) == "cycle_edges_partitioned"
 
 
-def test_antipodal_image_of_another_class(monkeypatch):
+def test_antipodal_image_of_another_class():
     # a 9-cycle with cut vertices 1 and 3 has one segment of each class; with
     # S1 and S2 renamed the counts still hold, but S4 is no image of an S2
     g = build_graph([(i, i + 1) for i in range(1, 9)] + [(9, 1), (1, 10), (3, 11)])
     swap = {SegmentClass.S1: SegmentClass.S2, SegmentClass.S2: SegmentClass.S1}
-    monkeypatch.setattr(st, "trails", relabelled_trails(klass_map=swap))
-    assert violated(check_segments, *segment_args(g)) == "antipodal_image_class"
+    g, d, a, cat, k = segment_args(g)
+    assert violated(check_segments, g, d, a, relabelled(cat, klass_map=swap), k) == "antipodal_image_class"
 
 
 def test_reversal_that_keeps_s2(sample_cactus, monkeypatch):
