@@ -9,20 +9,16 @@ from .decomposition import (
     RejectionReason,
     classify,
     decompose,
-    leaf_blocks,
 )
 from .errors import RainbowCactusError
 from .generator import GenSpec, generate
 from .graph import (
     Graph,
     Path,
-    all_shortest_paths,
-    bfs_distances,
     build_graph,
     format_edge_list,
     load_edge_list,
     parse_edge_list,
-    unique_shortest_path,
 )
 from .oracle import (
     BruteForceResult,
@@ -30,7 +26,6 @@ from .oracle import (
     VerificationOutcome,
     brute_force_search,
     brute_force_src,
-    check_distinct_black_colors,
     verify_pairs,
     verify_strong_rainbow,
 )
@@ -88,29 +83,24 @@ __all__ = [
     "SrcStats",
     "ValidationReport",
     "VerificationOutcome",
-    "all_shortest_paths",
     "analyze_graph",
-    "bfs_distances",
     "black_edges",
     "brute_force_search",
     "brute_force_src",
     "build_antipodal_index",
     "build_canonical_partition",
     "build_graph",
-    "check_distinct_black_colors",
     "classify",
     "decompose",
     "enumerate_segments",
     "format_edge_list",
     "generate",
     "graph_leaves",
-    "leaf_blocks",
     "load_edge_list",
     "lower_bound",
     "parse_edge_list",
     "src_formula",
     "strong_rainbow_coloring",
-    "unique_shortest_path",
     "validate_partition",
     "verify_pairs",
     "verify_strong_rainbow",

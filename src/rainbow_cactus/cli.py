@@ -23,7 +23,7 @@ from .partition import build_canonical_partition
 from .pipeline import GraphAnalysis, analyze_graph
 from .segments import SegmentClass, trails
 from .selftest import run_selftest
-from .solver import EdgeColoring, SrcResult, src_formula
+from .solver import EdgeColoring, SrcResult
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -275,7 +275,7 @@ def cmd_oracle(args) -> int:
     g = _load_graph(args.path)
     result = brute_force_search(g, args.max_edges)
     an = analyze_graph(g)
-    formula = src_formula(an.decomposition, an.catalog) if an.classification.accepted else None
+    formula = an.result.src if an.classification.accepted else None
     agree = None if formula is None else (formula == result.src)
     print(
         json.dumps(

@@ -54,16 +54,23 @@ class Separation:
     g2_edges: frozenset[EdgeId]
 
 
-def _total_colors(g: Graph, coloring: EdgeColoring) -> tuple[int, ...]:
+def _total_colors(g: Graph, coloring: EdgeColoring) -> tuple[list[int], int]:
+    """The colors renumbered 0..k-1 in order of first use, and k, so arrays
+    indexed by color are sized by the number of colors in use, not by their
+    values; raises PartialColoringError unless every edge has an int color
+    of at least 1."""
     colors = coloring.color
     if len(colors) != g.edge_count:
         raise PartialColoringError(
             f"coloring covers {len(colors)} edges, graph has {g.edge_count}"
         )
+    ids: dict[int, int] = {}
+    dense = []
     for e, c in enumerate(colors):
         if isinstance(c, bool) or not isinstance(c, int) or c < 1:
             raise PartialColoringError(f"edge {e} has invalid color {c!r}")
-    return colors
+        dense.append(ids.setdefault(c, len(ids)))
+    return dense, len(ids)
 
 
 def _repeated_color(edge_ids, colors) -> int | None:
@@ -107,15 +114,6 @@ def _depths(par_v: list[int], order: list[int]) -> list[int]:
     for x in order[1:]:
         dist[x] = dist[par_v[x]] + 1
     return dist
-
-
-def _dense_colors(colors) -> tuple[list[int], int]:
-    """Colors renumbered 0..k-1 in order of first use, and k, so arrays
-    indexed by color are sized by the number of colors in use, not by their
-    values."""
-    ids: dict[int, int] = {}
-    dense = [ids.setdefault(c, len(ids)) for c in colors]
-    return dense, len(ids)
 
 
 def _settle(g: Graph, du, colors, u: int, v: int) -> VerificationOutcome | None:
@@ -175,15 +173,17 @@ def verify_strong_rainbow(
     shortest-path DAG, the edges from depth d to depth d + 1, so O(n + m).
     The pass pushes a vertex at most once, so the pushed vertices form a
     shortest-path tree, entered in preorder; it stamps `seen[x] = u` on each
-    and files the color of its tree edge in `entry[x]`. `pathc[d]` is the
-    color entered at depth d on the current tree path and `pos[c]` the depth
-    at which color c was last entered. A step of color c to depth d repeats
-    a color of the tree path iff `pos[c] < d and pathc[pos[c]] == c`: a
-    vertex entered through c is never below an ancestor entered through c,
-    so `pos[c]` is that ancestor's depth while it is on the path, and a
-    stale entry fails the `pathc` test because every ancestor has written
-    its own depth. Such a step is not taken, though its head may still be
-    pushed through another predecessor. No array is reset between sources.
+    and files the color of its tree edge in `entry[x]`, and the source the
+    sentinel color k. `pathc[d]` is the color entered at depth d on the
+    current tree path and `pos[c]` the depth at which color c was last
+    entered; `pathc[0]` is always k, so `pos[c] = 0` never matches. A step
+    of color c to depth d repeats a color of the tree path iff
+    `pos[c] < d and pathc[pos[c]] == c`: a vertex entered through c is never
+    below an ancestor entered through c, so `pos[c]` is that ancestor's
+    depth while it is on the path, and a stale entry fails the `pathc` test
+    because every ancestor has written its own depth. Such a step is not
+    taken, though its head may still be pushed through another predecessor.
+    No array is reset between sources.
 
     A vertex the pass reaches has a rainbow shortest path to u. Only the
     other targets search their shortest paths, which is exhaustive and
@@ -194,24 +194,20 @@ def verify_strong_rainbow(
     `all_shortest_paths` orders them. `geodetic_hint` is accepted for the
     call shape and not read.
     """
-    colors = _total_colors(g, coloring)
+    dense, k = _total_colors(g, coloring)
     n = g.vertex_count
     adj = g.adjacency
-    dense, k = _dense_colors(colors)
     seen = [-1] * n
     entry = [0] * n
-    pos = [0] * k
-    pathc = [-1] * n  # pathc[0] is never a color, so pos[c] = 0 never matches
+    pos = [0] * (k + 1)
+    pathc = [0] * n
     par_v, par_e, order = _bfs_tree(g)
     dist0 = _depths(par_v, order)
     for u in range(n - 1):
         dist = _bfs_dist(g, u) if u else dist0
         seen[u] = u
-        stack = []
-        for w, eid in adj[u]:
-            seen[w] = u
-            entry[w] = dense[eid]
-            stack.append(w)
+        entry[u] = k
+        stack = [u]
         while stack:
             x = stack.pop()
             c = entry[x]
@@ -231,7 +227,7 @@ def verify_strong_rainbow(
         if seen.count(u) < n:
             for v in range(u + 1, n):
                 if seen[v] != u:
-                    failed = _settle(g, dist, colors, u, v)
+                    failed = _settle(g, dist, coloring.color, u, v)
                     if failed:
                         return failed
         if u == 0:
@@ -436,9 +432,10 @@ def _cactus_rainbow(cactus: _OddCactus, dense: list[int], k: int) -> bool:
 
 # The route rule of `verify_pairs`, from timings of both routes on generated
 # odd cacti of 300 to 100,000 vertices: the tree pass and the recogniser
-# cost about _TREE_PASS BFS runs, and a structural pair walk costs more than
-# a BFS-tree walk by what a BFS spends on 9 to 21 vertices and edges.
-_TREE_PASS = 4
+# cost about _TREE_PASS BFS runs (at 10,000 vertices, 3 sources of 250
+# targets are about even), and a structural pair walk costs more than a
+# BFS-tree walk by what a BFS spends on 9 to 21 vertices and edges.
+_TREE_PASS = 3
 _PAIR_COST = 16
 
 
@@ -456,16 +453,15 @@ def verify_pairs(g: Graph, coloring: EdgeColoring, pairs) -> VerificationOutcome
     both routes give the same witness. Raises ValueError for a vertex id
     that is not an int in 0..n-1, before any BFS.
     """
-    colors = _total_colors(g, coloring)
+    dense, k = _total_colors(g, coloring)
     by_source = _by_source(g, pairs)
     count = sum(map(len, by_source.values()))
-    cactus = None
     if (len(by_source) - _TREE_PASS) * (g.vertex_count + g.edge_count) > _PAIR_COST * count:
         par_v, par_e, order = _bfs_tree(g)
         cactus = _odd_cactus(g, _depths(par_v, order), par_v, par_e)
-    if cactus is None:
-        return _bfs_walks(g, colors, by_source)
-    return _cactus_walks(g, cactus, colors, by_source)
+        if cactus is not None:
+            return _cactus_walks(g, cactus, coloring.color, dense, k, by_source)
+    return _bfs_walks(g, coloring.color, dense, k, by_source)
 
 
 def _by_source(g: Graph, pairs) -> dict[int, list[int]]:
@@ -480,12 +476,12 @@ def _by_source(g: Graph, pairs) -> dict[int, list[int]]:
     return by_source
 
 
-def _bfs_walks(g: Graph, colors, by_source: dict[int, list[int]]) -> VerificationOutcome:
+def _bfs_walks(g: Graph, colors, dense, k: int, by_source: dict[int, list[int]]) -> VerificationOutcome:
     """The pairs checked on one BFS tree per source: each target walks its
     parent chain, a shortest path, back to the source. A walk marks the
-    colors it meets in `stamp` with its own tick, so nothing is cleared
-    between walks and a target listed twice never sees its earlier marks."""
-    dense, k = _dense_colors(colors)
+    `dense` colors it meets in `stamp` with its own tick, so nothing is
+    cleared between walks and a target listed twice never sees its earlier
+    marks."""
     stamp = [0] * k
     tick = 0
     for u in sorted(by_source):
@@ -508,7 +504,7 @@ def _bfs_walks(g: Graph, colors, by_source: dict[int, list[int]]) -> Verificatio
 
 
 def _cactus_walks(
-    g: Graph, cactus: _OddCactus, colors, by_source: dict[int, list[int]]
+    g: Graph, cactus: _OddCactus, colors, dense, k: int, by_source: dict[int, list[int]]
 ) -> VerificationOutcome:
     """The pairs of an odd cactus checked along their unique geodesics.
 
@@ -520,7 +516,6 @@ def _cactus_walks(
     the shorter way round. A walk marks colors as `_bfs_walks` does and
     costs O(d(u, v)).
     """
-    dense, k = _dense_colors(colors)
     par_v, par_e, block_edges, block = cactus.par_v, cactus.par_e, cactus.edges, cactus.block
     # per block its top and the top's depth, and -1 for vertex 0's block -1,
     # so vertex 0 never climbs; per vertex x > 0 its position in block[x]
@@ -685,8 +680,8 @@ def check_distinct_black_colors(
     g: Graph, p: BlackWhitePartition, coloring: EdgeColoring
 ) -> bool:
     """True iff all black edges carry pairwise distinct colors."""
-    colors = _total_colors(g, coloring)
-    return len({colors[e] for e in p.e_black}) == len(p.e_black)
+    dense, _ = _total_colors(g, coloring)
+    return len({dense[e] for e in p.e_black}) == len(p.e_black)
 
 
 def separate(g: Graph, d: Decomposition, a: AntipodalIndex, e: EdgeId) -> Separation:

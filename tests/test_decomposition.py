@@ -19,8 +19,8 @@ from rainbow_cactus import (
     decompose,
     enumerate_segments,
     generate,
-    leaf_blocks,
 )
+from rainbow_cactus.decomposition import leaf_blocks
 from rainbow_cactus.errors import DisconnectedError, NotOddCactusError, ParallelEdgeError
 from rainbow_cactus.graph import gc_paused
 

@@ -5,15 +5,7 @@ from conftest import SAMPLE_EDGES, cycle_edges, eid, path_edges, vid
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rainbow_cactus import (
-    all_shortest_paths,
-    bfs_distances,
-    build_graph,
-    format_edge_list,
-    load_edge_list,
-    parse_edge_list,
-    unique_shortest_path,
-)
+from rainbow_cactus import build_graph, format_edge_list, load_edge_list, parse_edge_list
 from rainbow_cactus.errors import (
     DisconnectedError,
     EdgeListFormatError,
@@ -23,6 +15,7 @@ from rainbow_cactus.errors import (
     ParallelEdgeError,
     SelfLoopError,
 )
+from rainbow_cactus.graph import all_shortest_paths, bfs_distances, unique_shortest_path
 
 
 class TestBuildGraph:

@@ -14,34 +14,32 @@ import rainbow_cactus
 from rainbow_cactus import (
     EdgeColoring,
     GenSpec,
-    all_shortest_paths,
     brute_force_search,
     brute_force_src,
     build_antipodal_index,
     build_canonical_partition,
     build_graph,
-    check_distinct_black_colors,
     decompose,
     enumerate_segments,
     generate,
     strong_rainbow_coloring,
-    unique_shortest_path,
     verify_pairs,
     verify_strong_rainbow,
 )
 from rainbow_cactus import oracle
 from rainbow_cactus.errors import PartialColoringError, TooLargeError
-from rainbow_cactus.graph import _bfs_dist
+from rainbow_cactus.graph import _bfs_dist, all_shortest_paths, unique_shortest_path
 from rainbow_cactus.oracle import (
     _bfs_tree,
     _bfs_walks,
     _by_source,
     _cactus_rainbow,
     _cactus_walks,
-    _dense_colors,
     _depths,
     _odd_cactus,
     _partition_colorings,
+    _total_colors,
+    check_distinct_black_colors,
 )
 
 
@@ -310,17 +308,18 @@ def recognise(g):
 def structural(g, colors):
     """The structural decision alone; None when g is not an odd cactus."""
     cactus = recognise(g)
-    return None if cactus is None else _cactus_rainbow(cactus, *_dense_colors(colors))
+    coloring = EdgeColoring(max(colors), tuple(colors))
+    return None if cactus is None else _cactus_rainbow(cactus, *_total_colors(g, coloring))
 
 
 def bfs_walks(g, coloring, pairs):
     """`verify_pairs` on its BFS-walk route, whatever the route rule picks."""
-    return _bfs_walks(g, coloring.color, _by_source(g, pairs))
+    return _bfs_walks(g, coloring.color, *_total_colors(g, coloring), _by_source(g, pairs))
 
 
 def cactus_walks(g, coloring, pairs):
     """`verify_pairs` on its structural route; g must be an odd cactus."""
-    return _cactus_walks(g, recognise(g), coloring.color, _by_source(g, pairs))
+    return _cactus_walks(g, recognise(g), coloring.color, *_total_colors(g, coloring), _by_source(g, pairs))
 
 
 def assert_routes_agree(g, colors, cactus=True):
@@ -692,6 +691,20 @@ class TestStructuralWalks:
         assert verify_pairs(g, algorithm_coloring(g), pairs).ok
         assert calls == sorted(chosen)
 
+    def test_four_sources_at_10k_take_the_structural_walks(self, monkeypatch):
+        # at 10,000 vertices the tree pass and recogniser cost less than 4 BFS
+        # runs: 4 sources of 250 targets are faster on the structural walks
+        spec = GenSpec(seed=20260810, target_vertices=10_000, cycle_lengths=(3, 5, 7, 9),
+                       pendant_probability=0.35)
+        g = generate(spec)
+        n = g.vertex_count
+        rng = random.Random(4)
+        pairs = [(u, rng.randrange(n)) for u in rng.sample(range(1, n), 4) for _ in range(250)]
+        coloring = algorithm_coloring(g)
+        calls = count_bfs(monkeypatch)
+        assert verify_pairs(g, coloring, pairs).ok
+        assert calls == [0]
+
     def test_same_outcome_under_python_O(self):
         # the structural walk holds no assert: under -O it gives the same
         # outcome and witness, on the optimal coloring and with a far fault
@@ -699,7 +712,7 @@ class TestStructuralWalks:
             """
             import random
             from rainbow_cactus import EdgeColoring, GenSpec, analyze_graph, generate, verify_pairs
-            from rainbow_cactus import unique_shortest_path
+            from rainbow_cactus.graph import unique_shortest_path
 
             g = generate(GenSpec(seed=11, target_vertices=520, cycle_lengths=(3, 5, 7), pendant_probability=0.3))
             rng = random.Random(5)

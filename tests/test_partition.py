@@ -20,13 +20,13 @@ from rainbow_cactus import (
     enumerate_segments,
     generate,
     graph_leaves,
-    leaf_blocks,
     lower_bound,
     strong_rainbow_coloring,
-    unique_shortest_path,
     validate_partition,
 )
+from rainbow_cactus.decomposition import leaf_blocks
 from rainbow_cactus.errors import InvalidPartitionError
+from rainbow_cactus.graph import unique_shortest_path
 from rainbow_cactus.segments import trails
 
 

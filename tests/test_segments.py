@@ -10,7 +10,6 @@ from rainbow_cactus import (
     GraphClass,
     SegmentClass,
     analyze_graph,
-    bfs_distances,
     build_antipodal_index,
     build_canonical_partition,
     build_graph,
@@ -19,6 +18,7 @@ from rainbow_cactus import (
     generate,
     src_formula,
 )
+from rainbow_cactus.graph import bfs_distances
 from rainbow_cactus.segments import _walk, trails
 
 S1, S2, S3, S4 = SegmentClass

@@ -20,7 +20,6 @@ from rainbow_cactus import (
     decompose,
     enumerate_segments,
     generate,
-    src_formula,
 )
 from rainbow_cactus import selftest as st
 from rainbow_cactus.partition import BlackWhitePartition
@@ -81,11 +80,10 @@ def test_edge_missing_from_an_adjacency_list():
 
 def segment_args(g):
     """check_segments' arguments for g: the graph, its decomposition,
-    antipodal index, forward catalog and src."""
+    antipodal index and forward catalog."""
     d = decompose(g)
     a = build_antipodal_index(d)
-    cat = enumerate_segments(d, a)
-    return g, d, a, cat, src_formula(d, cat)
+    return g, d, a, enumerate_segments(d, a)
 
 
 def relabelled(cat, klass_map=None, edge_map=None):
@@ -110,25 +108,48 @@ def test_segment_check_passes_at_size():
 
 
 def test_catalog_counts_off_the_segments(sample_cactus):
-    g, d, a, cat, k = segment_args(sample_cactus)
+    g, d, a, cat = segment_args(sample_cactus)
     assert cat.counts == (1, 2, 2, 1)
     doctored = replace(cat, counts=(2, 1, 2, 1))
-    assert violated(check_segments, g, d, a, doctored, k) == "counts_match_views"
+    assert violated(check_segments, g, d, a, doctored) == "counts_match_views"
+
+
+def test_reverse_catalog_s1_count_off(sample_cactus, monkeypatch):
+    # check_segments builds the reverse catalog itself; one more S1 there
+    # than its segments hold breaks the S1 + S4 sum across orientations too
+    build = st.enumerate_segments
+
+    def off_by_one(d, a, *, reverse=False):
+        c = build(d, a, reverse=reverse)
+        return replace(c, counts=(c.counts[0] + 1, *c.counts[1:])) if reverse else c
+
+    monkeypatch.setattr(st, "enumerate_segments", off_by_one)
+    with pytest.raises(InvariantViolation) as info:
+        check_segments(*segment_args(sample_cactus))
+    assert info.value.invariant == "counts_match_views"
+    assert info.value.detail.startswith("reverse=True: counts (2, 2, 2, 1)")
 
 
 def test_pivot_off_the_antipodal_view(sample_cactus):
-    g, d, a, cat, k = segment_args(sample_cactus)
+    g, d, a, cat = segment_args(sample_cactus)
     e7, e2 = eid["e7"], eid["e2"]
     doctored = replace(a, pivot={**a.pivot, e7: a.pivot[e2]})
-    assert violated(check_segments, g, d, doctored, cat, k) == "counts_match_views"
+    assert violated(check_segments, g, d, doctored, cat) == "counts_match_views"
+
+
+def test_e_ant_off_the_antipodal_view(sample_cactus):
+    # E_ant without e7, handed on to the catalog as `enumerate_segments` does
+    g, d, a, _ = segment_args(sample_cactus)
+    doctored = replace(a, e_ant=a.e_ant - {eid["e7"]})
+    assert violated(check_segments, g, d, doctored, enumerate_segments(d, doctored)) == "counts_match_views"
 
 
 def test_segment_edge_from_another_cycle(sample_cactus):
     # e4 (7-cycle) and e11 (triangle) trade places: the held edges and the
     # class counts stay the same, but each cycle now holds the other's edge
-    g, d, a, cat, k = segment_args(sample_cactus)
+    g, d, a, cat = segment_args(sample_cactus)
     doctored = relabelled(cat, edge_map={eid["e4"]: eid["e11"], eid["e11"]: eid["e4"]})
-    assert violated(check_segments, g, d, a, doctored, k) == "cycle_edges_partitioned"
+    assert violated(check_segments, g, d, a, doctored) == "cycle_edges_partitioned"
 
 
 def test_antipodal_image_of_another_class():
@@ -136,8 +157,19 @@ def test_antipodal_image_of_another_class():
     # S1 and S2 renamed the counts still hold, but S4 is no image of an S2
     g = build_graph([(i, i + 1) for i in range(1, 9)] + [(9, 1), (1, 10), (3, 11)])
     swap = {SegmentClass.S1: SegmentClass.S2, SegmentClass.S2: SegmentClass.S1}
-    g, d, a, cat, k = segment_args(g)
-    assert violated(check_segments, g, d, a, relabelled(cat, klass_map=swap), k) == "antipodal_image_class"
+    g, d, a, cat = segment_args(g)
+    assert violated(check_segments, g, d, a, relabelled(cat, klass_map=swap)) == "antipodal_image_class"
+
+
+def test_s2_one_edge_longer_than_its_s3_partner():
+    # the same 9-cycle with S1 renamed S2 and S4 renamed S3: counts, classes
+    # and pairing still hold, but the new S2 has one edge more than its S3
+    g = build_graph([(i, i + 1) for i in range(1, 9)] + [(9, 1), (1, 10), (3, 11)])
+    rename = {SegmentClass.S1: SegmentClass.S2, SegmentClass.S4: SegmentClass.S3}
+    g, d, a, cat = segment_args(g)
+    assert cat.counts == (1, 1, 1, 1)
+    doctored = relabelled(replace(cat, counts=(0, 2, 2, 0)), klass_map=rename)
+    assert violated(check_segments, g, d, a, doctored) == "s2_s3_equal_edges"
 
 
 def test_reversal_that_keeps_s2(sample_cactus, monkeypatch):
@@ -155,6 +187,6 @@ def test_start_vertex_that_changes_the_segments(sample_cactus, monkeypatch):
 def test_structural_walk_that_misses_a_fault(sample_cactus, monkeypatch):
     # the optimal coloring passes both routes; the BFS walks catch the
     # planted fault that this structural walk lets through
-    monkeypatch.setattr(st, "_cactus_walks", lambda g, cactus, colors, by_source: VerificationOutcome(True))
+    monkeypatch.setattr(st, "_cactus_walks", lambda *args: VerificationOutcome(True))
     coloring = analyze_graph(sample_cactus).result.coloring
     assert violated(check_verify_loops_agree, sample_cactus, coloring) == "pair_routes_agree"
