@@ -39,7 +39,6 @@ from .partition import (
     lower_bound,
     validate_partition,
 )
-from .pipeline import GraphAnalysis, analyze_graph
 from .segments import (
     AntipodalIndex,
     SegmentCatalog,
@@ -49,9 +48,11 @@ from .segments import (
 )
 from .solver import (
     EdgeColoring,
+    GraphAnalysis,
     SrcCase,
     SrcResult,
     SrcStats,
+    analyze_graph,
     src_formula,
     strong_rainbow_coloring,
 )

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 from .decomposition import GraphClass
 from .errors import RainbowCactusError
 from .generator import GenSpec, generate
-from .graph import Graph, build_graph, format_edge_list, load_edge_list
+from .graph import EdgeColoring, Graph, build_graph, format_edge_list, load_edge_list
 from .oracle import brute_force_search, verify_strong_rainbow
 from .partition import build_canonical_partition
-from .pipeline import GraphAnalysis, analyze_graph
 from .segments import SegmentClass, trails
 from .selftest import run_selftest
-from .solver import EdgeColoring, SrcResult
+from .solver import GraphAnalysis, SrcResult, analyze_graph
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1

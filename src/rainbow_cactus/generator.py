@@ -22,9 +22,16 @@ class GenSpec:
     pendant_probability: float = 0.3
 
 
+# `generate` peaked at 560-730 bytes per vertex (tracemalloc, 10k-300k
+# vertices); at 800 bytes each, a call stays within a 1 GiB memory budget
+MAX_TARGET_VERTICES = 2**30 // 800
+
+
 def _validate(spec: GenSpec) -> None:
     if spec.target_vertices < 2:
         raise InvalidSpecError("target_vertices must be at least 2")
+    if spec.target_vertices > MAX_TARGET_VERTICES:
+        raise InvalidSpecError(f"target_vertices must be at most {MAX_TARGET_VERTICES}")
     if not 0.0 <= spec.pendant_probability <= 1.0:
         raise InvalidSpecError("pendant_probability must be in [0, 1]")
     for length in spec.cycle_lengths:

@@ -107,6 +107,14 @@ class Path:
         return len(self.edges)
 
 
+@dataclass(frozen=True)
+class EdgeColoring:
+    """Total edge coloring; `color[e]` is the 1-based color of edge e."""
+
+    k: int
+    color: tuple[int, ...]
+
+
 @gc_paused
 def build_graph(edge_pairs) -> Graph:
     """Validate raw (label, label) pairs and build a dense-id Graph.

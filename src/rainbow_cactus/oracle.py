@@ -3,9 +3,9 @@
 `verify_strong_rainbow` checks a coloring from first principles (BFS shortest
 paths only); `brute_force_src` finds the true optimum on tiny graphs by
 enumerating edge-set partitions, which together validate the closed form and
-the coloring algorithm without sharing their machinery. `separate` builds the
-separation at an antipodal-to-cut edge explicitly, the reference for the
-coloring's choice of a color to reuse.
+the coloring algorithm without sharing their machinery. The oracle imports
+only the graph layer (`graph`, `errors`): its odd-cactus recogniser reads the
+blocks off a BFS tree and shares no code with `decompose` or the solver.
 """
 
 from __future__ import annotations
@@ -14,12 +14,8 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain, combinations, compress
 
-from .decomposition import Decomposition
-from .errors import InvariantError, NotAntipodalEdgeError, PartialColoringError, TooLargeError
-from .graph import EdgeId, Graph, Path, VertexId, _bfs_dist, _check_vertices, _geodesics
-from .partition import BlackWhitePartition, _components_without
-from .segments import AntipodalIndex
-from .solver import EdgeColoring
+from .errors import PartialColoringError, TooLargeError
+from .graph import EdgeColoring, Graph, Path, _bfs_dist, _check_vertices, _geodesics
 
 
 @dataclass(frozen=True)
@@ -41,17 +37,6 @@ class BruteForceResult:
     src: int
     colorings_checked: int
     coloring: EdgeColoring
-
-
-@dataclass(frozen=True)
-class Separation:
-    """Split of the graph at pivot_vertex = opp(pivot_edge): g1 holds the
-    pivot edge's side, g2 the rest; both sides share only the pivot vertex."""
-
-    pivot_edge: EdgeId
-    pivot_vertex: VertexId
-    g1_edges: frozenset[EdgeId]
-    g2_edges: frozenset[EdgeId]
 
 
 def _total_colors(g: Graph, coloring: EdgeColoring) -> tuple[list[int], int]:
@@ -674,39 +659,3 @@ def brute_force_search(g: Graph, max_edges: int = 9) -> BruteForceResult:
 
 def brute_force_src(g: Graph, max_edges: int = 9) -> int:
     return brute_force_search(g, max_edges).src
-
-
-def check_distinct_black_colors(
-    g: Graph, p: BlackWhitePartition, coloring: EdgeColoring
-) -> bool:
-    """True iff all black edges carry pairwise distinct colors."""
-    dense, _ = _total_colors(g, coloring)
-    return len({dense[e] for e in p.e_black}) == len(p.e_black)
-
-
-def separate(g: Graph, d: Decomposition, a: AntipodalIndex, e: EdgeId) -> Separation:
-    """Separation of the graph with respect to (e, opp(e)); e must be in E_ant.
-
-    Built explicitly from the components of G - opp(e), as the reference the
-    coloring's subtree-minima lookup (`solver._branch_min_black`) is checked
-    against: g1 holds the edges that touch e's component.
-    """
-    if e not in a.e_ant:
-        raise NotAntipodalEdgeError(e)
-    w = a.pivot[e]
-    comp = _components_without(g, w)
-    side = comp[g.edges[e][0]]  # the pivot itself is in no component
-    g1 = frozenset(eid for eid, (x, y) in enumerate(g.edges) if side in (comp[x], comp[y]))
-    g2 = frozenset(range(g.edge_count)) - g1
-    return Separation(e, w, g1, g2)
-
-
-def assert_line18_choice(sep: Separation, p: BlackWhitePartition) -> EdgeId:
-    """Deterministic eligible-edge choice on the far side of a separation:
-    the lowest-id black edge in g2 (one always exists on valid inputs)."""
-    eligible = p.e_black & sep.g2_edges
-    if not eligible:
-        raise InvariantError(
-            f"internal invariant violated: no black edge beyond pivot of edge {sep.pivot_edge}"
-        )
-    return min(eligible)

@@ -11,6 +11,10 @@ recogniser and `decompose`. A claim that other checks imply is not checked
 again: E_ant's definition, or that the orientation leaves the class counts,
 the black edge count and src as they are. The CLI `selftest` command and the
 acceptance tests both drive this module.
+
+The checks of the solver's internals against explicit constructions live
+here, not in the oracle, which imports only the graph layer: the separation
+at an antipodal-to-cut edge (`separate`) and the black edges' colors.
 """
 
 from __future__ import annotations
@@ -18,29 +22,30 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress, groupby
 from operator import itemgetter
 
 from .decomposition import Decomposition, GraphClass, decompose, leaf_blocks
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, InvariantError, NotAntipodalEdgeError
 from .generator import GenSpec, generate
-from .graph import Graph, _bfs_dist, _geodesics, build_graph, gc_paused
+from .graph import EdgeColoring, EdgeId, Graph, VertexId, _bfs_dist, _geodesics, build_graph, gc_paused
 from .oracle import (
+    VerificationOutcome,
     _bfs_tree,
     _by_source,
     _cactus_walks,
     _depths,
     _odd_cactus,
+    _OddCactus,
     _total_colors,
-    assert_line18_choice,
     brute_force_search,
-    check_distinct_black_colors,
-    separate,
     verify_pairs,
     verify_strong_rainbow,
 )
 from .partition import (
     BlackWhitePartition,
+    _components_without,
     build_canonical_partition,
     graph_leaves,
     lower_bound,
@@ -54,13 +59,7 @@ from .segments import (
     build_antipodal_index,
     enumerate_segments,
 )
-from .solver import (
-    EdgeColoring,
-    SrcResult,
-    _branch_min_black,
-    src_formula,
-    strong_rainbow_coloring,
-)
+from .solver import SrcResult, _branch_min_black, src_formula, strong_rainbow_coloring
 
 # vertex-count ceilings for the quadratic-and-worse checks
 _FULL_CHECK_N = 64
@@ -211,6 +210,7 @@ def check_decomposition(g: Graph, d: Decomposition, cls_tag: GraphClass) -> None
 
 
 def check_antipodal(g: Graph, d: Decomposition, a: AntipodalIndex) -> None:
+    bfs = cache(lambda w: _bfs_dist(g, w))  # a cut vertex faces an edge of each of its cycles
     for b in d.blocks:
         if not b.is_cycle:
             continue
@@ -219,7 +219,7 @@ def check_antipodal(g: Graph, d: Decomposition, a: AntipodalIndex) -> None:
         if g.vertex_count <= _FULL_CHECK_N:
             for eid, w in zip(b.ordered_edges, image):
                 u, v = g.edges[eid]
-                dist = _bfs_dist(g, w)
+                dist = bfs(w)
                 _require(dist[u] == dist[v], "antipodal_equidistant", f"edge {eid}")
 
 
@@ -340,6 +340,50 @@ def check_segments(g: Graph, d: Decomposition, a: AntipodalIndex, cat: SegmentCa
     )
 
 
+@dataclass(frozen=True)
+class Separation:
+    """Split of the graph at pivot_vertex = opp(pivot_edge): g1 holds the
+    pivot edge's side, g2 the rest; both sides share only the pivot vertex."""
+
+    pivot_edge: EdgeId
+    pivot_vertex: VertexId
+    g1_edges: frozenset[EdgeId]
+    g2_edges: frozenset[EdgeId]
+
+
+def separate(g: Graph, d: Decomposition, a: AntipodalIndex, e: EdgeId) -> Separation:
+    """Separation of the graph with respect to (e, opp(e)); e must be in E_ant.
+
+    Built explicitly from the components of G - opp(e), as the reference the
+    coloring's subtree-minima lookup (`solver._branch_min_black`) is checked
+    against: g1 holds the edges that touch e's component.
+    """
+    if e not in a.e_ant:
+        raise NotAntipodalEdgeError(e)
+    w = a.pivot[e]
+    comp = _components_without(g, w)
+    side = comp[g.edges[e][0]]  # the pivot itself is in no component
+    g1 = frozenset(eid for eid, (x, y) in enumerate(g.edges) if side in (comp[x], comp[y]))
+    g2 = frozenset(range(g.edge_count)) - g1
+    return Separation(e, w, g1, g2)
+
+
+def assert_line18_choice(sep: Separation, p: BlackWhitePartition) -> EdgeId:
+    """Deterministic eligible-edge choice on the far side of a separation:
+    the lowest-id black edge in g2 (one always exists on valid inputs)."""
+    eligible = p.e_black & sep.g2_edges
+    if not eligible:
+        raise InvariantError(
+            f"internal invariant violated: no black edge beyond pivot of edge {sep.pivot_edge}"
+        )
+    return min(eligible)
+
+
+def check_distinct_black_colors(p: BlackWhitePartition, coloring: EdgeColoring) -> bool:
+    """True iff all black edges carry pairwise distinct colors."""
+    return len({coloring.color[e] for e in p.e_black}) == len(p.e_black)
+
+
 def check_leaf_blocks_black(d: Decomposition, p: BlackWhitePartition) -> None:
     for b in leaf_blocks(d):
         _require(bool(b.edges & p.e_black), "leaf_block_has_black_edge", f"block {b.index}")
@@ -372,22 +416,26 @@ def check_line18_equivalence(
         )
 
 
-def check_recogniser(g: Graph, accepted: bool) -> None:
+def check_recogniser(g: Graph, accepted: bool) -> _OddCactus | None:
     """The verifier's odd-cactus recogniser accepts g iff `decompose` does,
-    and so it does for g with a chord from vertex 0 to vertex n - 1."""
+    and so it does for g with a chord from vertex 0 to vertex n - 1; returns
+    the recogniser's blocks of g."""
     graphs = [(g, accepted)]
     n = g.vertex_count
     if n > 2 and all(w != n - 1 for w, _ in g.adjacency[0]):
         lab = g.labels
         chorded = build_graph([*map(g.edge_label_pair, range(g.edge_count)), (lab[0], lab[-1])])
         graphs.append((chorded, decompose(chorded).classification.accepted))
+    found = []
     for h, want in graphs:
         par_v, par_e, order = _bfs_tree(h)
+        found.append(_odd_cactus(h, _depths(par_v, order), par_v, par_e))
         _require(
-            (_odd_cactus(h, _depths(par_v, order), par_v, par_e) is not None) == want,
+            (found[-1] is not None) == want,
             "recogniser_matches_classification",
             f"n={h.vertex_count} m={h.edge_count} accepted={want}",
         )
+    return found[0]
 
 
 def _fault_at_last_vertex(g: Graph, colors: list[int]) -> list[int] | None:
@@ -406,27 +454,27 @@ def _fault_at_last_vertex(g: Graph, colors: list[int]) -> list[int] | None:
     return None
 
 
-def check_verify_loops_agree(g: Graph, coloring: EdgeColoring) -> None:
+def check_verify_loops_agree(
+    g: Graph, coloring: EdgeColoring, outcome: VerificationOutcome, cactus: _OddCactus | None
+) -> None:
     """The all-pairs pass and the per-pair walks give the same outcome and
     witness over every pair (u, v > u), on the coloring and on copies with
     one planted fault: the first edge colored unlike edge 0 takes its color,
     or a fault at vertex n - 1 (`_fault_at_last_vertex`), which the scan
     from vertex 0 need not meet, so the structural check on an odd cactus
     fails and the scan resumes at vertex 1. On these pairs `verify_pairs`
-    takes its BFS walks; its structural walks must agree with them
-    (pair_routes_agree)."""
+    takes its BFS walks; its structural walks over `cactus` must agree with
+    them (pair_routes_agree). `outcome` is the all-pairs pass's on `coloring`."""
     n = g.vertex_count
     pairs = [(u, v) for u in range(n - 1) for v in range(u + 1, n)]
     by_source = _by_source(g, pairs)
-    par_v, par_e, order = _bfs_tree(g)
-    cactus = _odd_cactus(g, _depths(par_v, order), par_v, par_e)
     faulty = list(coloring.color)
     other = next((e for e, c in enumerate(faulty) if c != faulty[0]), 0)
     faulty[other] = faulty[0]
     far = _fault_at_last_vertex(g, coloring.color)
     for colors in filter(None, (coloring.color, faulty, far)):
         c = EdgeColoring(max(colors), tuple(colors))
-        full = verify_strong_rainbow(g, c)
+        full = outcome if colors is coloring.color else verify_strong_rainbow(g, c)
         spot = verify_pairs(g, c, pairs)
         _require(full == spot, "verify_loops_agree", f"{full} vs {spot}")
         walked = None if cactus is None else _cactus_walks(g, cactus, c.color, *_total_colors(g, c), by_source)
@@ -439,7 +487,7 @@ def check_instance(g: Graph) -> SrcResult:
     d = decompose(g)
     cls = d.classification
     _require(cls.accepted, "generated_graph_accepted", str(cls.reason))
-    check_recogniser(g, cls.accepted)
+    cactus = check_recogniser(g, cls.accepted)
     check_decomposition(g, d, cls.tag)
     a = build_antipodal_index(d)
     check_antipodal(g, d, a)
@@ -471,7 +519,7 @@ def check_instance(g: Graph) -> SrcResult:
     outcome = verify_strong_rainbow(g, res.coloring)
     _require(outcome.ok, "coloring_verifies", repr(outcome.witness))
     if g.vertex_count <= _FULL_CHECK_N:
-        check_verify_loops_agree(g, res.coloring)
+        check_verify_loops_agree(g, res.coloring, outcome, cactus)
 
     if g.vertex_count <= _PATH_ENUM_N:
         check_shortest_paths(g, a, part)
@@ -482,11 +530,11 @@ def check_instance(g: Graph) -> SrcResult:
         _require(bf.src == k, "brute_force_agrees", f"{bf.src} vs {k}")
         if part is not None:
             _require(
-                check_distinct_black_colors(g, part, bf.coloring),
+                check_distinct_black_colors(part, bf.coloring),
                 "oracle_coloring_black_distinct",
             )
             _require(
-                check_distinct_black_colors(g, part, res.coloring),
+                check_distinct_black_colors(part, res.coloring),
                 "algorithm_coloring_black_distinct",
             )
     return res

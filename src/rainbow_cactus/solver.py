@@ -5,7 +5,9 @@ that are not bare cycles (for a tree it gives m); bare odd cycles are handled
 directly. The coloring gives every cut edge and every S1/S2 segment edge a
 fresh color, mirrors those colors onto the antipodal S4/S3 edges, and colors
 each antipodal-to-cut edge by reusing the color of an eligible edge on the far
-side of its pivot cut vertex.
+side of its pivot cut vertex. `analyze_graph` runs the chain from `decompose`
+to the coloring. No verification code is imported here: the oracle and the
+selftest check the results.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 
-from .decomposition import Decomposition, GraphClass, require_odd_cactus
+from .decomposition import Classification, Decomposition, GraphClass, decompose, require_odd_cactus
 from .errors import InvariantError
-from .graph import EdgeId, Graph, VertexId
+from .graph import EdgeColoring, EdgeId, Graph, VertexId
 from .partition import black_edges
-from .segments import AntipodalIndex, SegmentCatalog, SegmentClass
+from .segments import AntipodalIndex, SegmentCatalog, SegmentClass, build_antipodal_index, enumerate_segments
 
 _UNSET = 1 << 60
 
@@ -28,14 +30,6 @@ class SrcCase(Enum):
     ODD_CYCLE = "OddCycle"
     TRIANGLE = "Triangle"
     TREE = "Tree"
-
-
-@dataclass(frozen=True)
-class EdgeColoring:
-    """Total edge coloring; `color[e]` is the 1-based color of edge e."""
-
-    k: int
-    color: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -188,3 +182,25 @@ def strong_rainbow_coloring(
         raise InvariantError(f"color count {k} disagrees with the closed form {expected}")
     case = SrcCase.TREE if cls.tag is GraphClass.TREE else SrcCase.FORMULA
     return SrcResult(k, EdgeColoring(k, tuple(colors_list)), stats, case)
+
+
+@dataclass(frozen=True, eq=False)
+class GraphAnalysis:
+    graph: Graph
+    decomposition: Decomposition
+    classification: Classification
+    antipodal: AntipodalIndex | None
+    catalog: SegmentCatalog | None
+    result: SrcResult | None
+
+
+def analyze_graph(g: Graph) -> GraphAnalysis:
+    """Decompose, classify, and (if accepted) compute segments and the
+    optimal coloring."""
+    d = decompose(g)
+    cls = d.classification
+    if not cls.accepted:
+        return GraphAnalysis(g, d, cls, None, None, None)
+    a = build_antipodal_index(d)
+    cat = enumerate_segments(d, a)
+    return GraphAnalysis(g, d, cls, a, cat, strong_rainbow_coloring(g, d, a, cat))

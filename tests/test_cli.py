@@ -21,7 +21,16 @@ from rainbow_cactus import (
 )
 from rainbow_cactus.cli import build_report, main
 from rainbow_cactus.errors import InvalidSpecError
-from rainbow_cactus.selftest import MIN_MAX_N, _fault_at_last_vertex, run_selftest, spec_for_seed
+from rainbow_cactus import selftest
+from rainbow_cactus.generator import MAX_TARGET_VERTICES
+from rainbow_cactus.selftest import (
+    MIN_MAX_N,
+    InvariantViolation,
+    SelftestFailure,
+    _fault_at_last_vertex,
+    run_selftest,
+    spec_for_seed,
+)
 
 # a label past CPython's default limit of 4300 digits for int(str)
 TOO_LONG = "7" * 5000
@@ -210,6 +219,22 @@ class TestVerify:
         coloring_file.write_text(json.dumps({"coloring": {"1,2": 1, "98,99": 2}}))
         assert main(["verify", sample_path, str(coloring_file)]) == 1
 
+    def test_no_coloring_object_is_an_error(self, sample_path, tmp_path, capsys):
+        coloring_file = tmp_path / "bare.json"
+        coloring_file.write_text(json.dumps({"colouring": {"1,2": 1}}))
+        assert main(["verify", sample_path, str(coloring_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: coloring file has no 'coloring' object\n"
+
+    def test_one_edge_under_both_key_orders_is_a_duplicate(self, sample_path, tmp_path, capsys):
+        coloring_file = tmp_path / "twice.json"
+        coloring_file.write_text(json.dumps({"coloring": {"1,2": 1, "2,1": 2}}))
+        assert main(["verify", sample_path, str(coloring_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duplicate coloring entry for edge '2,1'\n"
+
     def test_invalid_json_is_an_error(self, sample_path, tmp_path, capsys):
         coloring_file = tmp_path / "broken.json"
         coloring_file.write_text("{not json")
@@ -353,6 +378,12 @@ class TestGenerate:
         assert main(["generate", "--cycles", "3,x"]) == 1
         assert "comma-separated" in capsys.readouterr().err
 
+    def test_size_past_the_ceiling_exits_1(self, capsys):
+        assert main(["generate", "--vertices", "1000000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: target_vertices must be at most {MAX_TARGET_VERTICES}\n"
+
 
 class TestSelftest:
     def test_small_run_passes(self, capsys):
@@ -386,6 +417,25 @@ class TestSelftest:
         # 9-vertex graphs for seeds 6, 30 and 53
         with pytest.raises(InvalidSpecError):
             run_selftest(seeds=seeds, max_n=max_n)
+
+    def test_violation_stops_the_run_and_exits_3(self, capsys, monkeypatch):
+        # a check that fails on the third instance: the run records it and
+        # checks no further instance, and the CLI names seed and invariant
+        calls = []
+
+        def planted(g):
+            calls.append(g)
+            if len(calls) == 3:
+                raise InvariantViolation("edge_in_two_adjacency_lists", "planted")
+
+        monkeypatch.setattr(selftest, "check_graph_core", planted)
+        report = run_selftest(seeds=10, max_n=16)
+        assert len(calls) == 3
+        assert not report.ok
+        assert report.failures == (SelftestFailure(2, "edge_in_two_adjacency_lists", "planted"),)
+        calls.clear()
+        assert main(["selftest", "--seeds", "10", "--max-n", "16"]) == 3
+        assert capsys.readouterr().out == "selftest FAILED at seed 2: edge_in_two_adjacency_lists (planted)\n"
 
     def test_zero_seeds_warns(self, capsys):
         assert main(["selftest", "--seeds", "0"]) == 0
@@ -422,20 +472,6 @@ class TestSelftest:
             for path in sorted(package.rglob("*.py"))
             for node in ast.walk(ast.parse(path.read_text(), str(path)))
             if isinstance(node, ast.Assert)
-        ]
-        assert found == []
-
-    def test_trail_positions_are_read_in_segments_only(self):
-        # a walk's trail positions (vertex q at 2q, the edge after it at
-        # 2q + 1) are decoded by `segments._spans` alone; every other module
-        # reads the index ranges it hands out, so none shifts a position
-        package = pathlib.Path(rainbow_cactus.__file__).parent
-        found = [
-            f"{path.relative_to(package)}:{node.lineno}"
-            for path in sorted(package.rglob("*.py"))
-            if path.name != "segments.py"
-            for node in ast.walk(ast.parse(path.read_text(), str(path)))
-            if isinstance(getattr(node, "op", None), ast.RShift)
         ]
         assert found == []
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import time
+import tracemalloc
+
 import pytest
 
 from rainbow_cactus import (
@@ -11,6 +14,7 @@ from rainbow_cactus import (
     generate,
 )
 from rainbow_cactus.errors import InvalidSpecError
+from rainbow_cactus.generator import MAX_TARGET_VERTICES, _validate
 
 
 class TestGenSpecValidation:
@@ -31,6 +35,27 @@ class TestGenSpecValidation:
     def test_target_below_two_rejected(self):
         with pytest.raises(InvalidSpecError):
             generate(GenSpec(seed=0, target_vertices=1))
+
+    def test_target_past_the_ceiling_fails_fast(self):
+        # a request for 10^12 vertices fails before anything is built
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(InvalidSpecError, match=f"at most {MAX_TARGET_VERTICES}$"):
+                generate(GenSpec(seed=0, target_vertices=10**12))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 64 * 1024
+
+    def test_ceiling_admits_the_largest_probes(self):
+        # the 300k-vertex probe and the ceiling itself pass; one more fails
+        _validate(GenSpec(seed=0, target_vertices=300_000))
+        _validate(GenSpec(seed=0, target_vertices=MAX_TARGET_VERTICES))
+        with pytest.raises(InvalidSpecError):
+            _validate(GenSpec(seed=0, target_vertices=MAX_TARGET_VERTICES + 1))
 
     def test_probability_out_of_range(self):
         with pytest.raises(InvalidSpecError):

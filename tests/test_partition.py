@@ -172,6 +172,37 @@ class TestValidatePartition:
         by_name = {c.name: c for c in report.checks}
         assert not by_name["black_edges_one_side"].passed
 
+    @staticmethod
+    def path_split_at(v, black):
+        """Path 0-1-2-3-4-5 with the black edges `black`, their endpoints
+        black, and every other vertex and edge white, cut vertex v among them."""
+        g = build_graph(path_edges(6))
+        d, a, cat = pipeline(g)
+        e_black = frozenset(g.edge_between(x, x + 1) for x in black)
+        v_black = frozenset(x for e in e_black for x in g.edges[e])
+        assert v not in v_black and v in d.cut_vertices
+        p = BlackWhitePartition(
+            v_black,
+            frozenset(range(6)) - v_black,
+            e_black,
+            frozenset(range(g.edge_count)) - e_black,
+        )
+        return g, validate_partition(g, d, a, p)
+
+    def test_property_4_black_edges_beside_a_white_cut_vertex(self):
+        # white cut vertices 3 and 4; the black edges 0-1 and 1-2 avoid
+        # both and lie in one component of G - 3 and of G - 4
+        g, report = self.path_split_at(3, [0, 1])
+        assert report.ok
+
+    def test_property_4_black_edges_on_both_sides(self):
+        # the black edges 0-1 and 3-4 avoid the white cut vertex 2 but lie
+        # on both sides of it: the second one is the witness
+        g, report = self.path_split_at(2, [0, 3])
+        assert [(c.name, c.witness) for c in report.failures()] == [
+            ("black_edges_one_side", (2, g.edge_between(3, 4)))
+        ]
+
     def test_malformed_partition_raises(self, sample_cactus):
         g = sample_cactus
         d, a, cat = pipeline(g)

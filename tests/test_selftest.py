@@ -20,6 +20,7 @@ from rainbow_cactus import (
     decompose,
     enumerate_segments,
     generate,
+    verify_strong_rainbow,
 )
 from rainbow_cactus import selftest as st
 from rainbow_cactus.partition import BlackWhitePartition
@@ -30,6 +31,7 @@ from rainbow_cactus.selftest import (
     check_instance,
     check_segments,
     check_shortest_paths,
+    check_recogniser,
     check_verify_loops_agree,
 )
 
@@ -189,4 +191,6 @@ def test_structural_walk_that_misses_a_fault(sample_cactus, monkeypatch):
     # planted fault that this structural walk lets through
     monkeypatch.setattr(st, "_cactus_walks", lambda *args: VerificationOutcome(True))
     coloring = analyze_graph(sample_cactus).result.coloring
-    assert violated(check_verify_loops_agree, sample_cactus, coloring) == "pair_routes_agree"
+    outcome = verify_strong_rainbow(sample_cactus, coloring)
+    cactus = check_recogniser(sample_cactus, True)
+    assert violated(check_verify_loops_agree, sample_cactus, coloring, outcome, cactus) == "pair_routes_agree"

@@ -26,7 +26,7 @@ from rainbow_cactus import (
     verify_strong_rainbow,
 )
 from rainbow_cactus.errors import NotAntipodalEdgeError, NotOddCactusError
-from rainbow_cactus.oracle import assert_line18_choice, separate
+from rainbow_cactus.selftest import assert_line18_choice, separate
 from rainbow_cactus.solver import _branch_min_black
 
 
