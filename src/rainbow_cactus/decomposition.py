@@ -178,7 +178,7 @@ def decompose(g: Graph) -> Decomposition:
     """
     n = g.vertex_count
     m = g.edge_count
-    adj = g.adjacency
+    rows = g.rows
     disc = [-1] * n
     low = [0] * n
     parent_eid = [-1] * n
@@ -195,7 +195,9 @@ def decompose(g: Graph) -> Decomposition:
 
     disc[0] = low[0] = 0
     vstack = [0]
-    iters = [iter(adj[0])]
+    # each vertex's row, read as (neighbour, edge) pairs
+    it = iter(rows[0])
+    iters = [zip(it, it)]
     while iters:
         v = vstack[-1]
         dv = disc[v]
@@ -210,7 +212,8 @@ def decompose(g: Graph) -> Decomposition:
                 disc[w] = low[w] = timer
                 timer += 1
                 vstack.append(w)
-                iters.append(iter(adj[w]))
+                it = iter(rows[w])
+                iters.append(zip(it, it))
                 break
             if dw < dv and eid != pe:
                 is_back[eid] = 1

@@ -74,6 +74,20 @@ class TooLargeError(RainbowCactusError):
         self.max_edges = max_edges
 
 
+class SearchBudgetError(RainbowCactusError):
+    """The search for a rainbow shortest path of one pair ran out of steps:
+    the graph has too many shortest paths between them to decide."""
+
+    def __init__(self, u: int, v: int, budget: int):
+        super().__init__(
+            f"no verdict within {budget} search steps: too many shortest paths between"
+            f" vertices {u} and {v} (dense ids)"
+        )
+        self.u = u
+        self.v = v
+        self.budget = budget
+
+
 class InvalidSpecError(RainbowCactusError):
     pass
 

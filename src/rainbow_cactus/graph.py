@@ -3,6 +3,10 @@
 Raw vertex labels are arbitrary non-negative integers; `build_graph` remaps
 them to dense ids 0..n-1 in sorted label order and keeps the mapping for
 output. Edge ids are stable positions in the edge tuple.
+
+A graph is one flat row of ints per vertex, with no tuple per half-edge,
+and the BFS tree from vertex 0 that its connectivity check walked; the
+(neighbour, edge id) pairs are a view built on first read.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import gc
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
+from operator import eq
 from pathlib import Path as FsPath
 
 from .errors import (
@@ -62,32 +67,51 @@ def gc_paused(fn):
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Connected simple undirected graph. Immutable after construction."""
+    """Connected simple undirected graph. Immutable after construction.
+
+    `rows[x]` is (w0, e0, w1, e1, ...), x's neighbours and the edges to
+    them in edge id order; read it as pairs with `it = iter(row);
+    zip(it, it)`. `tree` is the BFS tree from vertex 0: parent vertex and
+    parent edge per vertex, vertex 0 its own parent through edge -1, and
+    the visit order. Its three lists are read, never written: as tuples,
+    the small graphs' ones would stay in the interpreter's tuple free lists.
+    """
 
     vertex_count: int
     edges: tuple[tuple[VertexId, VertexId], ...]
-    adjacency: tuple[tuple[tuple[VertexId, EdgeId], ...], ...]
+    rows: tuple[tuple[int, ...], ...]
     labels: tuple[int, ...]
+    tree: tuple[list[VertexId], list[EdgeId], list[VertexId]]
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[tuple[VertexId, EdgeId], ...], ...]:
+        """Per vertex its (neighbour, edge id) pairs, in row order, built
+        on first read. The per-source scans of the oracle and the selftest
+        visit a vertex faster through pairs than through a row; the solver
+        never builds them. No collector pause: its closing pass over the new
+        tuples costs more than the collector's own passes here."""
+        return tuple([tuple(zip(it, it)) for it in map(iter, self.rows)])
+
     def edge_between(self, u: VertexId, v: VertexId) -> EdgeId:
         """Edge id joining u and v; raises KeyError if absent.
 
-        Scans the shorter of the two adjacency lists, so looking up every
-        edge of a graph of arboricity a costs O(a * m).
+        Scans the shorter of the two rows, so looking up every edge of a
+        graph of arboricity a costs O(a * m).
         """
         n = self.vertex_count
         if not (0 <= u < n and 0 <= v < n):
             raise KeyError((u, v))
-        adj = self.adjacency
-        x, y = (u, v) if len(adj[u]) <= len(adj[v]) else (v, u)
-        for w, eid in adj[x]:
-            if w == y:
-                return eid
-        raise KeyError((u, v))
+        rows = self.rows
+        x, y = (u, v) if len(rows[u]) <= len(rows[v]) else (v, u)
+        row = rows[x]
+        try:
+            return row[2 * row[::2].index(y) + 1]
+        except ValueError:
+            raise KeyError((u, v)) from None
 
     def edge_label_pair(self, e: EdgeId) -> tuple[int, int]:
         """Raw labels of an edge's endpoints, smaller label first."""
@@ -127,44 +151,65 @@ def build_graph(edge_pairs) -> Graph:
     pairs = list(edge_pairs)
     if not pairs:
         raise EmptyInputError("edge list is empty")
-    label_set = set(chain.from_iterable(pairs))
+    flat = list(chain.from_iterable(pairs))
+    label_set = set(flat)
     # types too: 1.0 or True equals 1, so the label set can hide it
-    if set(map(type, chain.from_iterable(pairs))) != {int} or min(label_set) < 0:
-        raise InvalidLabelError(
-            next(x for x in chain.from_iterable(pairs) if type(x) is not int or x < 0)
-        )
+    if set(map(type, flat)) != {int} or min(label_set) < 0:
+        raise InvalidLabelError(next(x for x in flat if type(x) is not int or x < 0))
     labels = tuple(sorted(label_set))
-    dense = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
+    del label_set
+    if labels[-1] != n - 1:
+        # dense ids follow sorted label order, so a < b orders labels too
+        dense = dict(zip(labels, range(n)))
+        pairs = [(dense[u], dense[v]) for u, v in pairs]
 
-    # one insertion-ordered index is both the duplicate check and the edge
-    # list; dense ids follow sorted label order, so a < b orders labels too
-    index: dict[tuple[int, int], int] = {}
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        if u == v:
-            raise SelfLoopError(u)
-        a, b = dense[u], dense[v]
-        if a > b:
-            a, b = b, a
-        key = (a, b)
-        if key in index:
-            raise ParallelEdgeError((labels[a], labels[b]))
-        eid = index[key] = len(index)
-        adj[a].append((b, eid))
-        adj[b].append((a, eid))
+    rows = [[] for _ in range(n)]
+    edges = []
+    add_edge = edges.append
+    for e, (a, b) in enumerate(pairs):
+        add_edge((a, b) if a < b else (b, a))
+        row = rows[a]
+        row.append(b)
+        row.append(e)
+        row = rows[b]
+        row.append(a)
+        row.append(e)
+    # a second copy of a pair or a self-loop, found in C; the loop that
+    # names the first bad pair in input order runs only then
+    if len(set(edges)) < len(edges) or any(map(eq, flat[0::2], flat[1::2])):
+        seen = set()
+        it = iter(flat)
+        for u, v in zip(it, it):
+            if u == v:
+                raise SelfLoopError(u)
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise ParallelEdgeError(key)
+            seen.add(key)
+    del flat, pairs
 
     # rows become tuples one at a time, so the lists and the tuples never
-    # all coexist; the build's maps go before the connectivity BFS
-    for i in range(n):
-        adj[i] = tuple(adj[i])
-    g = Graph(n, tuple(index), tuple(adj), labels)
-    del pairs, label_set, dense, index, adj
-    dist = _bfs_dist(g, 0)
-    if -1 in dist:
+    # all coexist
+    for x in range(n):
+        rows[x] = tuple(rows[x])
+    # the connectivity check, a BFS from vertex 0 that keeps its tree; the
+    # visit order is the queue, as in `_bfs_dist`
+    par_v = [-1] * n
+    par_e = [-1] * n
+    par_v[0] = 0
+    order = [0]
+    for x in order:
+        it = iter(rows[x])
+        for w, e in zip(it, it):
+            if par_v[w] < 0:
+                par_v[w] = x
+                par_e[w] = e
+                order.append(w)
+    if len(order) < n:
         # the lowest unreachable dense id, i.e. the lowest unreachable label
-        raise DisconnectedError(labels[dist.index(-1)])
-    return g
+        raise DisconnectedError(labels[par_v.index(-1)])
+    return Graph(n, tuple(edges), tuple(rows), labels, (par_v, par_e, order))
 
 
 def _bfs_dist(g: Graph, source: VertexId) -> list[int]:

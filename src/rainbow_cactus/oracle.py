@@ -14,7 +14,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain, combinations, compress
 
-from .errors import PartialColoringError, TooLargeError
+from .errors import PartialColoringError, SearchBudgetError, TooLargeError
 from .graph import EdgeColoring, Graph, Path, _bfs_dist, _check_vertices, _geodesics
 
 
@@ -101,33 +101,50 @@ def _depths(par_v: list[int], order: list[int]) -> list[int]:
     return dist
 
 
+# Steps the rainbow geodesic search may take beyond 2m, the most it takes on
+# a geodetic graph. A chain of k diamonds (4-cycles joined at opposite
+# corners) with both sides of each alike in color takes about 2^(k+3) steps,
+# some 0.16 us each on a 2-CPU host: k = 17 still gets its verdict, and k = 18
+# and beyond stop within about 0.2 s.
+_SEARCH_STEPS = 1 << 20
+
+
 def _settle(g: Graph, du, colors, u: int, v: int) -> VerificationOutcome | None:
     """None if some shortest u,v path is rainbow, else the failing outcome
     with the lexicographically first shortest path as its witness. Exact on
-    any graph; `du` holds the BFS distances from u."""
-    if _has_rainbow_geodesic(g.adjacency, du, colors, u, v):
+    any graph whose search ends within its budget; `du` holds the BFS
+    distances from u. Raises SearchBudgetError past the budget."""
+    budget = 2 * g.edge_count + _SEARCH_STEPS
+    if _has_rainbow_geodesic(g.adjacency, du, colors, u, v, budget):
         return None
     path = next(_geodesics(g, du, u, v))
     rep = _repeated_color(path.edges, colors)
     return VerificationOutcome(False, RainbowWitness(u, v, path, rep))
 
 
-def _has_rainbow_geodesic(adj, dist, colors, u: int, v: int) -> bool:
+def _has_rainbow_geodesic(adj, dist, colors, u: int, v: int, budget: int) -> bool:
     """Whether some shortest u,v path has pairwise distinct colors.
 
     Depth-first search backward from v over shortest-path predecessors,
     never taking an edge whose color the partial path already uses; it stops
     at the first rainbow path. Iterative, so a geodesic longer than the
     recursion limit is fine. Worst case exponential: the problem is
-    NP-complete in general.
+    NP-complete in general. So each neighbour it looks at is a step, and
+    past `budget` steps it raises SearchBudgetError. On a geodetic graph
+    every vertex has one predecessor, the search scans each row at most
+    once, and it takes at most 2m steps.
     """
     used: set[int] = set()
+    steps = budget
     # frame: vertex, iterator over its neighbours, color of the edge taken into it
     stack = [(v, iter(adj[v]), None)]
     while stack:
         x, nbrs, _ = stack[-1]
         want = dist[x] - 1
         for w, eid in nbrs:
+            steps -= 1
+            if steps < 0:
+                raise SearchBudgetError(u, v, budget)
             if dist[w] == want:
                 c = colors[eid]
                 if c in used:
@@ -148,7 +165,8 @@ def verify_strong_rainbow(
     """Check that every vertex pair has a rainbow shortest path.
 
     Pairs are checked in (u, v) order and the first failing pair is the
-    witness. Source 0 is scanned first. If it passes and the graph is an
+    witness. Source 0 is scanned first, on the BFS tree from vertex 0 that
+    the graph keeps (`g.tree`). If it passes and the graph is an
     odd cactus, `_cactus_rainbow` decides the rest in O(n + m log m) from
     the block structure, with no further BFS; if that finds a failure, or
     the graph is no odd cactus, the scan resumes at source 1, so the witness
@@ -186,7 +204,7 @@ def verify_strong_rainbow(
     entry = [0] * n
     pos = [0] * (k + 1)
     pathc = [0] * n
-    par_v, par_e, order = _bfs_tree(g)
+    par_v, par_e, order = g.tree
     dist0 = _depths(par_v, order)
     for u in range(n - 1):
         dist = _bfs_dist(g, u) if u else dist0
@@ -304,7 +322,7 @@ class _OddCactus:
 
 def _odd_cactus(g: Graph, dist: list[int], par_v: list[int], par_e: list[int]) -> _OddCactus | None:
     """g's blocks if g is an odd cactus, else None, from the BFS tree from
-    vertex 0 (`_bfs_tree`) and its depths.
+    vertex 0 (`g.tree`, as `_bfs_tree(g, 0)` finds it) and its depths.
 
     Each non-tree edge (a, b) of a BFS tree closes one fundamental cycle,
     the tree paths from a and b up to where they meet. g is a cactus iff
@@ -416,11 +434,14 @@ def _cactus_rainbow(cactus: _OddCactus, dense: list[int], k: int) -> bool:
 
 
 # The route rule of `verify_pairs`, from timings of both routes on generated
-# odd cacti of 300 to 100,000 vertices: the tree pass and the recogniser
-# cost about _TREE_PASS BFS runs (at 10,000 vertices, 3 sources of 250
-# targets are about even), and a structural pair walk costs more than a
-# BFS-tree walk by what a BFS spends on 9 to 21 vertices and edges.
-_TREE_PASS = 3
+# odd cacti of 2,000 to 100,000 vertices. The tree pass reads the graph's
+# kept BFS tree, so it is the recogniser alone: 2.5, 1.8 and 1.2 BFS runs at
+# 2,000, 10,000 and 100,000 vertices. Charged _TREE_PASS runs, 3 or 4
+# sources of 250 targets take the BFS walks at 2,000 vertices and the
+# structural walks at 10,000 and 100,000, the faster route each time. A
+# structural pair walk costs more than a BFS-tree walk by what a BFS spends
+# on 9 to 21 vertices and edges.
+_TREE_PASS = 2
 _PAIR_COST = 16
 
 
@@ -430,11 +451,11 @@ def verify_pairs(g: Graph, coloring: EdgeColoring, pairs) -> VerificationOutcome
     Sources are checked in ascending order, each source's targets in the
     given order; the first failing pair is the witness. On an odd cactus,
     once (sources - _TREE_PASS) * (n + m) > _PAIR_COST * pairs (distinct
-    sources, pairs with u != v), the structural walks run: one BFS tree
-    from vertex 0 and the recogniser, O(n + m), then O(d(u, v)) per pair
-    (`_cactus_walks`). Otherwise the BFS walks run: one BFS per source,
-    O(n + m) each, then O(d(u, v)) per pair (`_bfs_walks`), exact on any
-    graph. A pair whose walked path repeats a color goes to `_settle`, so
+    sources, pairs with u != v), the structural walks run: the recogniser
+    on the graph's BFS tree from vertex 0 (`g.tree`), O(n + m), then
+    O(d(u, v)) per pair (`_cactus_walks`), with no pair view built.
+    Otherwise the BFS walks run: one BFS per source, O(n + m) each, then
+    O(d(u, v)) per pair (`_bfs_walks`), exact on any graph. A pair whose walked path repeats a color goes to `_settle`, so
     both routes give the same witness. Raises ValueError for a vertex id
     that is not an int in 0..n-1, before any BFS.
     """
@@ -442,7 +463,7 @@ def verify_pairs(g: Graph, coloring: EdgeColoring, pairs) -> VerificationOutcome
     by_source = _by_source(g, pairs)
     count = sum(map(len, by_source.values()))
     if (len(by_source) - _TREE_PASS) * (g.vertex_count + g.edge_count) > _PAIR_COST * count:
-        par_v, par_e, order = _bfs_tree(g)
+        par_v, par_e, order = g.tree
         cactus = _odd_cactus(g, _depths(par_v, order), par_v, par_e)
         if cactus is not None:
             return _cactus_walks(g, cactus, coloring.color, dense, k, by_source)

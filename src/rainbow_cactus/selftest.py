@@ -122,11 +122,14 @@ def spec_for_seed(seed: int, max_vertices: int = 30) -> GenSpec:
 
 
 def check_graph_core(g: Graph) -> None:
+    """Each edge sits in the rows of two vertices, and the graph's kept BFS
+    tree from vertex 0 is the one the oracle's own BFS finds."""
     counts = [0] * g.edge_count
     for vlist in g.adjacency:
         for _, eid in vlist:
             counts[eid] += 1
     _require(all(c == 2 for c in counts), "edge_in_two_adjacency_lists")
+    _require(_bfs_tree(g, 0) == g.tree, "kept_tree_is_bfs_tree")
 
 
 def check_shortest_paths(
@@ -351,7 +354,7 @@ class Separation:
     g2_edges: frozenset[EdgeId]
 
 
-def separate(g: Graph, d: Decomposition, a: AntipodalIndex, e: EdgeId) -> Separation:
+def separate(g: Graph, a: AntipodalIndex, e: EdgeId) -> Separation:
     """Separation of the graph with respect to (e, opp(e)); e must be in E_ant.
 
     Built explicitly from the components of G - opp(e), as the reference the
@@ -400,7 +403,7 @@ def check_line18_equivalence(
     fast = _branch_min_black(d, sorted(p.e_black), ant_edges, a.opp_vertex)
     all_edges = frozenset(range(g.edge_count))
     for e in ant_edges:
-        sep = separate(g, d, a, e)
+        sep = separate(g, a, e)
         _require(
             sep.g1_edges | sep.g2_edges == all_edges and not sep.g1_edges & sep.g2_edges,
             "separation_partitions_edges",
@@ -428,7 +431,7 @@ def check_recogniser(g: Graph, accepted: bool) -> _OddCactus | None:
         graphs.append((chorded, decompose(chorded).classification.accepted))
     found = []
     for h, want in graphs:
-        par_v, par_e, order = _bfs_tree(h)
+        par_v, par_e, order = h.tree
         found.append(_odd_cactus(h, _depths(par_v, order), par_v, par_e))
         _require(
             (found[-1] is not None) == want,

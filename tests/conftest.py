@@ -53,6 +53,22 @@ def k4_edges() -> list[tuple[int, int]]:
     return [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
+def diamond_chain(k: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """Edges and colors of k diamonds (4-cycles joined at opposite corners)
+    and a pendant edge. Both sides of each diamond carry the same two
+    colors, and the pendant edge the first diamond's first color, so every
+    geodesic from vertex 0 to the pendant vertex repeats a color. A graph
+    that is no cactus, with 2^k geodesics between the ends of the chain."""
+    edges, colors = [], []
+    for i in range(k):
+        a, b, c, d = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
+        edges += [(a, b), (b, d), (a, c), (c, d)]
+        colors += [2 * i + 1, 2 * i + 2, 2 * i + 1, 2 * i + 2]
+    edges.append((3 * k, 3 * k + 1))
+    colors.append(1)
+    return edges, colors
+
+
 def c5_plus_pendant_edges() -> list[tuple[int, int]]:
     return cycle_edges(5) + [(0, 5)]
 

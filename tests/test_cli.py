@@ -6,9 +6,10 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
-from conftest import SAMPLE_EDGES, cycle_edges, path_edges
+from conftest import SAMPLE_EDGES, cycle_edges, diamond_chain, path_edges
 
 import rainbow_cactus
 from rainbow_cactus import (
@@ -218,6 +219,20 @@ class TestVerify:
         coloring_file = tmp_path / "alien.json"
         coloring_file.write_text(json.dumps({"coloring": {"1,2": 1, "98,99": 2}}))
         assert main(["verify", sample_path, str(coloring_file)]) == 1
+
+    def test_too_many_geodesics_exit_1_fast(self, tmp_path, capsys):
+        # a chain of 20 diamonds has 2^20 geodesics end to end, and each
+        # repeats a color: the search stops at its step budget
+        edges, colors = diamond_chain(20)
+        path = write_edges(tmp_path, "chain.txt", edges)
+        coloring_file = tmp_path / "chain.json"
+        coloring_file.write_text(json.dumps({"coloring": {f"{u},{v}": c for (u, v), c in zip(edges, colors)}}))
+        start = time.perf_counter()
+        assert main(["verify", path, str(coloring_file)]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no verdict within ")
 
     def test_no_coloring_object_is_an_error(self, sample_path, tmp_path, capsys):
         coloring_file = tmp_path / "bare.json"

@@ -1,11 +1,22 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from conftest import SAMPLE_EDGES, cycle_edges, eid, path_edges, vid
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rainbow_cactus import build_graph, format_edge_list, load_edge_list, parse_edge_list
+from rainbow_cactus import (
+    GenSpec,
+    analyze_graph,
+    build_canonical_partition,
+    build_graph,
+    format_edge_list,
+    generate,
+    load_edge_list,
+    parse_edge_list,
+)
 from rainbow_cactus.errors import (
     DisconnectedError,
     EdgeListFormatError,
@@ -16,6 +27,7 @@ from rainbow_cactus.errors import (
     SelfLoopError,
 )
 from rainbow_cactus.graph import all_shortest_paths, bfs_distances, unique_shortest_path
+from rainbow_cactus.oracle import _bfs_tree
 
 
 class TestBuildGraph:
@@ -105,6 +117,104 @@ class TestBuildGraph:
         # either endpoint may have the shorter adjacency list
         for e, (u, v) in enumerate(sample_cactus.edges):
             assert sample_cactus.edge_between(u, v) == sample_cactus.edge_between(v, u) == e
+
+
+def reference_graph(pairs):
+    """Labels, edges, (neighbour, edge) lists and the BFS tree from vertex 0
+    of raw label pairs, built the plain way: dense ids in sorted label
+    order, each edge filed at both ends in input order."""
+    labels = sorted({x for pair in pairs for x in pair})
+    dense = {lab: i for i, lab in enumerate(labels)}
+    edges, adj = [], [[] for _ in labels]
+    for e, (u, v) in enumerate(pairs):
+        a, b = sorted((dense[u], dense[v]))
+        edges.append((a, b))
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    par_v, par_e, order = [-1] * len(labels), [-1] * len(labels), [0]
+    par_v[0] = 0
+    for x in order:
+        for w, e in adj[x]:
+            if par_v[w] < 0:
+                par_v[w], par_e[w] = x, e
+                order.append(w)
+    return tuple(labels), tuple(edges), tuple(map(tuple, adj)), (par_v, par_e, order)
+
+
+def small_graphs(rng):
+    """Generated odd cacti of 2 to 300 vertices, and graphs of 3 to 40
+    vertices as the benchmark's small batch has them: trees, odd cycles
+    and graphs with chords, so also with even cycles and shared edges.
+    Edge order and each edge's orientation are shuffled."""
+    for _ in range(30):
+        spec = GenSpec(seed=rng.randrange(1 << 30), target_vertices=rng.randint(2, 300),
+                       cycle_lengths=rng.choice(((3,), (3, 5, 7, 9))), pendant_probability=0.35)
+        yield list(generate(spec).edges)
+    for _ in range(30):
+        n = rng.randint(3, 40)
+        edges = {(rng.randrange(i), i) for i in range(1, n)}
+        if rng.random() < 0.5:
+            edges |= {tuple(sorted((i, (i + 1) % n))) for i in range(n) if n % 2}
+        for _ in range(rng.randint(0, 3)):
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        yield sorted(edges)
+
+
+class TestRowsAndKeptTree:
+    """`build_graph` keeps one flat row per vertex and the BFS tree from
+    vertex 0; the pair view equals the plain adjacency lists."""
+
+    @pytest.mark.parametrize("labelling", ["dense", "shifted", "sparse"])
+    def test_against_the_plain_build(self, labelling):
+        rng = random.Random(f"rows-{labelling}")
+        for edges in small_graphs(rng):
+            n = 1 + max(max(e) for e in edges)
+            relabel = {
+                "dense": list(range(n)),
+                "shifted": list(range(1, n + 1)),
+                "sparse": rng.sample(range(10 * n + 10**9, 40 * n + 10**9), n),
+            }[labelling]
+            rng.shuffle(edges)
+            pairs = [(relabel[u], relabel[v]) if rng.random() < 0.5 else (relabel[v], relabel[u]) for u, v in edges]
+            labels, ref_edges, ref_adj, ref_tree = reference_graph(pairs)
+            g = build_graph(pairs)
+            assert g.labels == labels
+            assert g.edges == ref_edges
+            assert g.tree == ref_tree
+            assert "adjacency" not in vars(g)
+            assert g.adjacency == ref_adj
+            assert g.rows == tuple(tuple(x for pair in row for x in pair) for row in ref_adj)
+            assert _bfs_tree(g, 0) == g.tree
+
+    def test_solver_path_builds_no_pair_view(self):
+        g = generate(GenSpec(seed=5, target_vertices=400, cycle_lengths=(3, 5, 7), pendant_probability=0.3))
+        an = analyze_graph(g)
+        build_canonical_partition(an.decomposition, an.catalog)
+        assert "adjacency" not in vars(g)
+
+    @pytest.mark.parametrize(
+        "pairs, error, payload",
+        [
+            # a duplicate before a self-loop, and the reverse, deep in the input
+            ([*path_edges(50), (31, 30), (40, 40)], ParallelEdgeError, (30, 31)),
+            ([*path_edges(50), (40, 40), (31, 30)], SelfLoopError, 40),
+            # the same with labels that are not 0..n-1
+            ([(3 * u + 5, 3 * v + 5) for u, v in path_edges(50)] + [(98, 95), (125, 125)], ParallelEdgeError,
+             (95, 98)),
+            ([(3 * u + 5, 3 * v + 5) for u, v in path_edges(50)] + [(125, 125), (98, 95)], SelfLoopError, 125),
+            # the first of two duplicates in input order, not the lowest
+            ([*path_edges(50), (45, 44), (1, 0)], ParallelEdgeError, (44, 45)),
+        ],
+    )
+    def test_first_bad_pair_in_input_order(self, pairs, error, payload):
+        with pytest.raises(error) as exc:
+            build_graph(pairs)
+        assert (exc.value.edge if error is ParallelEdgeError else exc.value.label) == payload
+
+    def test_lowest_unreachable_label_is_reported(self):
+        with pytest.raises(DisconnectedError) as exc:
+            build_graph([(10, 30), (50, 40), (30, 20)])
+        assert exc.value.unreachable_label == 40
 
 
 class TestBfsDistances:

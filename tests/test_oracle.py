@@ -8,7 +8,7 @@ import sys
 import textwrap
 
 import pytest
-from conftest import c5_plus_pendant_edges, cycle_edges, k4_edges, path_edges
+from conftest import c5_plus_pendant_edges, cycle_edges, diamond_chain, k4_edges, path_edges
 
 import rainbow_cactus
 from rainbow_cactus import (
@@ -27,7 +27,7 @@ from rainbow_cactus import (
     verify_strong_rainbow,
 )
 from rainbow_cactus import oracle
-from rainbow_cactus.errors import PartialColoringError, TooLargeError
+from rainbow_cactus.errors import PartialColoringError, SearchBudgetError, TooLargeError
 from rainbow_cactus.graph import _bfs_dist, all_shortest_paths, unique_shortest_path
 from rainbow_cactus.oracle import (
     _bfs_tree,
@@ -336,7 +336,9 @@ def assert_routes_agree(g, colors, cactus=True):
 
 def count_bfs(monkeypatch):
     """The sources of the BFS runs in the oracle from here on, distances
-    alone (`_bfs_dist`) or with the tree (`_bfs_tree`)."""
+    alone (`_bfs_dist`) or with the tree (`_bfs_tree`). The BFS tree from
+    vertex 0 is not among them: `build_graph` walks it once and keeps it
+    as `g.tree`."""
     calls = []
 
     def counted(run):
@@ -556,7 +558,8 @@ class TestStructuralVerifier:
         coloring = algorithm_coloring(g)
         calls = count_bfs(monkeypatch)
         assert verify_strong_rainbow(g, coloring).ok
-        assert calls == [0]
+        # the one BFS is the graph's kept tree from vertex 0
+        assert calls == []
 
 
 class TestVerifyPairs:
@@ -664,7 +667,10 @@ class TestStructuralWalks:
         coloring = algorithm_coloring(g)
         calls = count_bfs(monkeypatch)
         assert verify_pairs(g, coloring, pairs).ok
-        assert calls == [0]
+        # the one BFS is the graph's kept tree from vertex 0; the structural
+        # walks read no pair view either
+        assert calls == []
+        assert "adjacency" not in vars(g)
 
         colors = list(coloring.color)
         u, v = max(pairs, key=lambda p: unique_shortest_path(g, *p).length)
@@ -674,7 +680,7 @@ class TestStructuralWalks:
         calls.clear()
         got = verify_pairs(g, broken, pairs)
         assert witness_tuple(got) == want
-        assert calls == [0, got.witness.u]
+        assert calls == [got.witness.u]
 
     @pytest.mark.parametrize("sources, targets", [(4, None), (16, 250)])
     def test_small_calls_take_the_bfs_walks(self, monkeypatch, sources, targets):
@@ -692,18 +698,20 @@ class TestStructuralWalks:
         assert calls == sorted(chosen)
 
     def test_four_sources_at_10k_take_the_structural_walks(self, monkeypatch):
-        # at 10,000 vertices the tree pass and recogniser cost less than 4 BFS
-        # runs: 4 sources of 250 targets are faster on the structural walks
+        # at 10,000 vertices the recogniser on the kept tree costs less than
+        # 2 BFS runs: 4 sources of 250 targets are faster on the structural walks
         spec = GenSpec(seed=20260810, target_vertices=10_000, cycle_lengths=(3, 5, 7, 9),
                        pendant_probability=0.35)
         g = generate(spec)
         n = g.vertex_count
-        rng = random.Random(4)
-        pairs = [(u, rng.randrange(n)) for u in rng.sample(range(1, n), 4) for _ in range(250)]
         coloring = algorithm_coloring(g)
-        calls = count_bfs(monkeypatch)
-        assert verify_pairs(g, coloring, pairs).ok
-        assert calls == [0]
+        for sources in (4, 3):
+            rng = random.Random(sources)
+            pairs = [(u, rng.randrange(n)) for u in rng.sample(range(1, n), sources) for _ in range(250)]
+            calls = count_bfs(monkeypatch)
+            assert verify_pairs(g, coloring, pairs).ok
+            assert calls == []
+            assert "adjacency" not in vars(g)
 
     def test_same_outcome_under_python_O(self):
         # the structural walk holds no assert: under -O it gives the same
@@ -740,6 +748,45 @@ class TestStructuralWalks:
         assert runs[0].stdout == runs[1].stdout
         ok, failed = runs[0].stdout.splitlines()
         assert ok == "True None" and failed.startswith("False (")
+
+
+class TestSearchBudget:
+    """The rainbow geodesic search stops with SearchBudgetError past
+    2m + _SEARCH_STEPS steps, and on a geodetic graph 2m are enough."""
+
+    def test_chain_below_the_budget_gets_its_verdict(self):
+        edges, colors = diamond_chain(14)
+        g = build_graph(edges)
+        out = verify_strong_rainbow(g, EdgeColoring(max(colors), tuple(colors)))
+        assert (out.ok, out.witness.u, out.witness.v) == (False, 0, g.vertex_count - 1)
+
+    def test_chain_past_the_budget_raises(self):
+        edges, colors = diamond_chain(20)
+        g = build_graph(edges)
+        coloring = EdgeColoring(max(colors), tuple(colors))
+        last = g.vertex_count - 1
+        for run in (lambda: verify_strong_rainbow(g, coloring), lambda: verify_pairs(g, coloring, [(0, last)])):
+            with pytest.raises(SearchBudgetError) as info:
+                run()
+            err = info.value
+            assert (err.u, err.v, err.budget) == (0, last, 2 * g.edge_count + oracle._SEARCH_STEPS)
+
+    def test_odd_cacti_need_no_steps_past_2m(self, monkeypatch):
+        # verdicts and witnesses with no allowance past 2m equal those under
+        # the full budget, also where planted faults make the search run
+        rng = random.Random(20261020)
+        cases = []
+        for _ in range(40):
+            g = generate(GenSpec(seed=rng.randrange(1 << 30), target_vertices=rng.randint(2, 60),
+                                 cycle_lengths=(3, 5, 7, 9), pendant_probability=0.35))
+            base = algorithm_coloring(g).color
+            for faults in (0, 1, 3):
+                colors = plant_faults(rng, base, faults).color
+                cases.append((g, EdgeColoring(max(colors), tuple(colors))))
+        full = [witness_tuple(verify_strong_rainbow(g, c)) for g, c in cases]
+        monkeypatch.setattr(oracle, "_SEARCH_STEPS", 0)
+        assert [witness_tuple(verify_strong_rainbow(g, c)) for g, c in cases] == full
+        assert sum(w is not None for w in full) >= 40
 
 
 class TestBruteForce:

@@ -76,8 +76,18 @@ def test_black_pair_off_every_shortest_path(triangle):
 
 
 def test_edge_missing_from_an_adjacency_list():
-    g = Graph(3, ((0, 1), (1, 2)), (((1, 0),), ((0, 0), (2, 1)), ()), (0, 1, 2))
+    # the path 0-1-2 with edge 1 missing from the row of vertex 2
+    tree = ([0, 0, 1], [-1, 0, 1], [0, 1, 2])
+    g = Graph(3, ((0, 1), (1, 2)), ((1, 0), (0, 0, 2, 1), ()), (0, 1, 2), tree)
     assert violated(check_graph_core, g) == "edge_in_two_adjacency_lists"
+
+
+def test_kept_tree_that_is_no_bfs_tree(c5):
+    # C5 0-1-2-3-4: vertex 2 hung from vertex 3 is two steps too deep
+    par_v, par_e, order = c5.tree
+    assert par_v[2] == 1
+    wrong = replace(c5, tree=([0, 0, 3, 4, 0], [-1, 0, 2, 3, 4], [0, 1, 4, 3, 2]))
+    assert violated(check_graph_core, wrong) == "kept_tree_is_bfs_tree"
 
 
 def segment_args(g):

@@ -105,7 +105,7 @@ class TestSrcFormula:
 class TestSeparate:
     def test_sample_separation_at_e12(self, sample_cactus):
         d, a, cat = pipeline(sample_cactus)
-        sep = separate(sample_cactus, d, a, eid["e12"])
+        sep = separate(sample_cactus, a, eid["e12"])
         assert sep.pivot_vertex == vid["v10"]
         assert sep.g1_edges == {eid["e11"], eid["e12"], eid["e13"]}
         assert sep.g2_edges == frozenset(range(13)) - sep.g1_edges
@@ -114,7 +114,7 @@ class TestSeparate:
         g = sample_cactus
         d, a, cat = pipeline(g)
         for e in sorted(a.e_ant):
-            sep = separate(g, d, a, e)
+            sep = separate(g, a, e)
             v1 = {x for eid_ in sep.g1_edges for x in g.edges[eid_]}
             v2 = {x for eid_ in sep.g2_edges for x in g.edges[eid_]}
             assert v1 & v2 == {sep.pivot_vertex}
@@ -132,7 +132,7 @@ class TestSeparate:
         d, a, cat = pipeline(g)
         e = g.edge_between(5, 7)  # dense ids of labels 6 and 8
         assert a.opp_vertex[e] == 4  # dense id of label 5
-        sep = separate(g, d, a, e)
+        sep = separate(g, a, e)
         g2_labels = {tuple(sorted(g.edge_label_pair(x))) for x in sep.g2_edges}
         assert g2_labels == {(1, 2), (1, 3), (2, 3), (3, 5), (4, 5)}
         assert e in sep.g1_edges
@@ -140,7 +140,7 @@ class TestSeparate:
     def test_bowtie_other_triangle(self, bowtie):
         d, a, cat = pipeline(bowtie)
         e = bowtie.edge_between(1, 2)
-        sep = separate(bowtie, d, a, e)
+        sep = separate(bowtie, a, e)
         assert sep.pivot_vertex == 0
         assert sep.g2_edges == {
             bowtie.edge_between(0, 3),
@@ -151,21 +151,21 @@ class TestSeparate:
     def test_non_antipodal_edge_rejected(self, sample_cactus):
         d, a, cat = pipeline(sample_cactus)
         with pytest.raises(NotAntipodalEdgeError):
-            separate(sample_cactus, d, a, eid["e1"])
+            separate(sample_cactus, a, eid["e1"])
 
 
 class TestLine18Choice:
     def test_sample_forced_choice_for_e2(self, sample_cactus):
         d, a, cat = pipeline(sample_cactus)
         p = build_canonical_partition(d, cat)
-        sep = separate(sample_cactus, d, a, eid["e2"])
+        sep = separate(sample_cactus, a, eid["e2"])
         # the pendant edge is the only black edge beyond v6
         assert assert_line18_choice(sep, p) == eid["e8"]
 
     def test_sample_tie_break_for_e7(self, sample_cactus):
         d, a, cat = pipeline(sample_cactus)
         p = build_canonical_partition(d, cat)
-        sep = separate(sample_cactus, d, a, eid["e7"])
+        sep = separate(sample_cactus, a, eid["e7"])
         eligible = p.e_black & sep.g2_edges
         assert eligible == {eid["e9"], eid["e10"], eid["e11"]}
         assert assert_line18_choice(sep, p) == eid["e9"]
@@ -174,7 +174,7 @@ class TestLine18Choice:
         d, a, cat = pipeline(bowtie)
         p = build_canonical_partition(d, cat)
         e = bowtie.edge_between(1, 2)
-        sep = separate(bowtie, d, a, e)
+        sep = separate(bowtie, a, e)
         choice = assert_line18_choice(sep, p)
         assert choice in p.e_black
         assert choice in sep.g2_edges
@@ -201,7 +201,7 @@ class TestLine18Choice:
             p = build_canonical_partition(d, cat)
             fast = _branch_min_black(d, sorted(p.e_black), sorted(a.e_ant), a.opp_vertex)
             for e in sorted(a.e_ant):
-                sep = separate(g, d, a, e)
+                sep = separate(g, a, e)
                 assert fast[e] == assert_line18_choice(sep, p)
                 pivot_on_top.add(d.block_top[d.block_of_edge[e]] == sep.pivot_vertex)
         assert pivot_on_top == {True, False}
