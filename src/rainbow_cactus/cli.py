@@ -74,8 +74,15 @@ def _stats_dict(res: SrcResult) -> dict:
     }
 
 
+def _edge_keys(g: Graph) -> list[str]:
+    """Every edge's key in edge id order, as `color` writes and `verify`
+    looks it up."""
+    labels = g.labels
+    return [f"{labels[a]},{labels[b]}" for a, b in g.edges]
+
+
 def _coloring_dict(g: Graph, coloring: EdgeColoring) -> dict:
-    return {_edge_key(g, e): coloring.color[e] for e in range(g.edge_count)}
+    return dict(zip(_edge_keys(g), coloring.color))
 
 
 def build_report(an: GraphAnalysis, full: bool = False) -> AnalysisReport:
@@ -208,11 +215,26 @@ def cmd_color(args) -> int:
     return EXIT_OK
 
 
+class _RepeatedKeys(dict):
+    """A decoded JSON object in which a key repeats: the dict `json` gives,
+    of each key's last value, that also keeps every (key, value) pair in
+    file order."""
+
+    def __init__(self, pairs: list) -> None:
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
+def _json_object(pairs: list) -> dict:
+    obj = dict(pairs)
+    return obj if len(obj) == len(pairs) else _RepeatedKeys(pairs)
+
+
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     try:
         with open(args.coloring) as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_json_object)
     except (ValueError, RecursionError) as exc:  # also a number too long, nesting too deep
         print(f"error: coloring file is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -220,39 +242,42 @@ def cmd_verify(args) -> int:
     if not isinstance(cmap, dict):
         print("error: coloring file has no 'coloring' object", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    dense = {lab: i for i, lab in enumerate(g.labels)}
-    # edges are (min, max) in dense ids, so one index answers every key
-    index = dict(zip(g.edges, range(g.edge_count)))
+    edge_keys = _edge_keys(g)
+    index = dict(zip(edge_keys, range(g.edge_count)))
     colors: list[int | None] = [None] * g.edge_count
-    for key, value in cmap.items():
-        # two labels in ASCII digits around one comma, as in the edge list
-        a_str, _, b_str = key.partition(",")
-        if not (a_str.isdigit() and b_str.isdigit() and key.isascii()):
-            print(
-                f"error: coloring key {key!r} is not two ASCII-digit labels joined by a comma",
-                file=sys.stderr,
-            )
-            return EXIT_INPUT_ERROR
-        try:
-            a, b = dense[int(a_str)], dense[int(b_str)]
-            eid = index[(a, b) if a < b else (b, a)]
-        except (KeyError, ValueError):  # ValueError: a label too long for int()
-            print(f"error: coloring entry {key!r} is not an edge of the graph", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+    for key, value in cmap.pairs if isinstance(cmap, _RepeatedKeys) else cmap.items():
+        eid = index.get(key)
+        if eid is None:
+            # another spelling of an edge: two labels in ASCII digits around
+            # one comma, as in the edge list, in either order
+            a_str, _, b_str = key.partition(",")
+            if not (a_str.isdigit() and b_str.isdigit() and key.isascii()):
+                print(
+                    f"error: coloring key {key!r} is not two ASCII-digit labels joined by a comma",
+                    file=sys.stderr,
+                )
+                return EXIT_INPUT_ERROR
+            try:
+                a, b = sorted((int(a_str), int(b_str)))
+                eid = index[f"{a},{b}"]
+            except (KeyError, ValueError):  # ValueError: a label too long for int()
+                print(f"error: coloring entry {key!r} is not an edge of the graph", file=sys.stderr)
+                return EXIT_INPUT_ERROR
         if colors[eid] is not None:
             print(f"error: duplicate coloring entry for edge {key!r}", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        # JSON integers only: int() would truncate 1.9, and bool is an int subclass
-        if isinstance(value, bool) or not isinstance(value, int):
+        # JSON integers only: int() would truncate 1.9, and bool is an int
+        # subclass; the decoder gives no other subclass
+        if type(value) is not int:
             print(f"error: edge {key!r} has non-integer color {value!r}", file=sys.stderr)
             return EXIT_INPUT_ERROR
         if value < 1:
             print(f"error: edge {key!r} has color {value}, colors start at 1", file=sys.stderr)
             return EXIT_INPUT_ERROR
         colors[eid] = value
-    missing = [e for e, c in enumerate(colors) if c is None]
-    if missing:
-        keys = ", ".join(_edge_key(g, e) for e in missing[:5])
+    if None in colors:
+        missing = [e for e, c in enumerate(colors) if c is None]
+        keys = ", ".join(edge_keys[e] for e in missing[:5])
         print(f"error: coloring is missing {len(missing)} edge(s): {keys}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     k = max(colors)

@@ -90,10 +90,15 @@ class Graph:
     @functools.cached_property
     def adjacency(self) -> tuple[tuple[tuple[VertexId, EdgeId], ...], ...]:
         """Per vertex its (neighbour, edge id) pairs, in row order, built
-        on first read. The per-source scans of the oracle and the selftest
-        visit a vertex faster through pairs than through a row; the solver
-        never builds them. No collector pause: its closing pass over the new
-        tuples costs more than the collector's own passes here."""
+        on first read. Read by each BFS (`_bfs_dist`, the oracle's
+        `_bfs_tree`), by `verify_strong_rainbow` from source 1 on, by brute
+        force, the canonical partition and the selftest: a scan that visits
+        every vertex visits it faster through pairs than through a row.
+        The scan of source 0, which may be the verifier's only one, the
+        rainbow geodesic search and `_geodesics` read the rows through
+        `_RowPairs` instead, and the solver never builds the view. No
+        collector pause: its closing pass over the new tuples costs more
+        than the collector's own passes here."""
         return tuple([tuple(zip(it, it)) for it in map(iter, self.rows)])
 
     def edge_between(self, u: VertexId, v: VertexId) -> EdgeId:
@@ -117,6 +122,22 @@ class Graph:
         """Raw labels of an edge's endpoints, smaller label first."""
         u, v = self.edges[e]
         return self.labels[u], self.labels[v]
+
+
+class _RowPairs:
+    """A graph's rows read as (neighbour, edge id) pairs, one row at a time:
+    `pairs[x]` is a fresh one-pass iterator over x's pairs. For scans that
+    read few rows, or each row once, where building `Graph.adjacency` would
+    cost more than the scan."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        self.rows = rows
+
+    def __getitem__(self, x: VertexId) -> Iterator[tuple[VertexId, EdgeId]]:
+        it = iter(self.rows[x])
+        return zip(it, it)
 
 
 @dataclass(frozen=True)
@@ -282,7 +303,7 @@ def _geodesics(g: Graph, du: list[int], u: VertexId, v: VertexId) -> Iterator[Pa
     taken lies on one, and the first path costs one walk and no
     backtracking.
     """
-    adj = g.adjacency
+    adj = _RowPairs(g.rows)
     between = {v}
     todo = [v]
     for x in todo:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, compress
 
 from .errors import PartialColoringError, SearchBudgetError, TooLargeError
-from .graph import EdgeColoring, Graph, Path, _bfs_dist, _check_vertices, _geodesics
+from .graph import EdgeColoring, Graph, Path, _bfs_dist, _check_vertices, _geodesics, _RowPairs
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def _settle(g: Graph, du, colors, u: int, v: int) -> VerificationOutcome | None:
     any graph whose search ends within its budget; `du` holds the BFS
     distances from u. Raises SearchBudgetError past the budget."""
     budget = 2 * g.edge_count + _SEARCH_STEPS
-    if _has_rainbow_geodesic(g.adjacency, du, colors, u, v, budget):
+    if _has_rainbow_geodesic(_RowPairs(g.rows), du, colors, u, v, budget):
         return None
     path = next(_geodesics(g, du, u, v))
     rep = _repeated_color(path.edges, colors)
@@ -166,11 +166,13 @@ def verify_strong_rainbow(
 
     Pairs are checked in (u, v) order and the first failing pair is the
     witness. Source 0 is scanned first, on the BFS tree from vertex 0 that
-    the graph keeps (`g.tree`). If it passes and the graph is an
-    odd cactus, `_cactus_rainbow` decides the rest in O(n + m log m) from
-    the block structure, with no further BFS; if that finds a failure, or
-    the graph is no odd cactus, the scan resumes at source 1, so the witness
-    is the same either way.
+    the graph keeps (`g.tree`) and on its rows. If it passes and the graph
+    is an odd cactus, `_cactus_rainbow` decides the rest in O(n + m log m)
+    from the block structure, with no further BFS; if that finds a failure,
+    or the graph is no odd cactus, the scan resumes at source 1, so the
+    witness is the same either way. Only the scans from source 1 on read
+    the pair view (`g.adjacency`), so a check that ends at source 0 never
+    builds it.
 
     Each source u costs one BFS and one depth-first pass over the
     shortest-path DAG, the edges from depth d to depth d + 1, so O(n + m).
@@ -199,7 +201,8 @@ def verify_strong_rainbow(
     """
     dense, k = _total_colors(g, coloring)
     n = g.vertex_count
-    adj = g.adjacency
+    # the scan from source 0 may be the only one: it reads the rows
+    adj = _RowPairs(g.rows)
     seen = [-1] * n
     entry = [0] * n
     pos = [0] * (k + 1)
@@ -208,6 +211,8 @@ def verify_strong_rainbow(
     dist0 = _depths(par_v, order)
     for u in range(n - 1):
         dist = _bfs_dist(g, u) if u else dist0
+        if u == 1:
+            adj = g.adjacency
         seen[u] = u
         entry[u] = k
         stack = [u]

@@ -187,24 +187,40 @@ class TestColor:
         assert repr(name) in captured.err
 
 
+def spelled(key: str, spelling: str) -> str:
+    """A "min,max" coloring key as written "max,min" or with zero-padded labels."""
+    a, b = key.split(",")
+    return {"canonical": key, "reversed": f"{b},{a}", "zero-padded": f"0{a},00{b}"}[spelling]
+
+
+SPELLINGS = ("canonical", "reversed", "zero-padded")
+
+
 class TestVerify:
     def test_ok_round_trip(self, sample_path, tmp_path, capsys):
         assert main(["color", sample_path]) == 0
-        coloring_file = tmp_path / "coloring.json"
-        coloring_file.write_text(capsys.readouterr().out)
-        assert main(["verify", sample_path, str(coloring_file)]) == 0
-        assert capsys.readouterr().out.strip() == "OK k=7"
+        payload = json.loads(capsys.readouterr().out)
+        for spelling in SPELLINGS:
+            coloring = {spelled(k, spelling): c for k, c in payload["coloring"].items()}
+            coloring_file = tmp_path / f"{spelling}.json"
+            coloring_file.write_text(json.dumps({**payload, "coloring": coloring}))
+            assert main(["verify", sample_path, str(coloring_file)]) == 0
+            assert capsys.readouterr().out.strip() == "OK k=7"
 
     def test_monochrome_fails_with_witness(self, tmp_path, capsys):
         path = write_edges(tmp_path, "c5.txt", cycle_edges(5))
-        coloring_file = tmp_path / "bad.json"
-        coloring_file.write_text(json.dumps(
-            {"coloring": {f"{min(u, v)},{max(u, v)}": 1 for u, v in cycle_edges(5)}}
-        ))
-        assert main(["verify", path, str(coloring_file)]) == 3
-        out = capsys.readouterr().out
+        outs = []
+        for spelling in SPELLINGS:
+            coloring_file = tmp_path / f"{spelling}.json"
+            coloring_file.write_text(json.dumps(
+                {"coloring": {spelled(f"{min(u, v)},{max(u, v)}", spelling): 1 for u, v in cycle_edges(5)}}
+            ))
+            assert main(["verify", path, str(coloring_file)]) == 3
+            outs.append(capsys.readouterr().out)
+        out = outs[0]
         assert out.startswith("FAIL:")
         assert "repeats color 1" in out
+        assert outs == [out] * len(SPELLINGS)
 
     def test_missing_edge_is_an_error(self, sample_path, tmp_path, capsys):
         assert main(["color", sample_path]) == 0
@@ -249,6 +265,37 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: duplicate coloring entry for edge '2,1'\n"
+
+    def test_repeated_key_is_a_duplicate(self, tmp_path, capsys):
+        # triangle 1-2-3 with pendant 3-4; a decoder that keeps the last of
+        # two equal keys would check {"3,4": 1} and print FAIL: pair (1,4)
+        path = write_edges(tmp_path, "g.txt", [(1, 2), (2, 3), (1, 3), (3, 4)])
+        coloring_file = tmp_path / "twice.json"
+        coloring_file.write_text('{"coloring": {"1,2": 1, "2,3": 1, "1,3": 1, "3,4": 2, "3,4": 1}}')
+        assert main(["verify", path, str(coloring_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duplicate coloring entry for edge '3,4'\n"
+
+    @pytest.mark.parametrize(
+        ("entries", "err"),
+        [
+            ('"1,2": 1, " 1 , 3": 1, "2,3": 1.9', "coloring key ' 1 , 3' is not two ASCII-digit"),
+            ('"1,2": 1, "2,3": 1.9, " 1 , 3": 1', "edge '2,3' has non-integer color 1.9"),
+            ('"2,1": 1, "1,4": 1, "2,3": 0', "coloring entry '1,4' is not an edge"),
+            ('"3,1": {}, "1,3": 1', "edge '3,1' has non-integer color {}\n"),
+            ('"1,3": {"a": 1, "a": 2}', "edge '1,3' has non-integer color {'a': 2}\n"),
+        ],
+        ids=["bad-key-first", "bad-color-first", "not-an-edge-first", "empty-object", "object"],
+    )
+    def test_first_bad_entry_in_file_order_is_reported(self, tmp_path, capsys, entries, err):
+        path = write_edges(tmp_path, "g.txt", [(1, 2), (2, 3), (1, 3), (3, 4)])
+        coloring_file = tmp_path / "bad.json"
+        coloring_file.write_text('{"coloring": {%s, "3,4": 2}}' % entries)
+        assert main(["verify", path, str(coloring_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + err)
 
     def test_invalid_json_is_an_error(self, sample_path, tmp_path, capsys):
         coloring_file = tmp_path / "broken.json"

@@ -561,6 +561,28 @@ class TestStructuralVerifier:
         # the one BFS is the graph's kept tree from vertex 0
         assert calls == []
 
+    @pytest.mark.parametrize("fault", [False, True], ids=["optimal", "fault-from-source-0"])
+    def test_scan_from_source_0_reads_no_pair_view(self, fault):
+        # the optimal coloring passes on the structural check after source
+        # 0, and a fault on the geodesic from vertex 0 to a vertex two deep
+        # is first seen from source 0: neither builds the view, and both get
+        # the outcome of a graph whose view was built beforehand
+        spec = GenSpec(seed=11, target_vertices=520, cycle_lengths=(3, 5, 7), pendant_probability=0.3)
+        g = generate(spec)
+        colors = list(algorithm_coloring(g).color)
+        if fault:
+            par_v, par_e, order = g.tree
+            x = next(x for x in order if par_v[x] != 0 and par_v[par_v[x]] == 0)
+            colors[par_e[x]] = colors[par_e[par_v[x]]]
+        coloring = EdgeColoring(max(colors), tuple(colors))
+        out = verify_strong_rainbow(g, coloring)
+        assert "adjacency" not in vars(g)
+        assert out.ok != fault
+        assert out.ok or out.witness.u == 0
+        viewed = generate(spec)
+        assert viewed.adjacency
+        assert verify_strong_rainbow(viewed, coloring) == out
+
 
 class TestVerifyPairs:
     def test_spot_check_matches_full_check(self, sample_cactus):
