@@ -215,37 +215,33 @@ def cmd_color(args) -> int:
     return EXIT_OK
 
 
-class _RepeatedKeys(dict):
-    """A decoded JSON object in which a key repeats: the dict `json` gives,
-    of each key's last value, that also keeps every (key, value) pair in
-    file order."""
+class _Object(dict):
+    """A decoded JSON object: the dict `json` gives, of each key's last
+    value, that also keeps its (key, value) pairs in file order, so a
+    repeated key keeps each of its values. Being a dict, it prints as one,
+    with no Python frames per level of nesting."""
 
     def __init__(self, pairs: list) -> None:
         super().__init__(pairs)
         self.pairs = pairs
 
 
-def _json_object(pairs: list) -> dict:
-    obj = dict(pairs)
-    return obj if len(obj) == len(pairs) else _RepeatedKeys(pairs)
-
-
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     try:
         with open(args.coloring) as fh:
-            data = json.load(fh, object_pairs_hook=_json_object)
+            data = json.load(fh, object_pairs_hook=_Object)
     except (ValueError, RecursionError) as exc:  # also a number too long, nesting too deep
         print(f"error: coloring file is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    cmap = data.get("coloring") if isinstance(data, dict) else None
-    if not isinstance(cmap, dict):
+    cmap = data.get("coloring") if isinstance(data, _Object) else None
+    if not isinstance(cmap, _Object):
         print("error: coloring file has no 'coloring' object", file=sys.stderr)
         return EXIT_INPUT_ERROR
     edge_keys = _edge_keys(g)
     index = dict(zip(edge_keys, range(g.edge_count)))
     colors: list[int | None] = [None] * g.edge_count
-    for key, value in cmap.pairs if isinstance(cmap, _RepeatedKeys) else cmap.items():
+    for key, value in cmap.pairs:
         eid = index.get(key)
         if eid is None:
             # another spelling of an edge: two labels in ASCII digits around

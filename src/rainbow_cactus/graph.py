@@ -92,7 +92,7 @@ class Graph:
         """Per vertex its (neighbour, edge id) pairs, in row order, built
         on first read. Read by each BFS (`_bfs_dist`, the oracle's
         `_bfs_tree`), by `verify_strong_rainbow` from source 1 on, by brute
-        force, the canonical partition and the selftest: a scan that visits
+        force, `validate_partition` and the selftest: a scan that visits
         every vertex visits it faster through pairs than through a row.
         The scan of source 0, which may be the verifier's only one, the
         rainbow geodesic search and `_geodesics` read the rows through

@@ -1,16 +1,17 @@
 """Cross-module invariant suite over generated instances.
 
-Each check encodes a structural claim the rest of the package relies on: one
-shortest path per pair; the cycle segments, read once per orientation
-(their counts and E_ant against the solver's, the partition identities, their
-pairing under opp, independence from the traversal orientation and start);
-partition validity, the parity of the closed form, agreement between the
-formula, the coloring and the brute force, agreement between the verifier's
-all-pairs check and its per-pair walks and between its odd-cactus
-recogniser and `decompose`. A claim that other checks imply is not checked
-again: E_ant's definition, or that the orientation leaves the class counts,
-the black edge count and src as they are. The CLI `selftest` command and the
-acceptance tests both drive this module.
+Each check encodes a structural claim the rest of the package relies on:
+the blocks, block tree and antipodal map of `decompose` and the antipodal
+index against the verifier's odd-cactus recogniser, which accepts what
+`decompose` does; one shortest path per pair; the cycle segments, read once
+per orientation (their counts and E_ant against the solver's, the partition
+identities, their pairing under opp, independence from the traversal
+orientation and start); partition validity, the parity of the closed form,
+agreement between the formula, the coloring and the brute force, and between
+the verifier's all-pairs check and its per-pair walks. A claim that other
+checks imply is not checked again, such as E_ant's definition or a cycle's
+equal S1 and S4 counts. The CLI `selftest` command and the acceptance tests
+both drive this module.
 
 The checks of the solver's internals against explicit constructions live
 here, not in the oracle, which imports only the graph layer: the separation
@@ -22,8 +23,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
-from itertools import compress, groupby
+from itertools import chain, compress, groupby
 from operator import itemgetter
 
 from .decomposition import Decomposition, GraphClass, decompose, leaf_blocks
@@ -170,60 +170,47 @@ def check_shortest_paths(
             )
 
 
-def check_decomposition(g: Graph, d: Decomposition, cls_tag: GraphClass) -> None:
-    m = g.edge_count
-    _require(sum(b.length for b in d.blocks) == m, "blocks_partition_edges")
-    _require(all(i >= 0 for i in d.block_of_edge), "every_edge_in_a_block")
-    for b in d.blocks:
-        if not b.is_cycle:
-            continue
-        length = b.length
-        _require(len(b.vertices) == length, "cycle_block_vertex_count")
-        for i in range(length):
-            u, v = b.vertices[i], b.vertices[(i + 1) % length]
-            eid = b.ordered_edges[i]
-            _require(
-                set(g.edges[eid]) == {u, v}, "cycle_order_adjacent", f"block {b.index} pos {i}"
-            )
-        if cls_tag is GraphClass.GENERAL_ODD_CACTUS:
-            _require(
-                any(v in d.cut_vertices for v in b.vertices),
-                "cycle_contains_cut_vertex",
-                f"block {b.index}",
-            )
+def check_blocks(g: Graph, d: Decomposition, a: AntipodalIndex, cactus: _OddCactus) -> None:
+    """`decompose` and the antipodal index against the verifier's odd-cactus
+    recogniser, in O(n + m): the same blocks one to one, the cut edges as its
+    single-edge blocks and the cut vertices as the vertices on two or more of
+    them; each block's top and parent; each cycle in its order, either way
+    round from its top; and opp(e) as `_OddCactus.layout` places it."""
+    boe, top, parent, opp = d.block_of_edge, d.block_top, d.block_parent, a.opp_vertex
+    # recogniser block r is block to_d[r] of `decompose`
+    to_d = [boe[es[0]] for es in cactus.edges]
+    on = Counter(chain.from_iterable(cactus.verts))
+    cycles = {b: (vs, es) for b, vs, es in d.cycles()}
     _require(
-        d.cut_edges == frozenset(b.ordered_edges[0] for b in d.blocks if b.length == 1),
-        "cut_edges_are_single_edge_blocks",
+        len(to_d) == len(d.block_kind) and set(to_d) == set(range(len(to_d)))
+        and all(boe[e] == b for b, es in zip(to_d, cactus.edges) for e in es)
+        and d.cut_edges == {es[0] for es in cactus.edges if len(es) == 1}
+        and len(cycles) == len(d.cycle_block) == len(to_d) - len(d.cut_edges)
+        and d.is_cut == bytes(on[v] > 1 for v in range(g.vertex_count)),
+        "blocks_match_recogniser",
+        "blocks, cycles or cut vertices",
     )
-    cuts = d.cut_vertices
-    holders = Counter(v for b in d.blocks for v in cuts.intersection(b.vertices))
-    # connected, so the block-cut graph is a tree: |E| = |V| - 1
-    _require(sum(holders.values()) == len(d.blocks) + len(cuts) - 1, "bct_is_tree")
-    _require(all(holders[v] >= 2 for v in cuts), "cut_vertex_degree_two")
-    # block 0 is the root; every other block hangs from an earlier one
-    top, parent = d.block_top, d.block_parent
-    _require(top[0] == parent[0] == -1, "block_hangs_from_parent_cut_vertex", "block 0")
-    for b in d.blocks[1:]:
-        v, p = top[b.index], parent[b.index]
+    for b, vs, es in zip(to_d, cactus.verts, cactus.edges):
+        # block 0 lies at vertex 0 and hangs from nothing; a later block
+        # hangs from its top in an earlier one, the block holding the top's
+        # tree edge or block 0 at vertex 0
+        t = vs[0]
+        want = (t, to_d[cactus.block[t]] if t else 0) if b else (-1, -1)
         _require(
-            0 <= p < b.index and v in cuts and v in b.vertices and v in d.blocks[p].vertices,
-            "block_hangs_from_parent_cut_vertex",
-            f"block {b.index}",
+            (top[b], parent[b]) == want and parent[b] < b and (b or t == 0),
+            "blocks_match_recogniser",
+            f"block {b} top",
         )
-
-
-def check_antipodal(g: Graph, d: Decomposition, a: AntipodalIndex) -> None:
-    bfs = cache(lambda w: _bfs_dist(g, w))  # a cut vertex faces an edge of each of its cycles
-    for b in d.blocks:
-        if not b.is_cycle:
-            continue
-        image = [a.opp_vertex.get(e) for e in b.ordered_edges]
-        _require(Counter(image) == Counter(b.vertices), "antipodal_bijection", f"block {b.index}")
-        if g.vertex_count <= _FULL_CHECK_N:
-            for eid, w in zip(b.ordered_edges, image):
-                u, v = g.edges[eid]
-                dist = bfs(w)
-                _require(dist[u] == dist[v], "antipodal_equidistant", f"edge {eid}")
+        if len(es) > 1:
+            dv, de = cycles.get(b, ((), ()))
+            s = dv.index(t) if t in dv else 0
+            fwd = dv[s:] + dv[:s], de[s:] + de[:s]
+            bwd = dv[s::-1] + dv[:s:-1], de[s - 1 :: -1] + de[: s - 1 : -1]
+            _require((tuple(vs), tuple(es)) in (fwd, bwd), "blocks_match_recogniser", f"block {b} order")
+            # the edge at position j is opposite the vertex at j - length // 2
+            h = len(es) // 2
+            _require(list(map(opp.get, es)) == vs[-h:] + vs[:-h], "antipodal_matches_recogniser", f"block {b}")
+    _require(len(opp) == g.edge_count - len(d.cut_edges), "antipodal_matches_recogniser", "a bridge")
 
 
 _PAIRED = {
@@ -289,10 +276,6 @@ def check_segments(g: Graph, d: Decomposition, a: AntipodalIndex, cat: SegmentCa
             f"block {b}",
         )
 
-        klasses = [klass for _, klass, _, _ in segs]
-        n1, n2, n3, n4 = map(klasses.count, SegmentClass)
-        _require(n1 == n4, "s1_s4_counts_match", f"block {b}")
-        _require(n2 == n3, "s2_s3_counts_match", f"block {b}")
         # opp of a vertex within this cycle: the inverse of opp on its edges
         opp_edge = {opp[e]: e for e in edges}
         by_run = {(seg_vs, seg_es): klass for _, klass, seg_vs, seg_es in segs}
@@ -317,15 +300,6 @@ def check_segments(g: Graph, d: Decomposition, a: AntipodalIndex, cat: SegmentCa
             alt = {(rv[v0:v1], re_[e0:e1]) for _, v0, v1, e0, e1 in spans}
             _require(alt == by_run.keys(), "start_vertex_invariant", f"block {b}")
     seg_vertices = {v for _, _, vs, _ in fwd for v in vs}
-    seg_edges = {e for *_, es in fwd for e in es}
-    all_edges = set(range(g.edge_count))
-    _require(
-        seg_edges | a.e_ant | d.cut_edges == all_edges
-        and not seg_edges & a.e_ant
-        and not seg_edges & d.cut_edges
-        and not a.e_ant & d.cut_edges,
-        "global_edge_partition",
-    )
     leaves = graph_leaves(d)
     all_vertices = set(range(g.vertex_count))
     _require(
@@ -392,31 +366,15 @@ def check_leaf_blocks_black(d: Decomposition, p: BlackWhitePartition) -> None:
         _require(bool(b.edges & p.e_black), "leaf_block_has_black_edge", f"block {b.index}")
 
 
-def check_line18_equivalence(
-    g: Graph,
-    d: Decomposition,
-    a: AntipodalIndex,
-    cat: SegmentCatalog,
-    p: BlackWhitePartition,
-) -> None:
+def check_line18_equivalence(g: Graph, d: Decomposition, a: AntipodalIndex, p: BlackWhitePartition) -> None:
     ant_edges = sorted(a.e_ant)
     fast = _branch_min_black(d, sorted(p.e_black), ant_edges, a.opp_vertex)
-    all_edges = frozenset(range(g.edge_count))
     for e in ant_edges:
         sep = separate(g, a, e)
-        _require(
-            sep.g1_edges | sep.g2_edges == all_edges and not sep.g1_edges & sep.g2_edges,
-            "separation_partitions_edges",
-        )
-        _require(sep.pivot_edge in sep.g1_edges, "pivot_edge_in_g1")
         v1 = {x for eid in sep.g1_edges for x in g.edges[eid]}
         v2 = {x for eid in sep.g2_edges for x in g.edges[eid]}
         _require(v1 & v2 == {sep.pivot_vertex}, "sides_share_only_pivot")
-        _require(
-            assert_line18_choice(sep, p) == fast[e],
-            "fast_choice_matches_separation",
-            f"edge {e}",
-        )
+        _require(assert_line18_choice(sep, p) == fast[e], "fast_choice_matches_separation", f"edge {e}")
 
 
 def check_recogniser(g: Graph, accepted: bool) -> _OddCactus | None:
@@ -491,9 +449,8 @@ def check_instance(g: Graph) -> SrcResult:
     cls = d.classification
     _require(cls.accepted, "generated_graph_accepted", str(cls.reason))
     cactus = check_recogniser(g, cls.accepted)
-    check_decomposition(g, d, cls.tag)
     a = build_antipodal_index(d)
-    check_antipodal(g, d, a)
+    check_blocks(g, d, a, cactus)
     cat = enumerate_segments(d, a)
     k = src_formula(d, cat)
     check_segments(g, d, a, cat)
@@ -527,7 +484,7 @@ def check_instance(g: Graph) -> SrcResult:
     if g.vertex_count <= _PATH_ENUM_N:
         check_shortest_paths(g, a, part)
         if part is not None and a.e_ant:
-            check_line18_equivalence(g, d, a, cat, part)
+            check_line18_equivalence(g, d, a, part)
     if g.edge_count <= _BRUTE_FORCE_M:
         bf = brute_force_search(g)
         _require(bf.src == k, "brute_force_agrees", f"{bf.src} vs {k}")

@@ -297,6 +297,18 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: " + err)
 
+    def test_deeply_nested_color_is_printed(self, tmp_path, capsys):
+        # 500 levels, within what the decoder reads: the message prints the
+        # value, as a dict at every level, and nothing recurses past the limit
+        path = write_edges(tmp_path, "g.txt", [(1, 2), (2, 3), (1, 3), (3, 4)])
+        coloring_file = tmp_path / "deep.json"
+        deep = '{"a": ' * 500 + "1" + "}" * 500
+        coloring_file.write_text('{"coloring": {"1,2": %s, "2,3": 1, "1,3": 1, "3,4": 2}}' % deep)
+        assert main(["verify", path, str(coloring_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: edge '1,2' has non-integer color %s\n" % ("{'a': " * 500 + "1" + "}" * 500)
+
     def test_invalid_json_is_an_error(self, sample_path, tmp_path, capsys):
         coloring_file = tmp_path / "broken.json"
         coloring_file.write_text("{not json")

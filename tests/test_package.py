@@ -1,6 +1,7 @@
-"""The package's structural rules: `__all__` is pinned, the benchmark
-reaches the program only through names it exports, the modules keep to
-their layers, and one module decodes trail positions."""
+"""The package's structural rules: `__all__` and the selftest's invariant
+names are pinned, the benchmark reaches the program only through names it
+exports, the modules keep to their layers, and one module decodes trail
+positions."""
 
 from __future__ import annotations
 
@@ -64,6 +65,57 @@ PUBLIC = [
 def test_all_is_pinned():
     assert rc.__all__ == PUBLIC
     assert [name for name in PUBLIC if not hasattr(rc, name)] == []
+
+
+INVARIANTS = [
+    "algorithm_coloring_black_distinct",
+    "antipodal_image_class",
+    "antipodal_image_is_segment",
+    "antipodal_matches_recogniser",
+    "black_count_equals_src",
+    "black_pair_shares_shortest_path",
+    "blocks_match_recogniser",
+    "brute_force_agrees",
+    "canonical_partition_valid",
+    "coloring_deterministic",
+    "coloring_uses_exactly_k_colors",
+    "coloring_verifies",
+    "counts_match_views",
+    "cycle_edges_partitioned",
+    "cycle_vertices_partitioned",
+    "edge_in_two_adjacency_lists",
+    "fast_choice_matches_separation",
+    "formula_matches_algorithm",
+    "generated_graph_accepted",
+    "geodetic_unique_path",
+    "global_vertex_partition",
+    "kept_tree_is_bfs_tree",
+    "leaf_block_has_black_edge",
+    "no_path_contains_edge_and_antipode",
+    "oracle_coloring_black_distinct",
+    "pair_routes_agree",
+    "recogniser_matches_classification",
+    "reversal_swaps_s2_s3_only",
+    "s1_one_more_edge_than_s4",
+    "s2_s3_equal_edges",
+    "segments_disjoint",
+    "sides_share_only_pivot",
+    "start_vertex_invariant",
+    "unique_path_length_matches_bfs",
+    "verify_loops_agree",
+]
+
+
+def test_selftest_invariant_names_are_pinned():
+    # every name the selftest can report through `_require`, so adding or
+    # dropping an invariant shows here
+    path = Path(rc.__file__).parent / "selftest.py"
+    found = {
+        node.args[1].value
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_require"
+    }
+    assert sorted(found) == INVARIANTS
 
 
 def test_bench_uses_only_exported_names():

@@ -6,7 +6,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
-from conftest import cycle_edges, eid
+from conftest import SAMPLE_EDGES, bowtie_edges, cycle_edges, eid, vid
 
 from rainbow_cactus import (
     GenSpec,
@@ -27,12 +27,14 @@ from rainbow_cactus.partition import BlackWhitePartition
 from rainbow_cactus.segments import SegmentClass
 from rainbow_cactus.selftest import (
     InvariantViolation,
+    check_blocks,
     check_graph_core,
     check_instance,
     check_segments,
     check_shortest_paths,
     check_recogniser,
     check_verify_loops_agree,
+    run_selftest,
 )
 
 
@@ -204,3 +206,72 @@ def test_structural_walk_that_misses_a_fault(sample_cactus, monkeypatch):
     outcome = verify_strong_rainbow(sample_cactus, coloring)
     cactus = check_recogniser(sample_cactus, True)
     assert violated(check_verify_loops_agree, sample_cactus, coloring, outcome, cactus) == "pair_routes_agree"
+
+
+def block_args(g):
+    """check_blocks' arguments for g: the graph, its decomposition, antipodal
+    index and the recogniser's blocks."""
+    d = decompose(g)
+    return g, d, build_antipodal_index(d), check_recogniser(g, True)
+
+
+def test_block_check_passes_at_size():
+    g = generate(GenSpec(seed=20260810, target_vertices=10_000, cycle_lengths=(3, 5, 7, 9),
+                         pendant_probability=0.35))
+    check_blocks(*block_args(g))
+
+
+def test_selftest_passes_beyond_the_size_ceilings():
+    # seeds 0 and 1 give 103 and 147 vertices, past every quadratic check
+    assert run_selftest(seeds=3, max_n=200).ok
+
+
+def test_block_check_reads_a_cycle_either_way_round():
+    # with the labels counted down, the recogniser walks the 7-cycle from
+    # its top against the canonical order
+    g, d, a, cactus = block_args(build_graph([(100 - u, 100 - v) for u, v in SAMPLE_EDGES]))
+    vs = next(vs for _, vs, _ in d.cycles() if len(vs) == 7)
+    rv = next(rv for rv in cactus.verts if len(rv) == 7)
+    s = vs.index(rv[0])
+    assert tuple(rv) == vs[s::-1] + vs[:s:-1]
+    check_blocks(g, d, a, cactus)
+
+
+@pytest.mark.parametrize(
+    "doctor",
+    [
+        # blocks 1 (pendant 6-8) and 2 (bridge 4-9) trade tops
+        lambda d: replace(d, block_top=(-1, vid["v4"], vid["v6"], vid["v9"], vid["v10"])),
+        # the triangle hangs from the bridge 9-10, block 3, not from 4-9
+        lambda d: replace(d, block_parent=(-1, 0, 0, 2, 2)),
+        # two neighbours on the 7-cycle trade places, its edges stay put
+        lambda d: replace(d, cycle_vertices=(d.cycle_vertices[1], d.cycle_vertices[0], *d.cycle_vertices[2:])),
+        # the leaf 8 marked as a cut vertex
+        lambda d: replace(d, is_cut=bytes(c or v == vid["v8"] for v, c in enumerate(d.is_cut))),
+        lambda d: replace(d, cut_edges=d.cut_edges - {eid["e8"]}),
+    ],
+    ids=["block_top", "block_parent", "cycle_vertices", "is_cut", "cut_edges"],
+)
+def test_decomposition_off_the_recogniser(sample_cactus, doctor):
+    g, d, a, cactus = block_args(sample_cactus)
+    assert violated(check_blocks, g, doctor(d), a, cactus) == "blocks_match_recogniser"
+
+
+def test_block_at_vertex_0_hangs_from_block_0():
+    # two triangles and a pendant edge at vertex 0: blocks 1 and 2 hang
+    # there, from block 0 alone
+    g, d, a, cactus = block_args(build_graph(bowtie_edges() + [(0, 5)]))
+    assert d.block_top == (-1, 0, 0) and d.block_parent == (-1, 0, 0)
+    assert violated(check_blocks, g, replace(d, block_parent=(-1, 0, 1)), a, cactus) == "blocks_match_recogniser"
+
+
+@pytest.mark.parametrize(
+    ("edge", "vertex"),
+    # e1's opposite vertex on the 7-cycle is 5; a pendant edge has none
+    [("e1", "v4"), ("e8", "v6")],
+    ids=["cycle_edge", "bridge"],
+)
+def test_antipodal_map_off_the_recogniser(sample_cactus, edge, vertex):
+    g, d, a, cactus = block_args(sample_cactus)
+    doctored = SimpleNamespace(opp_vertex={**a.opp_vertex, eid[edge]: vid[vertex]})
+    assert violated(check_blocks, g, d, doctored, cactus) == "antipodal_matches_recogniser"
