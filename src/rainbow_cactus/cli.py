@@ -61,11 +61,6 @@ class AnalysisReport:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
 
-def _edge_key(g: Graph, eid: int) -> str:
-    a, b = g.edge_label_pair(eid)
-    return f"{a},{b}"
-
-
 def _stats_dict(res: SrcResult) -> dict:
     return {
         "cut_edges": res.stats.cut_edges,
@@ -75,24 +70,21 @@ def _stats_dict(res: SrcResult) -> dict:
 
 
 def _edge_keys(g: Graph) -> list[str]:
-    """Every edge's key in edge id order, as `color` writes and `verify`
-    looks it up."""
+    """Every edge's key in edge id order, as `analyze` and `color` write it
+    and `verify` looks it up."""
     labels = g.labels
     return [f"{labels[a]},{labels[b]}" for a, b in g.edges]
-
-
-def _coloring_dict(g: Graph, coloring: EdgeColoring) -> dict:
-    return dict(zip(_edge_keys(g), coloring.color))
 
 
 def build_report(an: GraphAnalysis, full: bool = False) -> AnalysisReport:
     g = an.graph
     d = an.decomposition
     cls = an.classification
+    keys = _edge_keys(g)
     cut_vertices = tuple(sorted(g.labels[v] for v in d.cut_vertices))
-    cut_edges = tuple(_edge_key(g, e) for e in sorted(d.cut_edges))
+    cut_edges = tuple(keys[e] for e in sorted(d.cut_edges))
     if not cls.accepted:
-        witness = None if cls.witness_edge is None else _edge_key(g, cls.witness_edge)
+        witness = None if cls.witness_edge is None else keys[cls.witness_edge]
         return AnalysisReport(
             classification=cls.tag.value,
             n=g.vertex_count,
@@ -116,7 +108,7 @@ def build_report(an: GraphAnalysis, full: bool = False) -> AnalysisReport:
                 "elements": [
                     {"kind": "vertex", "id": g.labels[x]}
                     if kind == "v"
-                    else {"kind": "edge", "id": _edge_key(g, x)}
+                    else {"kind": "edge", "id": keys[x]}
                     for kind, x in trail
                 ],
             }
@@ -132,11 +124,10 @@ def build_report(an: GraphAnalysis, full: bool = False) -> AnalysisReport:
                     for v in range(g.vertex_count)
                 },
                 "edges": {
-                    _edge_key(g, e): ("black" if e in p.e_black else "white")
-                    for e in range(g.edge_count)
+                    key: ("black" if e in p.e_black else "white") for e, key in enumerate(keys)
                 },
             }
-        coloring = _coloring_dict(g, res.coloring)
+        coloring = dict(zip(keys, res.coloring.color))
     return AnalysisReport(
         classification=cls.tag.value,
         n=g.vertex_count,
@@ -144,7 +135,7 @@ def build_report(an: GraphAnalysis, full: bool = False) -> AnalysisReport:
         cut_vertices=cut_vertices,
         cut_edges=cut_edges,
         cycle_length=cls.cycle_length,
-        e_ant=tuple(_edge_key(g, e) for e in sorted(an.antipodal.e_ant)),
+        e_ant=tuple(keys[e] for e in sorted(an.antipodal.e_ant)),
         segment_counts=segment_counts,
         src=res.src,
         stats=_stats_dict(res),
@@ -175,7 +166,7 @@ def _coloring_payload(g: Graph, res: SrcResult) -> dict:
         "src": res.src,
         "case": res.case.value,
         "stats": _stats_dict(res),
-        "coloring": _coloring_dict(g, res.coloring),
+        "coloring": dict(zip(_edge_keys(g), res.coloring.color)),
     }
 
 

@@ -43,16 +43,6 @@ class DisconnectedError(RainbowCactusError):
         self.unreachable_label = unreachable_label
 
 
-class NotGeodeticError(RainbowCactusError):
-    """Two shortest parents found where a unique shortest path was expected."""
-
-    def __init__(self, u: int, v: int, fork: int):
-        super().__init__(f"multiple shortest {u},{v} paths branch at vertex {fork}")
-        self.u = u
-        self.v = v
-        self.fork = fork
-
-
 class NotOddCactusError(RainbowCactusError):
     pass
 

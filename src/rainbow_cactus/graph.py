@@ -24,7 +24,6 @@ from .errors import (
     EdgeListFormatError,
     EmptyInputError,
     InvalidLabelError,
-    NotGeodeticError,
     ParallelEdgeError,
     SelfLoopError,
 )
@@ -90,15 +89,15 @@ class Graph:
     @functools.cached_property
     def adjacency(self) -> tuple[tuple[tuple[VertexId, EdgeId], ...], ...]:
         """Per vertex its (neighbour, edge id) pairs, in row order, built
-        on first read. Read by each BFS (`_bfs_dist`, the oracle's
-        `_bfs_tree`), by `verify_strong_rainbow` from source 1 on, by brute
-        force, `validate_partition` and the selftest: a scan that visits
-        every vertex visits it faster through pairs than through a row.
-        The scan of source 0, which may be the verifier's only one, the
-        rainbow geodesic search and `_geodesics` read the rows through
-        `_RowPairs` instead, and the solver never builds the view. No
-        collector pause: its closing pass over the new tuples costs more
-        than the collector's own passes here."""
+        on first read. Read by each BFS (`_bfs_dist`), by the oracle's
+        pass from every source but 0, by brute force, `validate_partition`
+        and the selftest: a scan that visits every vertex visits it faster
+        through pairs than through a row. The pass from source 0, which
+        may be the verifier's only one, the rainbow geodesic search and
+        `_geodesics` read the rows through `_RowPairs` instead, and the
+        solver never builds the view. No collector pause: its closing pass
+        over the new tuples costs more than the collector's own passes
+        here."""
         return tuple([tuple(zip(it, it)) for it in map(iter, self.rows)])
 
     def edge_between(self, u: VertexId, v: VertexId) -> EdgeId:
@@ -261,26 +260,6 @@ def bfs_distances(g: Graph, source: VertexId) -> tuple[int, ...]:
     """Exact hop distances from `source` to every vertex, indexed by vertex."""
     _check_vertices(g, (source,))
     return tuple(_bfs_dist(g, source))
-
-
-def unique_shortest_path(g: Graph, u: VertexId, v: VertexId) -> Path:
-    """The unique shortest u,v path of a geodetic graph.
-
-    Raises NotGeodeticError if there is a second one. Its `fork` is the
-    first vertex after the two lexicographically first paths split that
-    both reach again, a vertex with two shortest-path predecessors.
-    """
-    _check_vertices(g, (u, v))
-    if u == v:
-        return Path((u,), ())
-    paths = _geodesics(g, _bfs_dist(g, u), u, v)
-    path = next(paths)
-    other = next(paths, None)
-    if other is not None:
-        pairs = list(zip(path.vertices, other.vertices))
-        split = next(i for i, (x, y) in enumerate(pairs) if x != y)
-        raise NotGeodeticError(u, v, next(x for x, y in pairs[split:] if x == y))
-    return path
 
 
 def all_shortest_paths(g: Graph, u: VertexId, v: VertexId) -> tuple[Path, ...]:

@@ -68,34 +68,11 @@ def _repeated_color(edge_ids, colors) -> int | None:
     return None
 
 
-def _bfs_tree(g: Graph, source: int = 0) -> tuple[list[int], list[int], list[int]]:
-    """Parent vertex and parent edge per vertex of the BFS tree from source,
-    and the visit order; the source is its own parent, through edge -1.
-
-    Each parent chain is a shortest path to the source; in a geodetic graph
-    it is the only one.
-    """
-    n = g.vertex_count
-    par_v = [-1] * n
-    par_e = [-1] * n
-    par_v[source] = source
-    # the visit order is the queue, as in `_bfs_dist`
-    order = [source]
-    adj = g.adjacency
-    for x in order:
-        for w, eid in adj[x]:
-            if par_v[w] < 0:
-                par_v[w] = x
-                par_e[w] = eid
-                order.append(w)
-    return par_v, par_e, order
-
-
-def _depths(par_v: list[int], order: list[int]) -> list[int]:
-    """The BFS distances of a `_bfs_tree`, each vertex one below its parent.
-    A pass of its own: holding them in the BFS loop slows the per-source
-    BFS of `_bfs_walks`, which needs no distances."""
-    dist = [0] * len(par_v)
+def _depths(g: Graph) -> list[int]:
+    """The depths of the graph's kept BFS tree from vertex 0 (`g.tree`),
+    each vertex one below its parent: the BFS distances from vertex 0."""
+    par_v, _, order = g.tree
+    dist = [0] * g.vertex_count
     for x in order[1:]:
         dist[x] = dist[par_v[x]] + 1
     return dist
@@ -164,85 +141,93 @@ def verify_strong_rainbow(
 ) -> VerificationOutcome:
     """Check that every vertex pair has a rainbow shortest path.
 
-    Pairs are checked in (u, v) order and the first failing pair is the
-    witness. Source 0 is scanned first, on the BFS tree from vertex 0 that
-    the graph keeps (`g.tree`) and on its rows. If it passes and the graph
-    is an odd cactus, `_cactus_rainbow` decides the rest in O(n + m log m)
-    from the block structure, with no further BFS; if that finds a failure,
-    or the graph is no odd cactus, the scan resumes at source 1, so the
-    witness is the same either way. Only the scans from source 1 on read
-    the pair view (`g.adjacency`), so a check that ends at source 0 never
-    builds it.
-
-    Each source u costs one BFS and one depth-first pass over the
-    shortest-path DAG, the edges from depth d to depth d + 1, so O(n + m).
-    The pass pushes a vertex at most once, so the pushed vertices form a
-    shortest-path tree, entered in preorder; it stamps `seen[x] = u` on each
-    and files the color of its tree edge in `entry[x]`, and the source the
-    sentinel color k. `pathc[d]` is the color entered at depth d on the
-    current tree path and `pos[c]` the depth at which color c was last
-    entered; `pathc[0]` is always k, so `pos[c] = 0` never matches. A step
-    of color c to depth d repeats a color of the tree path iff
-    `pos[c] < d and pathc[pos[c]] == c`: a vertex entered through c is never
-    below an ancestor entered through c, so `pos[c]` is that ancestor's
-    depth while it is on the path, and a stale entry fails the `pathc` test
-    because every ancestor has written its own depth. Such a step is not
-    taken, though its head may still be pushed through another predecessor.
-    No array is reset between sources.
-
-    A vertex the pass reaches has a rainbow shortest path to u. Only the
-    other targets search their shortest paths, which is exhaustive and
-    exponential in the worst case; on a geodetic graph such as an odd
-    cactus it follows the one path. Any shortest-path tree gives the same
-    outcome, because the search does not depend on the tree. A failing
-    pair's witness path is the lexicographically first shortest path, as
-    `all_shortest_paths` orders them. `geodetic_hint` is accepted for the
-    call shape and not read.
+    Pairs are checked in (u, v) order, one source at a time
+    (`_check_source`), and the first failing pair is the witness. If source
+    0 passes and the graph is an odd cactus, `_cactus_rainbow` decides the
+    rest in O(n + m log m) from the block structure, with no BFS; if that
+    finds a failure, or the graph is no odd cactus, the check resumes at
+    source 1, so the witness is the same either way. A check that ends at
+    source 0 runs no BFS and never builds the pair view (`g.adjacency`).
+    `geodetic_hint` is accepted for the call shape and not read.
     """
+    colors = coloring.color
     dense, k = _total_colors(g, coloring)
     n = g.vertex_count
-    # the scan from source 0 may be the only one: it reads the rows
-    adj = _RowPairs(g.rows)
-    seen = [-1] * n
-    entry = [0] * n
-    pos = [0] * (k + 1)
-    pathc = [0] * n
-    par_v, par_e, order = g.tree
-    dist0 = _depths(par_v, order)
     for u in range(n - 1):
-        dist = _bfs_dist(g, u) if u else dist0
-        if u == 1:
-            adj = g.adjacency
-        seen[u] = u
-        entry[u] = k
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            c = entry[x]
-            d = dist[x]
-            pos[c] = d
-            pathc[d] = c
-            d += 1
-            for w, eid in adj[x]:
-                if dist[w] == d and seen[w] != u:
-                    c = dense[eid]
-                    p = pos[c]
-                    if p < d and pathc[p] == c:
-                        continue
-                    seen[w] = u
-                    entry[w] = c
-                    stack.append(w)
-        if seen.count(u) < n:
-            for v in range(u + 1, n):
-                if seen[v] != u:
-                    failed = _settle(g, dist, coloring.color, u, v)
-                    if failed:
-                        return failed
+        failed = _check_source(g, u, range(u + 1, n), colors, dense, k)
+        if failed:
+            return failed
         if u == 0:
-            cactus = _odd_cactus(g, dist0, par_v, par_e)
+            cactus = _odd_cactus(g)
             if cactus is not None and _cactus_rainbow(cactus, dense, k):
                 break
     return VerificationOutcome(True, None)
+
+
+def _check_source(g: Graph, u: int, targets, colors, dense, k: int) -> VerificationOutcome | None:
+    """The failing outcome of the first of `targets` with no rainbow
+    shortest path to u, in the given order; None if each has one. `dense`
+    and k are the colors as `_total_colors` gives them.
+
+    Source 0 reads the BFS tree from vertex 0 that the graph keeps
+    (`g.tree`) and the rows; any other source runs one BFS and reads the
+    pair view. Then one depth-first pass over the shortest-path DAG, the
+    edges from depth d to depth d + 1, so O(n + m) in all. The pass pushes a
+    vertex at most once, so the pushed vertices form a shortest-path tree,
+    entered in preorder; it marks each in `seen` and files the color of its
+    tree edge in `entry[x]`, and the source the sentinel color k.
+    `pathc[d]` is the color entered at depth d on the current tree path and
+    `pos[c]` the depth at which color c was last entered; `pathc[0]` is
+    always k, so `pos[c] = 0` never matches. A step of color c to depth d
+    repeats a color of the tree path iff `pos[c] < d and pathc[pos[c]] ==
+    c`: a vertex entered through c is never below an ancestor entered
+    through c, so `pos[c]` is that ancestor's depth while it is on the path,
+    and a stale entry fails the `pathc` test because every ancestor has
+    written its own depth. Such a step is not taken, though its head may
+    still be pushed through another predecessor.
+
+    A vertex the pass reaches has a rainbow shortest path to u. Only the
+    other targets search their shortest paths (`_settle`), which is
+    exhaustive and exponential in the worst case; on a geodetic graph such
+    as an odd cactus it follows the one path. Any shortest-path tree gives
+    the same outcome, because the search does not depend on the tree. A
+    failing pair's witness path is the lexicographically first shortest
+    path, as `all_shortest_paths` orders them.
+    """
+    n = g.vertex_count
+    if u:
+        dist, adj = _bfs_dist(g, u), g.adjacency
+    else:
+        dist, adj = _depths(g), _RowPairs(g.rows)
+    seen = bytearray(n)
+    seen[u] = 1
+    entry = [k] * n
+    pos = [0] * (k + 1)
+    pathc = [0] * n
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        c = entry[x]
+        d = dist[x]
+        pos[c] = d
+        pathc[d] = c
+        d += 1
+        for w, eid in adj[x]:
+            if dist[w] == d and not seen[w]:
+                c = dense[eid]
+                p = pos[c]
+                if p < d and pathc[p] == c:
+                    continue
+                seen[w] = 1
+                entry[w] = c
+                stack.append(w)
+    if 0 in seen:
+        for v in targets:
+            if not seen[v]:
+                failed = _settle(g, dist, colors, u, v)
+                if failed:
+                    return failed
+    return None
 
 
 @dataclass(frozen=True)
@@ -325,9 +310,9 @@ class _OddCactus:
         return slot, block, [len(es) for es in block_edges], seen_lo, seen_hi, up
 
 
-def _odd_cactus(g: Graph, dist: list[int], par_v: list[int], par_e: list[int]) -> _OddCactus | None:
+def _odd_cactus(g: Graph) -> _OddCactus | None:
     """g's blocks if g is an odd cactus, else None, from the BFS tree from
-    vertex 0 (`g.tree`, as `_bfs_tree(g, 0)` finds it) and its depths.
+    vertex 0 that the graph keeps (`g.tree`) and its depths.
 
     Each non-tree edge (a, b) of a BFS tree closes one fundamental cycle,
     the tree paths from a and b up to where they meet. g is a cactus iff
@@ -336,6 +321,8 @@ def _odd_cactus(g: Graph, dist: list[int], par_v: list[int], par_e: list[int]) -
     meets twice, so it costs O(n + m). Shares no code with `decompose`.
     """
     n, edges = g.vertex_count, g.edges
+    par_v, par_e, _ = g.tree
+    dist = _depths(g)
     closing = bytearray(b"\x01") * len(edges)
     for e in par_e[1:]:
         closing[e] = 0
@@ -439,15 +426,14 @@ def _cactus_rainbow(cactus: _OddCactus, dense: list[int], k: int) -> bool:
 
 
 # The route rule of `verify_pairs`, from timings of both routes on generated
-# odd cacti of 2,000 to 100,000 vertices. The tree pass reads the graph's
-# kept BFS tree, so it is the recogniser alone: 2.5, 1.8 and 1.2 BFS runs at
-# 2,000, 10,000 and 100,000 vertices. Charged _TREE_PASS runs, 3 or 4
-# sources of 250 targets take the BFS walks at 2,000 vertices and the
-# structural walks at 10,000 and 100,000, the faster route each time. A
-# structural pair walk costs more than a BFS-tree walk by what a BFS spends
-# on 9 to 21 vertices and edges.
-_TREE_PASS = 2
-_PAIR_COST = 16
+# odd cacti of 1,000 to 100,000 vertices, in units of one source's BFS and
+# pass (`_check_source`): the recogniser on the kept tree costs 1.0 to 1.3
+# of them at 1,000 and 2,000 vertices, 0.8 at 10,000 and 0.5 at 100,000, and
+# a structural pair walk what the pass spends on 10 to 13 vertices and
+# edges. So 16 sources of 250 targets take the BFS route at 1,000 vertices
+# and 4 sources the structural walks at 2,000, the faster route each time.
+_TREE_PASS = 1
+_PAIR_COST = 10
 
 
 def verify_pairs(g: Graph, coloring: EdgeColoring, pairs) -> VerificationOutcome:
@@ -459,8 +445,10 @@ def verify_pairs(g: Graph, coloring: EdgeColoring, pairs) -> VerificationOutcome
     sources, pairs with u != v), the structural walks run: the recogniser
     on the graph's BFS tree from vertex 0 (`g.tree`), O(n + m), then
     O(d(u, v)) per pair (`_cactus_walks`), with no pair view built.
-    Otherwise the BFS walks run: one BFS per source, O(n + m) each, then
-    O(d(u, v)) per pair (`_bfs_walks`), exact on any graph. A pair whose walked path repeats a color goes to `_settle`, so
+    Otherwise each source is checked as `verify_strong_rainbow` checks it
+    (`_check_source`): a BFS, except from source 0, and a pass, O(n + m),
+    then O(1) per target, exact on any graph. A pair whose walked path
+    repeats a color, or that the pass does not reach, goes to `_settle`, so
     both routes give the same witness. Raises ValueError for a vertex id
     that is not an int in 0..n-1, before any BFS.
     """
@@ -468,11 +456,14 @@ def verify_pairs(g: Graph, coloring: EdgeColoring, pairs) -> VerificationOutcome
     by_source = _by_source(g, pairs)
     count = sum(map(len, by_source.values()))
     if (len(by_source) - _TREE_PASS) * (g.vertex_count + g.edge_count) > _PAIR_COST * count:
-        par_v, par_e, order = g.tree
-        cactus = _odd_cactus(g, _depths(par_v, order), par_v, par_e)
+        cactus = _odd_cactus(g)
         if cactus is not None:
             return _cactus_walks(g, cactus, coloring.color, dense, k, by_source)
-    return _bfs_walks(g, coloring.color, dense, k, by_source)
+    for u in sorted(by_source):
+        failed = _check_source(g, u, by_source[u], coloring.color, dense, k)
+        if failed:
+            return failed
+    return VerificationOutcome(True, None)
 
 
 def _by_source(g: Graph, pairs) -> dict[int, list[int]]:
@@ -487,33 +478,6 @@ def _by_source(g: Graph, pairs) -> dict[int, list[int]]:
     return by_source
 
 
-def _bfs_walks(g: Graph, colors, dense, k: int, by_source: dict[int, list[int]]) -> VerificationOutcome:
-    """The pairs checked on one BFS tree per source: each target walks its
-    parent chain, a shortest path, back to the source. A walk marks the
-    `dense` colors it meets in `stamp` with its own tick, so nothing is
-    cleared between walks and a target listed twice never sees its earlier
-    marks."""
-    stamp = [0] * k
-    tick = 0
-    for u in sorted(by_source):
-        par_v, par_e, order = _bfs_tree(g, u)
-        du = None
-        for v in by_source[u]:
-            tick += 1
-            x = v
-            while x != u:
-                c = dense[par_e[x]]
-                if stamp[c] == tick:
-                    du = du or _depths(par_v, order)
-                    failed = _settle(g, du, colors, u, v)
-                    if failed:
-                        return failed
-                    break
-                stamp[c] = tick
-                x = par_v[x]
-    return VerificationOutcome(True, None)
-
-
 def _cactus_walks(
     g: Graph, cactus: _OddCactus, colors, dense, k: int, by_source: dict[int, list[int]]
 ) -> VerificationOutcome:
@@ -524,7 +488,8 @@ def _cactus_walks(
     positions, unique as the cycle is odd, keeps off the top, that arc is
     the rest of it. Otherwise it leaves the block of the end whose block
     top is deeper (either end on a tie) through that top, by the tree path,
-    the shorter way round. A walk marks colors as `_bfs_walks` does and
+    the shorter way round. A walk marks the `dense` colors it meets in
+    `stamp` with its own tick, so nothing is cleared between walks, and
     costs O(d(u, v)).
     """
     par_v, par_e, block_edges, block = cactus.par_v, cactus.par_e, cactus.edges, cactus.block

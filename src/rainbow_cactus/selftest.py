@@ -32,10 +32,8 @@ from .generator import GenSpec, generate
 from .graph import EdgeColoring, EdgeId, Graph, VertexId, _bfs_dist, _geodesics, build_graph, gc_paused
 from .oracle import (
     VerificationOutcome,
-    _bfs_tree,
     _by_source,
     _cactus_walks,
-    _depths,
     _odd_cactus,
     _OddCactus,
     _total_colors,
@@ -122,25 +120,33 @@ def spec_for_seed(seed: int, max_vertices: int = 30) -> GenSpec:
 
 
 def check_graph_core(g: Graph) -> None:
-    """Each edge sits in the rows of two vertices, and the graph's kept BFS
-    tree from vertex 0 is the one the oracle's own BFS finds."""
+    """Each edge sits in the rows of two vertices, and the graph's kept tree
+    is a BFS tree from vertex 0: vertex 0 is its own parent, any other
+    vertex's parent is one step nearer vertex 0 through an edge that joins
+    the two, and the visit order lists every vertex once, by nondecreasing
+    depth."""
     counts = [0] * g.edge_count
     for vlist in g.adjacency:
         for _, eid in vlist:
             counts[eid] += 1
     _require(all(c == 2 for c in counts), "edge_in_two_adjacency_lists")
-    _require(_bfs_tree(g, 0) == g.tree, "kept_tree_is_bfs_tree")
+    n = g.vertex_count
+    dist = _bfs_dist(g, 0)
+    par_v, par_e, order = g.tree
+    _require(
+        par_v[0] == 0
+        and all(dist[par_v[x]] == dist[x] - 1 and set(g.edges[par_e[x]]) == {x, par_v[x]} for x in range(1, n))
+        and sorted(order) == list(range(n))
+        and all(dist[x] <= dist[y] for x, y in zip(order, order[1:])),
+        "kept_tree_is_bfs_tree",
+    )
 
 
-def check_shortest_paths(
-    g: Graph, a: AntipodalIndex | None = None, p: BlackWhitePartition | None = None
-) -> None:
+def check_shortest_paths(g: Graph, p: BlackWhitePartition | None = None) -> None:
     """Each pair's shortest path, read once from one BFS per source: it is
-    the only one and as long as the BFS distance, and it never holds an edge
-    together with that edge's antipodal vertex. With `p` and n at most
+    the only one and as long as the BFS distance. With `p` and n at most
     _PAIRWISE_BLACK_N, every two black edges lie on one of them together."""
     n = g.vertex_count
-    opp = a.opp_vertex if a is not None else {}
     blacks = sorted(p.e_black) if p is not None and n <= _PAIRWISE_BLACK_N else []
     path_sets = []
     for u in range(n):
@@ -152,13 +158,6 @@ def check_shortest_paths(
                 next(paths, None) is None, "geodetic_unique_path", f"pair ({u},{v}) has several"
             )
             _require(path.length == du[v], "unique_path_length_matches_bfs", f"pair ({u},{v})")
-            on_path = set(path.vertices)
-            for e in path.edges:
-                _require(
-                    opp.get(e) not in on_path,
-                    "no_path_contains_edge_and_antipode",
-                    f"pair ({u},{v}) edge {e}",
-                )
             if blacks:
                 path_sets.append(frozenset(path.edges))
     for i, b1 in enumerate(blacks):
@@ -389,8 +388,7 @@ def check_recogniser(g: Graph, accepted: bool) -> _OddCactus | None:
         graphs.append((chorded, decompose(chorded).classification.accepted))
     found = []
     for h, want in graphs:
-        par_v, par_e, order = h.tree
-        found.append(_odd_cactus(h, _depths(par_v, order), par_v, par_e))
+        found.append(_odd_cactus(h))
         _require(
             (found[-1] is not None) == want,
             "recogniser_matches_classification",
@@ -424,7 +422,7 @@ def check_verify_loops_agree(
     or a fault at vertex n - 1 (`_fault_at_last_vertex`), which the scan
     from vertex 0 need not meet, so the structural check on an odd cactus
     fails and the scan resumes at vertex 1. On these pairs `verify_pairs`
-    takes its BFS walks; its structural walks over `cactus` must agree with
+    takes its BFS route; its structural walks over `cactus` must agree with
     them (pair_routes_agree). `outcome` is the all-pairs pass's on `coloring`."""
     n = g.vertex_count
     pairs = [(u, v) for u in range(n - 1) for v in range(u + 1, n)]
@@ -482,7 +480,7 @@ def check_instance(g: Graph) -> SrcResult:
         check_verify_loops_agree(g, res.coloring, outcome, cactus)
 
     if g.vertex_count <= _PATH_ENUM_N:
-        check_shortest_paths(g, a, part)
+        check_shortest_paths(g, part)
         if part is not None and a.e_ant:
             check_line18_equivalence(g, d, a, part)
     if g.edge_count <= _BRUTE_FORCE_M:
@@ -493,15 +491,12 @@ def check_instance(g: Graph) -> SrcResult:
                 check_distinct_black_colors(part, bf.coloring),
                 "oracle_coloring_black_distinct",
             )
-            _require(
-                check_distinct_black_colors(part, res.coloring),
-                "algorithm_coloring_black_distinct",
-            )
     return res
 
 
 def run_selftest(seeds: int = 200, max_n: int = 30) -> SelftestReport:
-    """Generate `seeds` instances and stop at the first invariant violation.
+    """Generate `seeds` instances, each odd seed's with its labels counted
+    down, and stop at the first invariant violation.
 
     Raises InvalidSpecError for a negative `seeds` or a `max_n` below
     MIN_MAX_N, which some specs would exceed.
@@ -518,6 +513,11 @@ def run_selftest(seeds: int = 200, max_n: int = 30) -> SelftestReport:
         if again.edges != g.edges or again.labels != g.labels:
             failures.append(SelftestFailure(seed, "generator_deterministic", ""))
             break
+        if seed % 2:
+            # generated labels never make `decompose` read a cycle against
+            # its canonical order; labels counted down do
+            n = g.vertex_count
+            g = build_graph([(n - 1 - a, n - 1 - b) for a, b in g.edges])
         try:
             check_instance(g)
         except InvariantViolation as exc:

@@ -22,12 +22,10 @@ from rainbow_cactus.errors import (
     EdgeListFormatError,
     EmptyInputError,
     InvalidLabelError,
-    NotGeodeticError,
     ParallelEdgeError,
     SelfLoopError,
 )
-from rainbow_cactus.graph import all_shortest_paths, bfs_distances, unique_shortest_path
-from rainbow_cactus.oracle import _bfs_tree
+from rainbow_cactus.graph import all_shortest_paths, bfs_distances
 
 
 class TestBuildGraph:
@@ -184,7 +182,6 @@ class TestRowsAndKeptTree:
             assert "adjacency" not in vars(g)
             assert g.adjacency == ref_adj
             assert g.rows == tuple(tuple(x for pair in row for x in pair) for row in ref_adj)
-            assert _bfs_tree(g, 0) == g.tree
 
     def test_solver_path_builds_no_pair_view(self):
         g = generate(GenSpec(seed=5, target_vertices=400, cycle_lengths=(3, 5, 7), pendant_probability=0.3))
@@ -236,49 +233,32 @@ class TestBfsDistances:
 
 class TestUniqueShortestPath:
     def test_adjacent_in_triangle(self, triangle):
-        p = unique_shortest_path(triangle, 0, 1)
+        (p,) = all_shortest_paths(triangle, 0, 1)
         assert p.vertices == (0, 1)
         assert p.length == 1
 
     def test_c5_two_steps(self, c5):
-        p = unique_shortest_path(c5, 0, 2)
+        (p,) = all_shortest_paths(c5, 0, 2)
         assert p.vertices == (0, 1, 2)
 
     def test_same_vertex_empty_path(self, c5):
-        p = unique_shortest_path(c5, 3, 3)
+        (p,) = all_shortest_paths(c5, 3, 3)
         assert p.vertices == (3,)
         assert p.edges == ()
 
     def test_sample_v8_to_v3(self, sample_cactus):
         # around the 7-cycle via v6, v5, v4: length 4 beats the length-5 arc
-        p = unique_shortest_path(sample_cactus, vid["v8"], vid["v3"])
+        (p,) = all_shortest_paths(sample_cactus, vid["v8"], vid["v3"])
         assert p.vertices == (vid["v8"], vid["v6"], vid["v5"], vid["v4"], vid["v3"])
         assert p.length == 4
-        (only,) = all_shortest_paths(sample_cactus, vid["v8"], vid["v3"])
-        assert only == p
 
     def test_path_lengths_match_bfs(self, sample_cactus):
         g = sample_cactus
         for u in range(g.vertex_count):
             dist = bfs_distances(g, u)
             for v in range(g.vertex_count):
-                assert unique_shortest_path(g, u, v).length == dist[v]
-
-    def test_checked_mode_flags_even_cycle(self):
-        c4 = build_graph(cycle_edges(4))
-        with pytest.raises(NotGeodeticError):
-            unique_shortest_path(c4, 0, 2)
-
-    def test_fork_is_where_the_paths_meet_again(self):
-        # C4 0-1-2-3 with a tail 2-4: the paths to 4 split at 0 and meet at 2
-        g = build_graph(cycle_edges(4) + [(2, 4)])
-        with pytest.raises(NotGeodeticError) as info:
-            unique_shortest_path(g, 0, 4)
-        assert (info.value.u, info.value.v, info.value.fork) == (0, 4, 2)
-        with pytest.raises(NotGeodeticError) as info:
-            unique_shortest_path(g, 4, 0)
-        assert info.value.fork == 0
-        assert unique_shortest_path(g, 1, 4).vertices == (1, 2, 4)
+                (p,) = all_shortest_paths(g, u, v)
+                assert p.length == dist[v]
 
 
 class TestAllShortestPaths:
@@ -358,8 +338,8 @@ class TestAllShortestPaths:
 @pytest.mark.parametrize("bad", [True, 1.0, "1", -1, 4])
 @pytest.mark.parametrize(
     "fn, lead",
-    [(bfs_distances, ()), (unique_shortest_path, (0,)), (all_shortest_paths, (0,))],
-    ids=["bfs_distances", "unique_shortest_path", "all_shortest_paths"],
+    [(bfs_distances, ()), (all_shortest_paths, (0,))],
+    ids=["bfs_distances", "all_shortest_paths"],
 )
 def test_invalid_vertex_rejected(fn, lead, bad):
     # triangle 0-1-2 with pendant 2-3: as a list index True would pass as

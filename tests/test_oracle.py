@@ -28,14 +28,13 @@ from rainbow_cactus import (
 )
 from rainbow_cactus import oracle
 from rainbow_cactus.errors import PartialColoringError, SearchBudgetError, TooLargeError
-from rainbow_cactus.graph import _bfs_dist, all_shortest_paths, unique_shortest_path
+from rainbow_cactus.graph import _bfs_dist, all_shortest_paths
 from rainbow_cactus.oracle import (
-    _bfs_tree,
-    _bfs_walks,
+    VerificationOutcome,
     _by_source,
     _cactus_rainbow,
     _cactus_walks,
-    _depths,
+    _check_source,
     _odd_cactus,
     _partition_colorings,
     _total_colors,
@@ -300,56 +299,50 @@ def all_pairs(g):
     return [(u, v) for u in range(n - 1) for v in range(u + 1, n)]
 
 
-def recognise(g):
-    par_v, par_e, order = _bfs_tree(g)
-    return _odd_cactus(g, _depths(par_v, order), par_v, par_e)
-
-
 def structural(g, colors):
     """The structural decision alone; None when g is not an odd cactus."""
-    cactus = recognise(g)
+    cactus = _odd_cactus(g)
     coloring = EdgeColoring(max(colors), tuple(colors))
     return None if cactus is None else _cactus_rainbow(cactus, *_total_colors(g, coloring))
 
 
-def bfs_walks(g, coloring, pairs):
-    """`verify_pairs` on its BFS-walk route, whatever the route rule picks."""
-    return _bfs_walks(g, coloring.color, *_total_colors(g, coloring), _by_source(g, pairs))
+def bfs_route(g, coloring, pairs):
+    """`verify_pairs` on its BFS route, one pass per source, whatever the
+    route rule picks."""
+    dense, k = _total_colors(g, coloring)
+    by_source = _by_source(g, pairs)
+    failed = (_check_source(g, u, by_source[u], coloring.color, dense, k) for u in sorted(by_source))
+    return next(filter(None, failed), VerificationOutcome(True, None))
 
 
 def cactus_walks(g, coloring, pairs):
     """`verify_pairs` on its structural route; g must be an odd cactus."""
-    return _cactus_walks(g, recognise(g), coloring.color, *_total_colors(g, coloring), _by_source(g, pairs))
+    return _cactus_walks(g, _odd_cactus(g), coloring.color, *_total_colors(g, coloring), _by_source(g, pairs))
 
 
 def assert_routes_agree(g, colors, cactus=True):
-    """The structural decision (on an odd cactus) matches the BFS walks over
-    all pairs, and `verify_strong_rainbow` matches them in outcome and
+    """The structural decision (on an odd cactus) matches the BFS route over
+    all pairs, and `verify_strong_rainbow` matches it in outcome and
     witness; returns whether the coloring passes."""
     coloring = EdgeColoring(max(colors), tuple(colors))
-    walks = bfs_walks(g, coloring, all_pairs(g))
+    route = bfs_route(g, coloring, all_pairs(g))
     full = verify_strong_rainbow(g, coloring)
-    assert witness_tuple(full) == witness_tuple(walks), (g.edges, colors)
-    assert structural(g, colors) == (walks.ok if cactus else None), (g.edges, colors)
-    return walks.ok
+    assert witness_tuple(full) == witness_tuple(route), (g.edges, colors)
+    assert structural(g, colors) == (route.ok if cactus else None), (g.edges, colors)
+    return route.ok
 
 
 def count_bfs(monkeypatch):
-    """The sources of the BFS runs in the oracle from here on, distances
-    alone (`_bfs_dist`) or with the tree (`_bfs_tree`). The BFS tree from
-    vertex 0 is not among them: `build_graph` walks it once and keeps it
-    as `g.tree`."""
+    """The sources of the BFS runs in the oracle from here on. The BFS tree
+    from vertex 0 is not among them: `build_graph` walks it once and keeps
+    it as `g.tree`."""
     calls = []
 
-    def counted(run):
-        def wrapped(graph, source=0):
-            calls.append(source)
-            return run(graph, source)
+    def counted(graph, source):
+        calls.append(source)
+        return _bfs_dist(graph, source)
 
-        return wrapped
-
-    monkeypatch.setattr(oracle, "_bfs_dist", counted(_bfs_dist))
-    monkeypatch.setattr(oracle, "_bfs_tree", counted(_bfs_tree))
+    monkeypatch.setattr(oracle, "_bfs_dist", counted)
     return calls
 
 
@@ -420,7 +413,7 @@ class TestStructuralVerifier:
             # class on a chain of three or more blocks
             k = max(base)
             merged = [c + k * rng.randrange(2) for c in base]
-            _, block, _, _, _, up = recognise(g).layout()
+            _, block, _, _, _, up = _odd_cactus(g).layout()
             for _ in range(12 if m > 1 else 0):
                 a, b = (merged[e] for e in rng.sample(range(m), 2))
                 colors = [a if c == b else c for c in merged]
@@ -514,7 +507,7 @@ class TestStructuralVerifier:
             [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (4, 5), (5, 6), (6, 4), (6, 7)]
             + [(1, 8), (8, 9), (9, 1), (3, 10), (10, 11), (11, 3)]
         )
-        assert list(recognise(cactus).layout()[5]) == [e in (1, 4, 7, 11, 14) for e in range(16)]
+        assert list(_odd_cactus(cactus).layout()[5]) == [e in (1, 4, 7, 11, 14) for e in range(16)]
         for zero in (0, 2, 4, 7, 9, 11):
             g = with_vertex_zero(cactus, zero)
             colors = list(range(2, 18))
@@ -525,7 +518,7 @@ class TestStructuralVerifier:
     @pytest.mark.parametrize("name", sorted(NON_CACTI))
     def test_non_cacti_keep_the_scan(self, name):
         g = build_graph(NON_CACTI[name])
-        assert recognise(g) is None
+        assert _odd_cactus(g) is None
         rng = random.Random(name)
         m = g.edge_count
         pairs = all_pairs(g)
@@ -548,7 +541,7 @@ class TestStructuralVerifier:
             g = with_vertex_zero(build_graph(sorted(edges)), rng.randrange(n))
             want = decompose(g).classification.accepted
             accepted += want
-            assert (recognise(g) is not None) == want, g.edges
+            assert (_odd_cactus(g) is not None) == want, g.edges
         assert 100 <= accepted <= 500, accepted
 
     def test_optimal_coloring_costs_one_bfs(self, monkeypatch):
@@ -596,6 +589,23 @@ class TestVerifyPairs:
         assert not out.ok
         assert out.witness.u == 0 and out.witness.v == 2
 
+    def test_pass_reaches_a_pair_whose_tree_path_repeats(self, monkeypatch):
+        # theta: 0-2-1 (edges 0, 1), 0-3-1 (edges 2, 3) and 0-4-5-1. The BFS
+        # trees from 0 and from 1 join the two through 2, colors 1 and 1;
+        # the pass reaches each from the other by 0-3-1, colors 2 and 3, so
+        # no pair is searched. From source 0 the pass reads the kept tree
+        # and the rows: no BFS and no pair view
+        g = build_graph(theta_edges())
+        assert g.tree[0][1] == 2
+        c = EdgeColoring(4, (1, 1, 2, 3, 4, 4, 4))
+        searched = []
+        monkeypatch.setattr(oracle, "_settle", lambda *args: searched.append(args[3:]))
+        calls = count_bfs(monkeypatch)
+        assert verify_pairs(g, c, [(0, 1)]).ok
+        assert calls == [] and "adjacency" not in vars(g)
+        assert verify_pairs(g, c, [(1, 0), (0, 1)]).ok
+        assert calls == [1] and searched == []
+
     @pytest.mark.parametrize(
         "pair", [(0, -1), (-1, 0), (0, 4), (4, 0), (7, 7), (0, True), (0, 1.0), (0.5, 1), ("0", 1)]
     )
@@ -619,7 +629,8 @@ def relabelled(g, rng):
 def fault_on_geodesic(rng, g, colors, u, v):
     """Give a second edge of the u,v geodesic the color of a first; False
     if the geodesic has fewer than two edges."""
-    edges = unique_shortest_path(g, u, v).edges
+    (path,) = all_shortest_paths(g, u, v)
+    edges = path.edges
     if len(edges) < 2:
         return False
     e, f = rng.sample(edges, 2)
@@ -639,7 +650,7 @@ def spot_cactus():
 class TestStructuralWalks:
     """On an odd cactus with enough sources `verify_pairs` recognises the
     cactus from one BFS tree and walks each pair's geodesic block by block;
-    outcome and witness are those of the BFS walks."""
+    outcome and witness are those of the BFS route."""
 
     def test_routes_agree_on_relabelled_cacti(self):
         rng = random.Random(20261022)
@@ -669,7 +680,7 @@ class TestStructuralWalks:
                 pairs += [(x, x) for x in sources[:2]] + pairs[:3]
                 rng.shuffle(pairs)
                 coloring = EdgeColoring(max(colors), tuple(colors))
-                want = witness_tuple(bfs_walks(g, coloring, pairs))
+                want = witness_tuple(bfs_route(g, coloring, pairs))
                 outcomes[want is None] += 1
                 assert witness_tuple(cactus_walks(g, coloring, pairs)) == want, (spec, colors)
                 assert witness_tuple(verify_pairs(g, coloring, pairs)) == want, (spec, colors)
@@ -695,10 +706,10 @@ class TestStructuralWalks:
         assert "adjacency" not in vars(g)
 
         colors = list(coloring.color)
-        u, v = max(pairs, key=lambda p: unique_shortest_path(g, *p).length)
+        u, v = max(pairs, key=lambda p: _bfs_dist(g, p[0])[p[1]])
         assert fault_on_geodesic(random.Random(1), g, colors, u, v)
         broken = EdgeColoring(max(colors), tuple(colors))
-        want = witness_tuple(bfs_walks(g, broken, pairs))
+        want = witness_tuple(bfs_route(g, broken, pairs))
         calls.clear()
         got = verify_pairs(g, broken, pairs)
         assert witness_tuple(got) == want
@@ -721,7 +732,8 @@ class TestStructuralWalks:
 
     def test_four_sources_at_10k_take_the_structural_walks(self, monkeypatch):
         # at 10,000 vertices the recogniser on the kept tree costs less than
-        # 2 BFS runs: 4 sources of 250 targets are faster on the structural walks
+        # one source's BFS and pass: 3 or 4 sources of 250 targets are faster
+        # on the structural walks
         spec = GenSpec(seed=20260810, target_vertices=10_000, cycle_lengths=(3, 5, 7, 9),
                        pendant_probability=0.35)
         g = generate(spec)
@@ -742,16 +754,17 @@ class TestStructuralWalks:
             """
             import random
             from rainbow_cactus import EdgeColoring, GenSpec, analyze_graph, generate, verify_pairs
-            from rainbow_cactus.graph import unique_shortest_path
+            from rainbow_cactus.graph import all_shortest_paths, bfs_distances
 
             g = generate(GenSpec(seed=11, target_vertices=520, cycle_lengths=(3, 5, 7), pendant_probability=0.3))
             rng = random.Random(5)
             n = g.vertex_count
             pairs = [(u, rng.randrange(n)) for u in rng.sample(range(n), 40) for _ in range(5)]
             colors = list(analyze_graph(g).result.coloring.color)
-            u, v = max(pairs, key=lambda p: unique_shortest_path(g, *p).length)
+            u, v = max(pairs, key=lambda p: bfs_distances(g, p[0])[p[1]])
             far = list(colors)
-            edges = unique_shortest_path(g, u, v).edges
+            (path,) = all_shortest_paths(g, u, v)
+            edges = path.edges
             far[edges[-1]] = far[edges[-2]]
             for c in (colors, far):
                 out = verify_pairs(g, EdgeColoring(max(c), tuple(c)), pairs)

@@ -68,7 +68,6 @@ def test_all_is_pinned():
 
 
 INVARIANTS = [
-    "algorithm_coloring_black_distinct",
     "antipodal_image_class",
     "antipodal_image_is_segment",
     "antipodal_matches_recogniser",
@@ -91,7 +90,6 @@ INVARIANTS = [
     "global_vertex_partition",
     "kept_tree_is_bfs_tree",
     "leaf_block_has_black_edge",
-    "no_path_contains_edge_and_antipode",
     "oracle_coloring_black_distinct",
     "pair_routes_agree",
     "recogniser_matches_classification",

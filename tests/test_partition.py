@@ -26,7 +26,7 @@ from rainbow_cactus import (
 )
 from rainbow_cactus.decomposition import leaf_blocks
 from rainbow_cactus.errors import InvalidPartitionError
-from rainbow_cactus.graph import unique_shortest_path
+from rainbow_cactus.graph import all_shortest_paths
 from rainbow_cactus.segments import trails
 
 
@@ -229,11 +229,11 @@ class TestBlackPairNecessity:
         g = sample_cactus
         d, a, cat = pipeline(g)
         p = build_canonical_partition(d, cat)
-        path_sets = [
-            frozenset(unique_shortest_path(g, u, v).edges)
-            for u in range(g.vertex_count)
-            for v in range(u + 1, g.vertex_count)
-        ]
+        path_sets = []
+        for u in range(g.vertex_count):
+            for v in range(u + 1, g.vertex_count):
+                (path,) = all_shortest_paths(g, u, v)
+                path_sets.append(frozenset(path.edges))
         blacks = sorted(p.e_black)
         for i, b1 in enumerate(blacks):
             for b2 in blacks[i + 1 :]:

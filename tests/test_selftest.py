@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -22,6 +24,7 @@ from rainbow_cactus import (
     generate,
     verify_strong_rainbow,
 )
+from rainbow_cactus import decomposition
 from rainbow_cactus import selftest as st
 from rainbow_cactus.partition import BlackWhitePartition
 from rainbow_cactus.segments import SegmentClass
@@ -65,16 +68,10 @@ def test_path_length_against_bfs(c5, monkeypatch):
     assert violated(check_shortest_paths, c5) == "unique_path_length_matches_bfs"
 
 
-def test_edge_and_its_antipode_on_one_path(triangle):
-    # edge 0 joins vertices 0 and 1; an antipode on its own path is a fault
-    a = SimpleNamespace(opp_vertex={0: 0})
-    assert violated(check_shortest_paths, triangle, a) == "no_path_contains_edge_and_antipode"
-
-
 def test_black_pair_off_every_shortest_path(triangle):
     # every shortest path of a triangle is one edge, so no two edges share one
     p = BlackWhitePartition(frozenset(), frozenset(), frozenset({0, 1}), frozenset({2}))
-    assert violated(check_shortest_paths, triangle, None, p) == "black_pair_shares_shortest_path"
+    assert violated(check_shortest_paths, triangle, p) == "black_pair_shares_shortest_path"
 
 
 def test_edge_missing_from_an_adjacency_list():
@@ -199,7 +196,7 @@ def test_start_vertex_that_changes_the_segments(sample_cactus, monkeypatch):
 
 
 def test_structural_walk_that_misses_a_fault(sample_cactus, monkeypatch):
-    # the optimal coloring passes both routes; the BFS walks catch the
+    # the optimal coloring passes both routes; the BFS route catches the
     # planted fault that this structural walk lets through
     monkeypatch.setattr(st, "_cactus_walks", lambda *args: VerificationOutcome(True))
     coloring = analyze_graph(sample_cactus).result.coloring
@@ -224,6 +221,36 @@ def test_block_check_passes_at_size():
 def test_selftest_passes_beyond_the_size_ceilings():
     # seeds 0 and 1 give 103 and 147 vertices, past every quadratic check
     assert run_selftest(seeds=3, max_n=200).ok
+
+
+def test_selftest_reaches_the_reversed_canonical_order():
+    # `decompose` lists a cycle in canonical order either as its DFS found
+    # it or reversed; labels counted down on odd seeds reach the second
+    # branch, which generated labels never do
+    code = decomposition.decompose.__wrapped__.__code__
+    lines, first = inspect.getsourcelines(code)
+    branch = first + next(i for i, line in enumerate(lines) if "verts[i::-1]" in line)
+    hits = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+
+        def line(frame, event, arg):
+            if event == "line" and frame.f_lineno == branch:
+                hits.append(frame.f_lineno)
+            return line
+
+        return line
+
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        report = run_selftest(seeds=4, max_n=30)
+    finally:
+        sys.settrace(outer)
+    assert report.ok
+    assert hits
 
 
 def test_block_check_reads_a_cycle_either_way_round():
