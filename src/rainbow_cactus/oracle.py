@@ -174,8 +174,8 @@ def _check_source(g: Graph, u: int, targets, colors, dense, k: int) -> Verificat
     pair view. Then one depth-first pass over the shortest-path DAG, the
     edges from depth d to depth d + 1, so O(n + m) in all. The pass pushes a
     vertex at most once, so the pushed vertices form a shortest-path tree,
-    entered in preorder; it marks each in `seen` and files the color of its
-    tree edge in `entry[x]`, and the source the sentinel color k.
+    entered in preorder; it files the color of each one's tree edge in
+    `entry[x]`, -1 until then, and the source the sentinel color k.
     `pathc[d]` is the color entered at depth d on the current tree path and
     `pos[c]` the depth at which color c was last entered; `pathc[0]` is
     always k, so `pos[c] = 0` never matches. A step of color c to depth d
@@ -199,9 +199,8 @@ def _check_source(g: Graph, u: int, targets, colors, dense, k: int) -> Verificat
         dist, adj = _bfs_dist(g, u), g.adjacency
     else:
         dist, adj = _depths(g), _RowPairs(g.rows)
-    seen = bytearray(n)
-    seen[u] = 1
-    entry = [k] * n
+    entry = [-1] * n
+    entry[u] = k
     pos = [0] * (k + 1)
     pathc = [0] * n
     stack = [u]
@@ -213,17 +212,16 @@ def _check_source(g: Graph, u: int, targets, colors, dense, k: int) -> Verificat
         pathc[d] = c
         d += 1
         for w, eid in adj[x]:
-            if dist[w] == d and not seen[w]:
+            if dist[w] == d and entry[w] < 0:
                 c = dense[eid]
                 p = pos[c]
                 if p < d and pathc[p] == c:
                     continue
-                seen[w] = 1
                 entry[w] = c
                 stack.append(w)
-    if 0 in seen:
+    if -1 in entry:
         for v in targets:
-            if not seen[v]:
+            if entry[v] < 0:
                 failed = _settle(g, dist, colors, u, v)
                 if failed:
                     return failed
