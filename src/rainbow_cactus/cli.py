@@ -22,7 +22,7 @@ from .oracle import brute_force_search, verify_strong_rainbow
 from .partition import build_canonical_partition
 from .segments import SegmentClass, trails
 from .selftest import run_selftest
-from .solver import GraphAnalysis, SrcResult, analyze_graph
+from .solver import GraphAnalysis, SrcResult, SrcStats, _src_stats, analyze_graph, src_formula
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -61,46 +61,42 @@ class AnalysisReport:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
 
-def _stats_dict(res: SrcResult) -> dict:
-    return {
-        "cut_edges": res.stats.cut_edges,
-        "s1_count": res.stats.s1_count,
-        "e_ant": res.stats.e_ant,
-    }
+def _stats_dict(stats: SrcStats) -> dict:
+    return {"cut_edges": stats.cut_edges, "s1_count": stats.s1_count, "e_ant": stats.e_ant}
 
 
-def _edge_keys(g: Graph) -> list[str]:
-    """Every edge's key in edge id order, as `analyze` and `color` write it
-    and `verify` looks it up."""
-    labels = g.labels
-    return [f"{labels[a]},{labels[b]}" for a, b in g.edges]
+def _edge_keys(g: Graph, ids=None) -> list[str]:
+    """The keys of the edges `ids`, or of every edge in edge id order, as
+    `analyze` and `color` write them and `verify` looks them up."""
+    labels, edges = g.labels, g.edges
+    pairs = edges if ids is None else map(edges.__getitem__, ids)
+    return [f"{labels[a]},{labels[b]}" for a, b in pairs]
 
 
 def build_report(an: GraphAnalysis, full: bool = False) -> AnalysisReport:
+    """The report of `analyze`. src and its stats come from the closed form;
+    only `full` reads the coloring, `an.result`."""
     g = an.graph
     d = an.decomposition
     cls = an.classification
-    keys = _edge_keys(g)
-    cut_vertices = tuple(sorted(g.labels[v] for v in d.cut_vertices))
-    cut_edges = tuple(keys[e] for e in sorted(d.cut_edges))
+    head = {
+        "classification": cls.tag.value,
+        "n": g.vertex_count,
+        "m": g.edge_count,
+        "cut_vertices": tuple(sorted(g.labels[v] for v in d.cut_vertices)),
+        "cut_edges": tuple(_edge_keys(g, sorted(d.cut_edges))),
+    }
     if not cls.accepted:
-        witness = None if cls.witness_edge is None else keys[cls.witness_edge]
-        return AnalysisReport(
-            classification=cls.tag.value,
-            n=g.vertex_count,
-            m=g.edge_count,
-            cut_vertices=cut_vertices,
-            cut_edges=cut_edges,
-            rejection_reason=cls.reason.value,
-            rejection_witness=witness,
-        )
+        witness = None if cls.witness_edge is None else _edge_keys(g, [cls.witness_edge])[0]
+        return AnalysisReport(**head, rejection_reason=cls.reason.value, rejection_witness=witness)
     cat = an.catalog
-    res = an.result
+    stats, src = _src_stats(d, cat)
     segment_counts = {klass.value: n for klass, n in zip(SegmentClass, cat.counts)}
     segments = None
     partition = None
     coloring = None
     if full:
+        keys = _edge_keys(g)
         segments = tuple(
             {
                 "cycle": w[0],
@@ -127,18 +123,14 @@ def build_report(an: GraphAnalysis, full: bool = False) -> AnalysisReport:
                     key: ("black" if e in p.e_black else "white") for e, key in enumerate(keys)
                 },
             }
-        coloring = dict(zip(keys, res.coloring.color))
+        coloring = dict(zip(keys, an.result.coloring.color))
     return AnalysisReport(
-        classification=cls.tag.value,
-        n=g.vertex_count,
-        m=g.edge_count,
-        cut_vertices=cut_vertices,
-        cut_edges=cut_edges,
+        **head,
         cycle_length=cls.cycle_length,
-        e_ant=tuple(keys[e] for e in sorted(an.antipodal.e_ant)),
+        e_ant=tuple(_edge_keys(g, sorted(an.antipodal.e_ant))),
         segment_counts=segment_counts,
-        src=res.src,
-        stats=_stats_dict(res),
+        src=src,
+        stats=_stats_dict(stats),
         segments=segments,
         partition=partition,
         coloring=coloring,
@@ -165,7 +157,7 @@ def _coloring_payload(g: Graph, res: SrcResult) -> dict:
         "m": g.edge_count,
         "src": res.src,
         "case": res.case.value,
-        "stats": _stats_dict(res),
+        "stats": _stats_dict(res.stats),
         "coloring": dict(zip(_edge_keys(g), res.coloring.color)),
     }
 
@@ -286,7 +278,7 @@ def cmd_oracle(args) -> int:
     g = _load_graph(args.path)
     result = brute_force_search(g, args.max_edges)
     an = analyze_graph(g)
-    formula = an.result.src if an.classification.accepted else None
+    formula = src_formula(an.decomposition, an.catalog) if an.classification.accepted else None
     agree = None if formula is None else (formula == result.src)
     print(
         json.dumps(

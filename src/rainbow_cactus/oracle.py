@@ -68,9 +68,11 @@ def _repeated_color(edge_ids, colors) -> int | None:
     return None
 
 
-def _depths(g: Graph) -> list[int]:
-    """The depths of the graph's kept BFS tree from vertex 0 (`g.tree`),
-    each vertex one below its parent: the BFS distances from vertex 0."""
+def _depths(g: Graph, u: int = 0) -> list[int]:
+    """The BFS distances from u. From vertex 0 they are the depths of the
+    graph's kept BFS tree (`g.tree`), each vertex one below its parent."""
+    if u:
+        return _bfs_dist(g, u)
     par_v, _, order = g.tree
     dist = [0] * g.vertex_count
     for x in order[1:]:
@@ -154,37 +156,37 @@ def verify_strong_rainbow(
     dense, k = _total_colors(g, coloring)
     n = g.vertex_count
     for u in range(n - 1):
-        failed = _check_source(g, u, range(u + 1, n), colors, dense, k)
+        dist = _depths(g, u)
+        failed = _check_source(g, u, dist, range(u + 1, n), colors, dense, k)
         if failed:
             return failed
         if u == 0:
-            cactus = _odd_cactus(g)
+            cactus = _odd_cactus(g, dist)
             if cactus is not None and _cactus_rainbow(cactus, dense, k):
                 break
     return VerificationOutcome(True, None)
 
 
-def _check_source(g: Graph, u: int, targets, colors, dense, k: int) -> VerificationOutcome | None:
+def _check_source(g: Graph, u: int, dist, targets, colors, dense, k: int) -> VerificationOutcome | None:
     """The failing outcome of the first of `targets` with no rainbow
-    shortest path to u, in the given order; None if each has one. `dense`
-    and k are the colors as `_total_colors` gives them.
+    shortest path to u, in the given order; None if each has one. `dist`
+    holds the BFS distances from u (`_depths(g, u)`), and `dense` and k are
+    the colors as `_total_colors` gives them.
 
-    Source 0 reads the BFS tree from vertex 0 that the graph keeps
-    (`g.tree`) and the rows; any other source runs one BFS and reads the
-    pair view. Then one depth-first pass over the shortest-path DAG, the
-    edges from depth d to depth d + 1, so O(n + m) in all. The pass pushes a
-    vertex at most once, so the pushed vertices form a shortest-path tree,
-    entered in preorder; it files the color of each one's tree edge in
-    `entry[x]`, -1 until then, and the source the sentinel color k.
-    `pathc[d]` is the color entered at depth d on the current tree path and
-    `pos[c]` the depth at which color c was last entered; `pathc[0]` is
-    always k, so `pos[c] = 0` never matches. A step of color c to depth d
-    repeats a color of the tree path iff `pos[c] < d and pathc[pos[c]] ==
-    c`: a vertex entered through c is never below an ancestor entered
-    through c, so `pos[c]` is that ancestor's depth while it is on the path,
-    and a stale entry fails the `pathc` test because every ancestor has
-    written its own depth. Such a step is not taken, though its head may
-    still be pushed through another predecessor.
+    Source 0 reads the rows; any other source reads the pair view. Then one
+    depth-first pass over the shortest-path DAG, the edges from depth d to
+    depth d + 1, so O(n + m) in all. The pass pushes a vertex at most once,
+    so the pushed vertices form a shortest-path tree, entered in preorder;
+    it files the color of each one's tree edge in `entry[x]`, -1 until then,
+    and the source the sentinel color k. `pathc[d]` is the color entered at
+    depth d on the current tree path and `pos[c]` the depth at which color c
+    was last entered; `pathc[0]` is always k, so `pos[c] = 0` never matches.
+    A step of color c to depth d repeats a color of the tree path iff
+    `pos[c] < d and pathc[pos[c]] == c`: a vertex entered through c is never
+    below an ancestor entered through c, so `pos[c]` is that ancestor's
+    depth while it is on the path, and a stale entry fails the `pathc` test
+    because every ancestor has written its own depth. Such a step is not
+    taken, though its head may still be pushed through another predecessor.
 
     A vertex the pass reaches has a rainbow shortest path to u. Only the
     other targets search their shortest paths (`_settle`), which is
@@ -195,10 +197,7 @@ def _check_source(g: Graph, u: int, targets, colors, dense, k: int) -> Verificat
     path, as `all_shortest_paths` orders them.
     """
     n = g.vertex_count
-    if u:
-        dist, adj = _bfs_dist(g, u), g.adjacency
-    else:
-        dist, adj = _depths(g), _RowPairs(g.rows)
+    adj = g.adjacency if u else _RowPairs(g.rows)
     entry = [-1] * n
     entry[u] = k
     pos = [0] * (k + 1)
@@ -308,9 +307,10 @@ class _OddCactus:
         return slot, block, [len(es) for es in block_edges], seen_lo, seen_hi, up
 
 
-def _odd_cactus(g: Graph) -> _OddCactus | None:
+def _odd_cactus(g: Graph, dist=None) -> _OddCactus | None:
     """g's blocks if g is an odd cactus, else None, from the BFS tree from
-    vertex 0 that the graph keeps (`g.tree`) and its depths.
+    vertex 0 that the graph keeps (`g.tree`) and its depths (`dist`, if the
+    caller has them).
 
     Each non-tree edge (a, b) of a BFS tree closes one fundamental cycle,
     the tree paths from a and b up to where they meet. g is a cactus iff
@@ -320,7 +320,7 @@ def _odd_cactus(g: Graph) -> _OddCactus | None:
     """
     n, edges = g.vertex_count, g.edges
     par_v, par_e, _ = g.tree
-    dist = _depths(g)
+    dist = _depths(g) if dist is None else dist
     closing = bytearray(b"\x01") * len(edges)
     for e in par_e[1:]:
         closing[e] = 0
@@ -458,7 +458,7 @@ def verify_pairs(g: Graph, coloring: EdgeColoring, pairs) -> VerificationOutcome
         if cactus is not None:
             return _cactus_walks(g, cactus, coloring.color, dense, k, by_source)
     for u in sorted(by_source):
-        failed = _check_source(g, u, by_source[u], coloring.color, dense, k)
+        failed = _check_source(g, u, _depths(g, u), by_source[u], coloring.color, dense, k)
         if failed:
             return failed
     return VerificationOutcome(True, None)

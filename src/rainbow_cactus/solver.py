@@ -6,14 +6,15 @@ directly. The coloring gives every cut edge and every S1/S2 segment edge a
 fresh color, mirrors those colors onto the antipodal S4/S3 edges, and colors
 each antipodal-to-cut edge by reusing the color of an eligible edge on the far
 side of its pivot cut vertex. `analyze_graph` runs the chain from `decompose`
-to the coloring. No verification code is imported here: the oracle and the
-selftest check the results.
+to the segment catalog; its coloring is built on first read. No verification
+code is imported here: the oracle and the selftest check the results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate
 
 from .decomposition import Classification, Decomposition, GraphClass, decompose, require_odd_cactus
@@ -191,16 +192,21 @@ class GraphAnalysis:
     classification: Classification
     antipodal: AntipodalIndex | None
     catalog: SegmentCatalog | None
-    result: SrcResult | None
+
+    @cached_property
+    def result(self) -> SrcResult | None:
+        """The optimal coloring, built on first read; None for a rejected graph."""
+        if not self.classification.accepted:
+            return None
+        return strong_rainbow_coloring(self.graph, self.decomposition, self.antipodal, self.catalog)
 
 
 def analyze_graph(g: Graph) -> GraphAnalysis:
-    """Decompose, classify, and (if accepted) compute segments and the
-    optimal coloring."""
+    """Decompose, classify, and (if accepted) compute the antipodal index and
+    the segment catalog; `result` holds the optimal coloring."""
     d = decompose(g)
     cls = d.classification
     if not cls.accepted:
-        return GraphAnalysis(g, d, cls, None, None, None)
+        return GraphAnalysis(g, d, cls, None, None)
     a = build_antipodal_index(d)
-    cat = enumerate_segments(d, a)
-    return GraphAnalysis(g, d, cls, a, cat, strong_rainbow_coloring(g, d, a, cat))
+    return GraphAnalysis(g, d, cls, a, enumerate_segments(d, a))

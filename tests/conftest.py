@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from rainbow_cactus import Graph, build_graph
+from rainbow_cactus import Graph, build_graph, solver
 
 # property tests draw the same examples on every run and keep no example
 # database, so a run is reproducible and does not depend on earlier runs
@@ -91,3 +91,30 @@ def triangle() -> Graph:
 @pytest.fixture
 def bowtie() -> Graph:
     return build_graph(bowtie_edges())
+
+
+@pytest.fixture
+def coloring_calls(monkeypatch) -> list:
+    """One entry per run of the solver's coloring from here on."""
+    calls: list = []
+    real = solver.strong_rainbow_coloring
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "strong_rainbow_coloring", counted)
+    return calls
+
+
+@pytest.fixture
+def extra_color(monkeypatch) -> None:
+    """The solver's black edge list repeats its last edge, so its coloring
+    uses one color more than the closed form allows."""
+    real = solver.black_edges
+
+    def one_more(d, cat):
+        blacks = real(d, cat)
+        return blacks + blacks[-1:]
+
+    monkeypatch.setattr(solver, "black_edges", one_more)

@@ -9,7 +9,7 @@ import sys
 import time
 
 import pytest
-from conftest import SAMPLE_EDGES, cycle_edges, diamond_chain, path_edges
+from conftest import SAMPLE_EDGES, bowtie_edges, cycle_edges, diamond_chain, path_edges
 
 import rainbow_cactus
 from rainbow_cactus import (
@@ -21,8 +21,8 @@ from rainbow_cactus import (
     parse_edge_list,
 )
 from rainbow_cactus.cli import build_report, main
-from rainbow_cactus.errors import InvalidSpecError
-from rainbow_cactus import selftest
+from rainbow_cactus.errors import InvalidSpecError, InvariantError
+from rainbow_cactus import selftest, solver
 from rainbow_cactus.generator import MAX_TARGET_VERTICES
 from rainbow_cactus.selftest import (
     MIN_MAX_N,
@@ -564,3 +564,43 @@ class TestParserReuse:
         assert json.loads(capsys.readouterr().out)["segments"]
         assert main(["analyze", sample_path]) == 0
         assert json.loads(capsys.readouterr().out)["segments"] is None
+
+
+class TestColoringOnlyWherePrinted:
+    """Plain `analyze` and `oracle` print the closed form and never build the
+    coloring; each command that prints a coloring builds it, with its
+    colour-count check against the closed form."""
+
+    PRINTS_A_COLORING = (["analyze", "--full"], ["color"], ["color", "--dot"])
+
+    @pytest.mark.parametrize(
+        "name, edges",
+        [("sample", SAMPLE_EDGES), ("c5", cycle_edges(5)), ("p4", path_edges(4)), ("c4", cycle_edges(4))],
+    )
+    def test_plain_analyze_never_colors(self, tmp_path, capsys, monkeypatch, name, edges):
+        path = write_edges(tmp_path, f"{name}.txt", edges)
+        code = main(["analyze", path])
+        want = capsys.readouterr()
+
+        def refuse(*args):
+            raise AssertionError("plain analyze built a coloring")
+
+        monkeypatch.setattr(solver, "strong_rainbow_coloring", refuse)
+        assert main(["analyze", path]) == code
+        assert capsys.readouterr() == want
+
+    def test_oracle_never_colors(self, tmp_path, capsys, coloring_calls):
+        path = write_edges(tmp_path, "bowtie.txt", bowtie_edges())
+        assert main(["oracle", path]) == 0
+        assert capsys.readouterr().out.endswith("bruteforce=2 formula=2 AGREE\n")
+        assert not coloring_calls
+
+    @pytest.mark.parametrize("argv", PRINTS_A_COLORING)
+    def test_printed_coloring_is_built_once(self, sample_path, capsys, coloring_calls, argv):
+        assert main([argv[0], sample_path, *argv[1:]]) == 0
+        assert coloring_calls == [1]
+
+    @pytest.mark.parametrize("argv", PRINTS_A_COLORING)
+    def test_color_count_check_runs_where_a_coloring_is_printed(self, sample_path, extra_color, argv):
+        with pytest.raises(InvariantError, match="color count 8 disagrees with the closed form 7"):
+            main([argv[0], sample_path, *argv[1:]])

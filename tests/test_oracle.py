@@ -35,6 +35,7 @@ from rainbow_cactus.oracle import (
     _cactus_rainbow,
     _cactus_walks,
     _check_source,
+    _depths,
     _odd_cactus,
     _partition_colorings,
     _total_colors,
@@ -311,7 +312,9 @@ def bfs_route(g, coloring, pairs):
     route rule picks."""
     dense, k = _total_colors(g, coloring)
     by_source = _by_source(g, pairs)
-    failed = (_check_source(g, u, by_source[u], coloring.color, dense, k) for u in sorted(by_source))
+    failed = (
+        _check_source(g, u, _depths(g, u), by_source[u], coloring.color, dense, k) for u in sorted(by_source)
+    )
     return next(filter(None, failed), VerificationOutcome(True, None))
 
 

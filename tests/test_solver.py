@@ -14,6 +14,7 @@ from rainbow_cactus import (
     GenSpec,
     GraphClass,
     SrcCase,
+    analyze_graph,
     brute_force_src,
     build_antipodal_index,
     build_canonical_partition,
@@ -25,7 +26,7 @@ from rainbow_cactus import (
     strong_rainbow_coloring,
     verify_strong_rainbow,
 )
-from rainbow_cactus.errors import NotAntipodalEdgeError, NotOddCactusError
+from rainbow_cactus.errors import InvariantError, NotAntipodalEdgeError, NotOddCactusError
 from rainbow_cactus.selftest import assert_line18_choice, separate
 from rainbow_cactus.solver import _branch_min_black
 
@@ -300,3 +301,27 @@ class TestStrongRainbowColoring:
         empty_index = AntipodalIndex({}, {}, frozenset())
         with pytest.raises(NotOddCactusError):
             strong_rainbow_coloring(g, d, empty_index, SegmentCatalog((), (0, 0, 0, 0)))
+
+
+class TestAnalyzeGraph:
+    """`analyze_graph` stops at the segment catalog; its `result`, the
+    optimal coloring, is built on first read and kept."""
+
+    def test_result_is_built_on_first_read_and_kept(self, sample_cactus, coloring_calls):
+        an = analyze_graph(sample_cactus)
+        assert coloring_calls == []
+        first = an.result
+        assert an.result is first
+        assert coloring_calls == [1]
+        assert first.src == 7 and first.case is SrcCase.FORMULA
+
+    def test_rejected_graph_has_no_result(self, coloring_calls):
+        an = analyze_graph(build_graph(cycle_edges(4)))
+        assert an.result is None and an.result is None
+        assert an.antipodal is None and an.catalog is None
+        assert coloring_calls == []
+
+    def test_result_keeps_the_color_count_check(self, sample_cactus, extra_color):
+        an = analyze_graph(sample_cactus)
+        with pytest.raises(InvariantError, match="color count 8 disagrees with the closed form 7"):
+            an.result
