@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .decomposition import GraphClass
 from .errors import RainbowCactusError
 from .generator import GenSpec, generate
-from .graph import EdgeColoring, Graph, build_graph, format_edge_list, load_edge_list
+from .graph import EdgeColoring, Graph, _load_graph, format_edge_list
 from .oracle import brute_force_search, verify_strong_rainbow
 from .partition import build_canonical_partition
 from .segments import SegmentClass, trails
@@ -137,12 +137,40 @@ def build_report(an: GraphAnalysis, full: bool = False) -> AnalysisReport:
     )
 
 
+_string = json.encoder.encode_basestring_ascii
+
+
+def _indented(obj, nl: str) -> str:
+    """`obj` as `json.dumps(obj, indent=2, sort_keys=True)` writes it, each
+    line after the first led by `nl`, a line feed and the indent of `obj`.
+
+    An indent makes `json` fall back to its Python encoder, a few calls per
+    item; here each object and array is one join. Keys are str, as in every
+    CLI payload; ints, strings and containers are written here, and any
+    other value by `json.dumps`, raising what it raises.
+    """
+    if type(obj) is int:
+        return repr(obj)
+    if isinstance(obj, str):
+        return _string(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return f"[{inner}{(',' + inner).join([_indented(v, inner) for v in obj])}{nl}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # keys are unique, so sorting them orders the items as `json` does,
+        # with no (key, value) tuple compared
+        items = [f"{_string(k)}: {_indented(obj[k], inner)}" for k in sorted(obj)]
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    return json.dumps(obj)
+
+
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _load_graph(path: str) -> Graph:
-    return build_graph(load_edge_list(path))
+    """Print `obj` as `json.dumps(obj, indent=2, sort_keys=True)` would."""
+    print(_indented(obj, "\n"))
 
 
 def cmd_analyze(args) -> int:

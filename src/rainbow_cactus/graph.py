@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import functools
 import gc
+import re
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
@@ -159,7 +161,6 @@ class EdgeColoring:
     color: tuple[int, ...]
 
 
-@gc_paused
 def build_graph(edge_pairs) -> Graph:
     """Validate raw (label, label) pairs and build a dense-id Graph.
 
@@ -168,26 +169,43 @@ def build_graph(edge_pairs) -> Graph:
     raised error carries the first bad label, or the raw labels of the first
     bad pair, in input order.
     """
-    pairs = list(edge_pairs)
+    pairs = edge_pairs if isinstance(edge_pairs, (list, tuple)) else list(edge_pairs)
     if not pairs:
         raise EmptyInputError("edge list is empty")
     flat = list(chain.from_iterable(pairs))
-    label_set = set(flat)
     # types too: 1.0 or True equals 1, so the label set can hide it
-    if set(map(type, flat)) != {int} or min(label_set) < 0:
+    if set(map(type, flat)) != {int} or min(flat) < 0:
         raise InvalidLabelError(next(x for x in flat if type(x) is not int or x < 0))
+    # a pair that is not two labels raises the ValueError of its unpacking
+    for _a, _b in pairs:
+        pass
+    return _build(flat)
+
+
+@gc_paused
+def _build(flat: list[int]) -> Graph:
+    """Build a Graph from non-negative int labels, two per edge in input
+    order: the one builder behind `build_graph` and `_load_graph`, the
+    CLI's file reader, which hands over a file's labels with no pair tuple.
+
+    Raises the errors of `build_graph` that do not concern a label's type.
+    """
+    if not flat:
+        raise EmptyInputError("edge list is empty")
+    label_set = set(flat)
     labels = tuple(sorted(label_set))
     n = len(labels)
     del label_set
+    ids = flat
     if labels[-1] != n - 1:
         # dense ids follow sorted label order, so a < b orders labels too
-        dense = dict(zip(labels, range(n)))
-        pairs = [(dense[u], dense[v]) for u, v in pairs]
+        ids = list(map(dict(zip(labels, range(n))).__getitem__, flat))
 
     rows = [[] for _ in range(n)]
     edges = []
     add_edge = edges.append
-    for e, (a, b) in enumerate(pairs):
+    it = iter(ids)
+    for e, (a, b) in enumerate(zip(it, it)):
         add_edge((a, b) if a < b else (b, a))
         row = rows[a]
         row.append(b)
@@ -195,6 +213,7 @@ def build_graph(edge_pairs) -> Graph:
         row = rows[b]
         row.append(a)
         row.append(e)
+    del ids, it
     # a second copy of a pair or a self-loop, found in C; the loop that
     # names the first bad pair in input order runs only then
     if len(set(edges)) < len(edges) or any(map(eq, flat[0::2], flat[1::2])):
@@ -207,7 +226,6 @@ def build_graph(edge_pairs) -> Graph:
             if key in seen:
                 raise ParallelEdgeError(key)
             seen.add(key)
-    del flat, pairs
 
     # rows become tuples one at a time, so the lists and the tuples never
     # all coexist
@@ -325,6 +343,48 @@ def _spaced(line: str) -> bool:
     return line.replace("\t", " ").isprintable()
 
 
+# The plain form of an edge list: each line two runs of ASCII digits
+# separated by spaces or tabs, ended by a line feed with an optional carriage
+# return before it; the last line's line feed may be missing. The line loop
+# reads each such text, to the same labels. Possessive repeats (Python 3.11)
+# take the same texts as plain ones, without the backtracking record of
+# about 300 bytes that plain ones keep per line.
+_PLAIN = re.compile(
+    r"(?:[0-9]++[ \t]++[0-9]++\r?\n)*+(?:[0-9]+[ \t]+[0-9]+\r?)?"
+    if sys.version_info >= (3, 11)
+    else r"(?:[0-9]+[ \t]+[0-9]+\r?\n)*(?:[0-9]+[ \t]+[0-9]+\r?)?"
+)
+# Plain text is checked and split in pieces of this many characters, cut
+# after the next line feed, so that a split's string per label, and on
+# Python 3.10 the matcher's record per line, do not grow with the text (at
+# 100k vertices the whole text's labels took 13 MB, its record 32 MB).
+_PIECE = 1 << 16
+
+
+def _labels(text: str) -> list[int]:
+    """The labels of edge-list text, two per edge in input order. Plain text
+    is checked and converted in C; any other text, and a label too long for
+    `int()`, goes to the line loop, which names the first bad line."""
+    pieces = []
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _PIECE)
+        end = len(text) if end < 0 else end + 1
+        pieces.append(text[start:end])
+        start = end
+    # every piece but the last ends in a line feed, so the text is plain
+    # exactly when each piece is
+    if all(map(_PLAIN.fullmatch, pieces)):
+        flat: list[int] = []
+        try:
+            for piece in pieces:
+                flat += map(int, piece.split())
+            return flat
+        except ValueError:
+            pass
+    return list(chain.from_iterable(_parse_lines(text)))
+
+
 def parse_edge_list(text: str) -> list[tuple[int, int]]:
     """Parse edge-list text: one `u v` pair per line, `#` comments, blanks ignored.
 
@@ -335,7 +395,16 @@ def parse_edge_list(text: str) -> list[tuple[int, int]]:
     U+0085, U+2028, ...) is an error.
     Labels are runs of ASCII digits; `int()` alone would also take "+4",
     "-0", "1_000" and non-ASCII digits.
+
+    Plain text, with no comment, blank or stray character, is checked in one
+    pass and converted in C; other text is read line by line.
     """
+    it = iter(_labels(text))
+    return list(zip(it, it))
+
+
+def _parse_lines(text: str) -> list[tuple[int, int]]:
+    """`parse_edge_list` one line at a time; its errors name the first bad line."""
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         parts = raw.split()
@@ -372,14 +441,22 @@ def parse_edge_list(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def load_edge_list(path) -> list[tuple[int, int]]:
+def _read_text(path) -> str:
     data = FsPath(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise EdgeListFormatError(f"line {lineno}: not UTF-8 text", lineno) from None
-    return parse_edge_list(text)
+
+
+def load_edge_list(path) -> list[tuple[int, int]]:
+    return parse_edge_list(_read_text(path))
+
+
+def _load_graph(path) -> Graph:
+    """`build_graph(load_edge_list(path))`, with no pair tuple."""
+    return _build(_labels(_read_text(path)))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -10,6 +10,8 @@ import time
 
 import pytest
 from conftest import SAMPLE_EDGES, bowtie_edges, cycle_edges, diamond_chain, path_edges
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rainbow_cactus
 from rainbow_cactus import (
@@ -22,7 +24,7 @@ from rainbow_cactus import (
 )
 from rainbow_cactus.cli import build_report, main
 from rainbow_cactus.errors import InvalidSpecError, InvariantError
-from rainbow_cactus import selftest, solver
+from rainbow_cactus import cli, selftest, solver
 from rainbow_cactus.generator import MAX_TARGET_VERTICES
 from rainbow_cactus.selftest import (
     MIN_MAX_N,
@@ -120,6 +122,64 @@ class TestAnalyze:
     def test_report_round_trip(self, sample_cactus):
         data = build_report(analyze_graph(sample_cactus), full=True).to_json_dict()
         assert json.loads(json.dumps(data)) == data
+
+
+# keys whose string order differs from the order of their numbers, and
+# characters that JSON escapes
+_KEY = st.one_of(
+    st.sampled_from(["10,2", "2,3", "2,10", "1,9", ""]),
+    st.text(alphabet=st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t\u00e9\u20ac\U0001d11e'), st.characters())),
+)
+_SCALAR = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64),
+    st.integers(max_value=-(2**64)),
+    st.floats(),
+    st.sampled_from([-0.0, float("inf"), float("-inf"), float("nan")]),
+    _KEY,
+)
+_JSON = st.recursive(
+    _SCALAR,
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(_KEY, inner)),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    """The CLI writes JSON with one join per object and array, the bytes of
+    `json.dumps(obj, indent=2, sort_keys=True)`."""
+
+    @given(_JSON)
+    def test_same_bytes_as_json_dumps(self, obj):
+        assert cli._indented(obj, "\n") == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("obj", [{}, [], (), {"a": {}, "b": [], "c": ()}, [[[]]], "x", 7, None, -0.0])
+    def test_empty_containers_and_bare_scalars(self, obj, capsys):
+        cli._print_json(obj)
+        assert capsys.readouterr().out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("obj", [{"a": {1, 2}}, [object()], {"a": {(1, 2): 3}}, {1: 2, "1": 3}])
+    def test_what_json_refuses_is_refused(self, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._indented(obj, "\n")
+
+    def test_color_and_full_analyze_print_json_dumps(self, tmp_path, capsys):
+        g = generate(GenSpec(seed=27, target_vertices=2000, cycle_lengths=(3, 5, 7, 9), pendant_probability=0.35))
+        path = tmp_path / "g.txt"
+        path.write_text(format_edge_list(g))
+        an = analyze_graph(build_graph(parse_edge_list(path.read_text())))
+        assert an.graph.vertex_count >= 2000
+        for argv, payload in [
+            (["color", str(path)], cli._coloring_payload(an.graph, an.result)),
+            (["analyze", "--full", str(path)], build_report(an, full=True).to_json_dict()),
+            (["analyze", str(path)], build_report(an).to_json_dict()),
+        ]:
+            assert main(argv) == 0
+            assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class TestColor:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import random
+import re
+from unittest import mock
 
 import pytest
 from conftest import SAMPLE_EDGES, cycle_edges, eid, path_edges, vid
@@ -25,7 +28,8 @@ from rainbow_cactus.errors import (
     ParallelEdgeError,
     SelfLoopError,
 )
-from rainbow_cactus.graph import all_shortest_paths, bfs_distances
+from rainbow_cactus import graph
+from rainbow_cactus.graph import _labels, _load_graph, _parse_lines, all_shortest_paths, bfs_distances
 
 
 class TestBuildGraph:
@@ -444,6 +448,23 @@ def _join(lines, ends) -> str:
     return "".join(line + end for line, end in zip(lines, ends))
 
 
+def _read_by_line(text) -> bool:
+    """Whether `_labels` hands `text` to the line loop."""
+    with mock.patch.object(graph, "_parse_lines", side_effect=EdgeListFormatError("", 0)) as loop:
+        with contextlib.suppress(EdgeListFormatError):
+            _labels(text)
+    return loop.called
+
+
+def _outcome(parse, text):
+    """What `parse(text)` gives: its pairs, or its error's type, message and
+    line number."""
+    try:
+        return parse(text)
+    except EdgeListFormatError as exc:
+        return type(exc), str(exc), exc.line_number
+
+
 class TestEdgeListGrammar:
     @given(st.data())
     def test_format_then_parse_round_trips(self, data):
@@ -469,7 +490,7 @@ class TestEdgeListGrammar:
         text = _join(lines, ends)
         if not final_end and text:
             text = text[: -len(ends[-1])]
-        assert parse_edge_list(text) == pairs
+        assert parse_edge_list(text) == _parse_lines(text) == pairs
 
     @given(
         _document(),
@@ -492,3 +513,136 @@ class TestEdgeListGrammar:
         with pytest.raises(EdgeListFormatError) as exc:
             parse_edge_list(text)
         assert exc.value.line_number == 1 + before.count("\n")
+        assert _outcome(parse_edge_list, text) == _outcome(_parse_lines, text)
+
+
+@st.composite
+def _plain_document(draw):
+    """A plain edge list (no comment, blank or stray character) and its pairs."""
+    pairs = draw(st.lists(st.tuples(_LABEL, _LABEL), max_size=8))
+    lines = [a + draw(st.text(alphabet=" \t", min_size=1, max_size=3)) + b for a, b in pairs]
+    ends = [draw(st.sampled_from(("\n", "\r\n"))) for _ in lines]
+    text = _join(lines, ends)
+    if lines and draw(st.booleans()):
+        text = text.removesuffix("\n")
+    return text, [(int(a), int(b)) for a, b in pairs]
+
+
+# the plain form with plain repeats, as Python 3.10 matches it
+_PLAIN_REPEATS = re.compile(r"(?:[0-9]+[ \t]+[0-9]+\r?\n)*(?:[0-9]+[ \t]+[0-9]+\r?)?")
+
+
+class TestPlainEdgeLists:
+    """`parse_edge_list` and the CLI's reader check plain text in one pass
+    and convert its labels in C; any other text goes to the line loop,
+    `_parse_lines`, which gives the messages and line numbers."""
+
+    @given(_plain_document())
+    def test_plain_text_gives_the_line_loop_pairs(self, doc):
+        text, pairs = doc
+        assert not _read_by_line(text)
+        assert parse_edge_list(text) == _parse_lines(text) == pairs
+
+    @pytest.mark.parametrize("digits", [4300, 4301])
+    def test_longest_label_int_takes_is_plain(self, digits):
+        text = "0 1\n1\t" + "7" * digits + "\r\n"
+        assert _read_by_line(text) == (digits > 4300)
+        assert _outcome(parse_edge_list, text) == _outcome(_parse_lines, text)
+        if digits > 4300:
+            assert _outcome(parse_edge_list, text)[2] == 2
+
+    def test_pieces_cut_after_a_line_feed(self):
+        # three pieces, CRLF line ends and no final one; a stray character
+        # or a blank line in any piece sends the whole text to the line loop
+        lines = [f"{i} {i + 1}" for i in range(20_000)]
+        text = "\r\n".join(lines)
+        assert len(text) > 2 * graph._PIECE
+        assert not _read_by_line(text)
+        assert _labels(text) == [x for i in range(20_000) for x in (i, i + 1)]
+        assert _read_by_line(text + "\r\n\n")
+        assert _read_by_line(text[: graph._PIECE] + "#" + text[graph._PIECE :])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# header\n0 1\n1 2\n",
+            "0 1\n\n1 2\n",
+            " 0 1\n1 2\n",
+            "0 1 \n1 2\n",
+            "0 1\n1 2\n\n",
+            "0 1\n1\x0b2\n",
+            "0 1\r1 2\n",
+            "0 1\n1 \u0660\n",
+            "0 1\n+4 2\n",
+            "0 1\n1 2 3\n",
+            "0 1\n1\n",
+            "\n",
+        ],
+    )
+    def test_other_text_gives_what_the_line_loop_gives(self, text):
+        assert _read_by_line(text)
+        assert _outcome(parse_edge_list, text) == _outcome(_parse_lines, text)
+
+    @given(st.text(alphabet="0123 \t\r\n#", max_size=40))
+    def test_any_text_gives_what_the_line_loop_gives(self, text):
+        assert bool(graph._PLAIN.fullmatch(text)) == bool(_PLAIN_REPEATS.fullmatch(text))
+        assert _outcome(parse_edge_list, text) == _outcome(_parse_lines, text)
+
+    @pytest.mark.parametrize("labelling", ["dense", "sparse"])
+    def test_cli_reader_builds_the_public_graph(self, tmp_path, labelling):
+        rng = random.Random(f"reader-{labelling}")
+        g0 = generate(GenSpec(seed=3, target_vertices=500, cycle_lengths=(3, 5, 7), pendant_probability=0.3))
+        relabel = list(range(g0.vertex_count))
+        if labelling == "sparse":
+            relabel = rng.sample(range(10**12, 10**12 + 10**6), g0.vertex_count)
+        pairs = [(relabel[u], relabel[v]) for u, v in g0.edges]
+        rng.shuffle(pairs)
+        text = "".join(f"{u} {v}\n" for u, v in pairs)
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        got, want = _load_graph(str(path)), build_graph(parse_edge_list(text))
+        for field in ("vertex_count", "edges", "rows", "labels", "tree"):
+            assert getattr(got, field) == getattr(want, field)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("", EmptyInputError),
+            ("# only a comment\n", EmptyInputError),
+            ("0 1\n2 2\n1 2\n", SelfLoopError),
+            ("0 1\n1 2\n2 1\n", ParallelEdgeError),
+            ("0 1\n2 3\n", DisconnectedError),
+            ("0 1\n1 x\n", EdgeListFormatError),
+        ],
+    )
+    def test_cli_reader_raises_the_public_errors(self, tmp_path, text, error):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(error) as want:
+            build_graph(load_edge_list(path))
+        with pytest.raises(error) as got:
+            _load_graph(str(path))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "pairs, error, message",
+        [
+            ([(0, 1), (1, 2, 3)], ValueError, "too many values to unpack (expected 2)"),
+            ([(0, 1), (1,)], ValueError, "not enough values to unpack (expected 2, got 1)"),
+            # the label check runs first, over every pair
+            ([(0, 1, 2), (-1, 2)], InvalidLabelError, "vertex label -1 is not a non-negative int"),
+            # and the pair check before the self-loop check
+            ([(0, 0), (1, 2, 3)], ValueError, "too many values to unpack (expected 2)"),
+            ([(0, 1, 2), (3,)], ValueError, "too many values to unpack (expected 2)"),
+            ([(0, 1), 5], TypeError, "'int' object is not iterable"),
+            ([iter((0, 1)), iter((1, 2))], ValueError, "not enough values to unpack (expected 2, got 0)"),
+        ],
+    )
+    def test_pair_that_is_not_two_labels(self, pairs, error, message):
+        with pytest.raises(error) as exc:
+            build_graph(pairs)
+        assert str(exc.value) == message
+
+    def test_pairs_may_come_from_any_iterable(self):
+        for pairs in (iter([(0, 1), (1, 2)]), [[0, 1], [1, 2]], ((0, 1), (1, 2))):
+            assert build_graph(pairs).edges == ((0, 1), (1, 2))

@@ -175,3 +175,17 @@ def test_trail_positions_are_read_in_segments_only():
         if isinstance(getattr(node, "op", None), ast.RShift)
     ]
     assert found == []
+
+
+def test_cli_writes_indented_json_through_one_writer():
+    # an indent sends `json` to its Python encoder; `cli._print_json` writes
+    # the same bytes with one join per object, and is the only writer
+    path = pathlib.Path(rainbow_cactus.__file__).parent / "cli.py"
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+        and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert found == []
